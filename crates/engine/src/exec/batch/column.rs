@@ -1,83 +1,48 @@
-//! Columnar chunks of intermediate relations.
+//! Key-column gathers over intermediate relations.
 //!
-//! A [`crate::exec::relation::Relation`] stores its tuples row-major
+//! A [`crate::exec::relation::Relation`] stores its kept slots row-major
 //! (`rows[i * width + slot]`), which is the right layout for emitting
-//! joined output but the wrong one for tight kernel loops: reading one
-//! slot across many tuples strides through memory. [`ColumnBatch`]
-//! transposes a contiguous tuple range into one dense `Vec<u32>` of
-//! base-table row ids **per slot**, so key gathering and comparisons run
-//! as sequential passes over flat vectors. Batches never reorder tuples —
-//! column `s`, position `i` is exactly `rel.tuple(range.start + i)[s]` —
-//! which is what keeps every batched operator's output byte-identical to
-//! the serial reference.
+//! joined output but the wrong one for tight kernel loops. A join reads
+//! one slot per key, so the kernels gather that slot's base-table key
+//! values for a contiguous tuple range into one dense `Vec<i64>` and run
+//! hashing and comparisons as sequential passes over it. Gathers never
+//! reorder tuples — position `i` is exactly the key of
+//! `rel.tuple(range.start + i)` — which is what keeps every batched
+//! operator's output byte-identical to the serial reference.
 
 use std::ops::Range;
 
 use crate::exec::relation::Relation;
 
-/// A columnar chunk: the tuples of one contiguous relation range,
-/// decomposed into per-slot row-id vectors.
-#[derive(Debug)]
-pub(crate) struct ColumnBatch {
-    /// One dense row-id vector per slot of the source relation, in the
-    /// relation's slot order.
-    cols: Vec<Vec<u32>>,
-    /// Number of tuples in the chunk.
-    len: usize,
-}
-
-impl ColumnBatch {
-    /// Transpose `rel.tuple(i)` for `i` in `range` into columns.
-    pub(crate) fn from_relation(rel: &Relation, range: Range<usize>) -> ColumnBatch {
-        let w = rel.width();
-        let len = range.len();
-        let mut cols: Vec<Vec<u32>> = (0..w).map(|_| Vec::with_capacity(len)).collect();
-        let flat = &rel.rows[range.start * w..range.end * w];
-        for tuple in flat.chunks_exact(w.max(1)) {
-            for (s, &id) in tuple.iter().enumerate() {
-                cols[s].push(id);
-            }
-        }
-        ColumnBatch { cols, len }
-    }
-
-    /// Number of tuples in the chunk.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The dense row-id column of `slot`.
-    pub(crate) fn col(&self, slot: usize) -> &[u32] {
-        &self.cols[slot]
-    }
-
-    /// Gather the `i64` key values of `slot` from a base-table column:
-    /// `out[i] = data[col(slot)[i]]`. The tight gather loop is the
-    /// batched replacement for per-tuple `KeySide::single_key` calls.
-    pub(crate) fn gather_i64(&self, slot: usize, data: &[i64], out: &mut Vec<i64>) {
-        out.clear();
-        out.reserve(self.len);
-        for &id in self.col(slot) {
-            out.push(data[id as usize]);
-        }
+/// Gather key values for the tuples of `range` into `out` (cleared
+/// first): `out[i] = data[rel.tuple(range.start + i)[slot]]`.
+pub(crate) fn gather_key_range_into(
+    rel: &Relation,
+    slot: usize,
+    data: &[i64],
+    range: Range<usize>,
+    out: &mut Vec<i64>,
+) {
+    let w = rel.width();
+    debug_assert!(slot < w, "key slot {slot} not stored (width {w})");
+    out.clear();
+    out.reserve(range.len());
+    for tuple in rel.rows()[range.start * w..range.end * w].chunks_exact(w) {
+        out.push(data[tuple[slot] as usize]);
     }
 }
 
-/// Gather key values for the tuples of `range` in one pass:
-/// `out[i] = data[rel.tuple(range.start + i)[slot]]`. The morsel-parallel
-/// batched paths gather per-morsel ranges and concatenate in morsel
-/// order, which equals the whole-column gather.
+/// Gather key values for the tuples of `range` in one pass. The
+/// morsel-parallel batched paths gather per-morsel ranges and concatenate
+/// in morsel order, which equals the whole-column gather.
 pub(crate) fn gather_key_range(
     rel: &Relation,
     slot: usize,
     data: &[i64],
     range: Range<usize>,
 ) -> Vec<i64> {
-    let w = rel.width().max(1);
-    let mut out = Vec::with_capacity(range.len());
-    for tuple in rel.rows[range.start * w..range.end * w].chunks_exact(w) {
-        out.push(data[tuple[slot] as usize]);
-    }
+    let mut out = Vec::new();
+    gather_key_range_into(rel, slot, data, range, &mut out);
     out
 }
 
@@ -94,42 +59,34 @@ mod tests {
     use super::*;
 
     fn rel() -> Relation {
-        Relation {
-            slots: vec![0, 2],
-            rows: vec![1, 10, 2, 20, 3, 30, 4, 40],
-        }
-    }
-
-    #[test]
-    fn transpose_matches_row_major_tuples() {
-        let r = rel();
-        let b = ColumnBatch::from_relation(&r, 1..3);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.col(0), &[2, 3]);
-        assert_eq!(b.col(1), &[20, 30]);
-        for i in 0..b.len() {
-            let t = r.tuple(1 + i);
-            assert_eq!(b.col(0)[i], t[0]);
-            assert_eq!(b.col(1)[i], t[1]);
-        }
-    }
-
-    #[test]
-    fn empty_range_is_empty_batch() {
-        let r = rel();
-        let b = ColumnBatch::from_relation(&r, 2..2);
-        assert_eq!(b.len(), 0);
-        assert!(b.col(0).is_empty());
+        Relation::new(vec![0, 2], vec![1, 10, 2, 20, 3, 30, 4, 40])
     }
 
     #[test]
     fn gather_reads_base_column_through_row_ids() {
         let r = rel();
         let data: Vec<i64> = (0..50).map(|i| i * 100).collect();
-        let b = ColumnBatch::from_relation(&r, 0..4);
-        let mut keys = Vec::new();
-        b.gather_i64(1, &data, &mut keys);
-        assert_eq!(keys, vec![1000, 2000, 3000, 4000]);
-        assert_eq!(gather_key_column(&r, 1, &data), keys);
+        assert_eq!(
+            gather_key_column(&r, 1, &data),
+            vec![1000, 2000, 3000, 4000]
+        );
+        assert_eq!(gather_key_column(&r, 0, &data), vec![100, 200, 300, 400]);
+    }
+
+    #[test]
+    fn range_gathers_follow_tuple_order() {
+        let r = rel();
+        let data: Vec<i64> = (0..50).collect();
+        assert_eq!(gather_key_range(&r, 1, &data, 1..3), vec![20, 30]);
+        for i in 0..r.len() {
+            assert_eq!(
+                gather_key_range(&r, 0, &data, i..i + 1),
+                vec![r.tuple(i)[0] as i64]
+            );
+        }
+        // The reused buffer is cleared, and an empty range gathers nothing.
+        let mut out = vec![-1];
+        gather_key_range_into(&r, 1, &data, 2..2, &mut out);
+        assert!(out.is_empty());
     }
 }

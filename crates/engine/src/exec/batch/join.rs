@@ -1,14 +1,17 @@
 //! Batched join operators.
 //!
 //! Each operator replays the serial work-charge cadence exactly (upfront
-//! operator charge, then [`ChargeCadence`] for the emitted output) and
+//! operator charge, then [`ChargeCadence`] for the counted output) and
 //! emits tuples in the canonical order documented on
 //! [`crate::exec::executor`], so output and accounting are byte-identical
-//! to the serial reference. What changes is the inner loop:
+//! to the serial reference. Like the serial kernels they write through a
+//! [`Projection`] and, when it keeps nothing, count instead of writing.
+//! What changes is the inner loop:
 //!
 //! * **Hash join** gathers the build-side key column(s) in one columnar
 //!   pass, builds a [`KeyTable`] (flat arrays, no per-key or per-tuple
-//!   allocation), and probes batch-by-batch over gathered probe keys.
+//!   allocation), and probes batch-by-batch over gathered probe keys; a
+//!   counting probe reads each key's match count from the table.
 //! * **Nested-loop join** gathers both sides' key columns once and
 //!   compares plain `i64`s in the pair loop — the serial path allocates a
 //!   fresh `Vec<i64>` composite key per *pair*.
@@ -17,17 +20,17 @@
 //!   itself is inherently sequential and already cheap).
 //!
 //! Cross products have no batch variant: the serial operator is a single
-//! upfront charge plus a straight memcpy-style emit loop already.
+//! upfront charge plus a straight emit loop (or a multiplication).
 
 use std::ops::Range;
 
 use crate::error::Result;
-use crate::exec::batch::column::{gather_key_column, ColumnBatch};
+use crate::exec::batch::column::{gather_key_column, gather_key_range_into};
 use crate::exec::batch::kernels::KeyTable;
-use crate::exec::batch::ChargeCadence;
 use crate::exec::compiled::KeySide;
 use crate::exec::executor::{Executor, WorkMeter};
-use crate::exec::relation::Relation;
+use crate::exec::relation::{Projection, Relation};
+use crate::exec::workunits::ChargeCadence;
 use crate::query::expr::JoinCond;
 use crate::query::spj::SpjQuery;
 
@@ -49,12 +52,14 @@ fn gather_side(
 /// Batched hash join: columnar build over a [`KeyTable`], batch-gathered
 /// probe. Emit order is probe-side-major with ascending build rows per
 /// probe tuple — identical to the serial `HashMap` path.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn hash_join(
     ex: &Executor,
     query: &SpjQuery,
     conds: &[&JoinCond],
     left: Relation,
     right: Relation,
+    proj: Projection,
     batch: usize,
     meter: &mut WorkMeter,
 ) -> Result<Relation> {
@@ -64,8 +69,7 @@ pub(crate) fn hash_join(
 
     let lcols = gather_side(ex, query, &left, conds)?;
     let rside = ex.key_side(query, &right, conds)?;
-    let slots = Relation::combined_slots(&left, &right);
-    let width = slots.len();
+    let width = proj.width();
     let table = KeyTable::build(&lcols);
 
     let mut rows: Vec<u32> = Vec::new();
@@ -74,25 +78,37 @@ pub(crate) fn hash_join(
     let batch = batch.max(1);
     for start in (0..n).step_by(batch) {
         let end = (start + batch).min(n);
-        let matched = probe_range(&table, &left, &right, &rside, start..end, batch, &mut rows);
+        let matched = probe_range(
+            &table,
+            &left,
+            &right,
+            &rside,
+            &proj,
+            start..end,
+            batch,
+            &mut rows,
+        );
         cadence.bump(matched, meter, p, width)?;
     }
-    cadence.finish(meter, p, width)?;
-    Ok(Relation { slots, rows })
+    let len = cadence.finish(meter, p, width)?;
+    Ok(proj.finish(rows, len))
 }
 
 /// Probe `range` of the probe side against a built [`KeyTable`],
-/// batch-gathering the probe keys and appending output tuples (in the
-/// canonical probe-major order) to `rows`. Returns the number of tuples
-/// emitted. Shared by the single-threaded batched hash join (which calls
-/// it per batch and charges the cadence in between) and the
+/// batch-gathering the probe keys and appending the projected output
+/// tuples (in the canonical probe-major order) to `rows` — or, when the
+/// projection keeps nothing, only counting them. Returns the number of
+/// output tuples. Shared by the single-threaded batched hash join (which
+/// calls it per batch and charges the cadence in between) and the
 /// batched-parallel path (which calls it per morsel and feeds the shared
 /// approximate accumulator instead).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_range(
     table: &KeyTable,
     left: &Relation,
     right: &Relation,
     rside: &KeySide<'_>,
+    proj: &Projection,
     range: Range<usize>,
     batch: usize,
     rows: &mut Vec<u32>,
@@ -105,21 +121,24 @@ pub(crate) fn probe_range(
     let mut start = range.start;
     while start < range.end {
         let end = (start + batch).min(range.end);
-        let chunk = ColumnBatch::from_relation(right, start..end);
         for (c, &(slot, data)) in rside.cols.iter().enumerate() {
-            chunk.gather_i64(slot, data, &mut keycols[c]);
+            gather_key_range_into(right, slot, data, start..end, &mut keycols[c]);
         }
-        for j in 0..chunk.len() {
-            let chain = if stride == 1 {
-                table.probe1(keycols[0][j])
+        for j in 0..end - start {
+            let key: &[i64] = if stride == 1 {
+                std::slice::from_ref(&keycols[0][j])
             } else {
                 keybuf.clear();
                 keybuf.extend(keycols.iter().map(|col| col[j]));
-                table.probe(&keybuf)
+                &keybuf
             };
+            if proj.counts_only() {
+                matched += table.count(key);
+                continue;
+            }
             let rt = right.tuple(start + j);
-            for i in chain {
-                Executor::emit(rows, left.tuple(i as usize), rt);
+            for i in table.probe(key) {
+                proj.emit(rows, left.tuple(i as usize), rt);
                 matched += 1;
             }
         }
@@ -136,6 +155,53 @@ pub(crate) fn keys_equal(lcols: &[Vec<i64>], rcols: &[Vec<i64>], i: usize, j: us
     lcols.iter().zip(rcols).all(|(l, r)| l[i] == r[j])
 }
 
+/// The nested-loop pair loop over gathered key columns for the outer
+/// tuples in `outer`: emits (or, when `proj` keeps nothing, counts) every
+/// matching pair in outer-major order, calling `after_outer` with each
+/// outer tuple's match count. Returns the total. Shared by the batched
+/// and batched-parallel nested-loop joins.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn nl_pairs(
+    left: &Relation,
+    right: &Relation,
+    lcols: &[Vec<i64>],
+    rcols: &[Vec<i64>],
+    proj: &Projection,
+    outer: Range<usize>,
+    rows: &mut Vec<u32>,
+    mut after_outer: impl FnMut(usize) -> Result<()>,
+) -> Result<usize> {
+    let counts_only = proj.counts_only();
+    let mut total = 0usize;
+    for i in outer {
+        let lt = left.tuple(i);
+        let mut matched = 0usize;
+        let mut hit = |j: usize| {
+            if !counts_only {
+                proj.emit(rows, lt, right.tuple(j));
+            }
+            matched += 1;
+        };
+        if lcols.len() == 1 {
+            let lk = lcols[0][i];
+            for (j, &rk) in rcols[0].iter().enumerate() {
+                if rk == lk {
+                    hit(j);
+                }
+            }
+        } else {
+            for j in 0..right.len() {
+                if keys_equal(lcols, rcols, i, j) {
+                    hit(j);
+                }
+            }
+        }
+        total += matched;
+        after_outer(matched)?;
+    }
+    Ok(total)
+}
+
 /// Batched nested-loop join: both sides' key columns are gathered once
 /// ("batch = the whole side"), so the pair loop compares flat `i64`s with
 /// no per-pair allocation. Emit order is outer-major, as in serial.
@@ -145,6 +211,7 @@ pub(crate) fn nl_join(
     conds: &[&JoinCond],
     left: Relation,
     right: Relation,
+    proj: Projection,
     meter: &mut WorkMeter,
 ) -> Result<Relation> {
     let p = &ex.config.params;
@@ -154,34 +221,21 @@ pub(crate) fn nl_join(
 
     let lcols = gather_side(ex, query, &left, conds)?;
     let rcols = gather_side(ex, query, &right, conds)?;
-    let slots = Relation::combined_slots(&left, &right);
-    let width = slots.len();
-    let stride = conds.len();
+    let width = proj.width();
     let mut rows: Vec<u32> = Vec::new();
     let mut cadence = ChargeCadence::new();
-    for i in 0..left.len() {
-        let lt = left.tuple(i);
-        let mut matched = 0usize;
-        if stride == 1 {
-            let lk = lcols[0][i];
-            for (j, &rk) in rcols[0].iter().enumerate() {
-                if rk == lk {
-                    Executor::emit(&mut rows, lt, right.tuple(j));
-                    matched += 1;
-                }
-            }
-        } else {
-            for j in 0..right.len() {
-                if keys_equal(&lcols, &rcols, i, j) {
-                    Executor::emit(&mut rows, lt, right.tuple(j));
-                    matched += 1;
-                }
-            }
-        }
-        cadence.bump(matched, meter, p, width)?;
-    }
+    let len = nl_pairs(
+        &left,
+        &right,
+        &lcols,
+        &rcols,
+        &proj,
+        0..left.len(),
+        &mut rows,
+        |matched| cadence.bump(matched, meter, p, width),
+    )?;
     cadence.finish(meter, p, width)?;
-    Ok(Relation { slots, rows })
+    Ok(proj.finish(rows, len))
 }
 
 /// Batched merge join: key extraction is columnar, the sort and the merge
@@ -193,6 +247,7 @@ pub(crate) fn merge_join(
     conds: &[&JoinCond],
     left: Relation,
     right: Relation,
+    proj: Projection,
     meter: &mut WorkMeter,
 ) -> Result<Relation> {
     let p = &ex.config.params;
@@ -212,5 +267,5 @@ pub(crate) fn merge_join(
         .collect();
     lsorted.sort_unstable();
     rsorted.sort_unstable();
-    Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, meter)
+    Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, proj, meter)
 }

@@ -4,10 +4,12 @@
 //! `HashMap<Vec<i64>, Vec<u32>>` for multi-condition joins), which costs a
 //! heap allocation per distinct key and — for composite keys — a `Vec`
 //! allocation per *tuple* on both sides. [`KeyTable`] replaces it with
-//! three flat arrays: an open-addressing slot array of chain heads, a
-//! `next` chain array indexed by build row, and the gathered key values
-//! themselves. Build and probe are tight loops over those arrays with no
-//! per-row allocation.
+//! flat arrays: an open-addressing slot array of chain heads with each
+//! chain's length beside it, a `next` chain array indexed by build row,
+//! and the gathered key values themselves. Build and probe are tight
+//! loops over those arrays with no per-row allocation, and a join that
+//! only counts its output reads a key's match count without walking its
+//! chain ([`KeyTable::count`]).
 //!
 //! # Determinism
 //!
@@ -33,6 +35,8 @@ pub(crate) struct KeyTable {
     keys: Vec<i64>,
     /// Chain head (a build row id) per slot; `NONE` marks an empty slot.
     heads: Vec<u32>,
+    /// Chain length per slot: the build rows sharing the slot's key.
+    counts: Vec<u32>,
     /// Chain link per build row; `NONE` terminates a chain.
     next: Vec<u32>,
     /// Slot-index mask (`capacity - 1`, capacity a power of two).
@@ -61,6 +65,7 @@ impl KeyTable {
             stride,
             keys,
             heads: vec![NONE; capacity],
+            counts: vec![0; capacity],
             next: vec![NONE; n],
             mask: capacity - 1,
         };
@@ -101,13 +106,29 @@ impl KeyTable {
             match self.heads[slot] {
                 NONE => {
                     self.heads[slot] = i;
+                    self.counts[slot] = 1;
                     return;
                 }
                 head if self.key_of(head) == &self.keys[key..key + self.stride] => {
                     self.next[i as usize] = head;
                     self.heads[slot] = i;
+                    self.counts[slot] += 1;
                     return;
                 }
+                _ => slot = (slot + 1) & self.mask,
+            }
+        }
+    }
+
+    /// The slot holding `key`'s chain, or `None` on a miss.
+    #[inline]
+    fn find(&self, key: &[i64]) -> Option<usize> {
+        debug_assert_eq!(key.len(), self.stride);
+        let mut slot = Self::hash(key) as usize & self.mask;
+        loop {
+            match self.heads[slot] {
+                NONE => return None,
+                head if self.key_of(head) == key => return Some(slot),
                 _ => slot = (slot + 1) & self.mask,
             }
         }
@@ -117,32 +138,17 @@ impl KeyTable {
     /// build-input order (empty iterator on a miss).
     #[inline]
     pub(crate) fn probe(&self, key: &[i64]) -> Chain<'_> {
-        debug_assert_eq!(key.len(), self.stride);
-        let mut slot = Self::hash(key) as usize & self.mask;
-        loop {
-            match self.heads[slot] {
-                NONE => {
-                    return Chain {
-                        cur: NONE,
-                        next: &self.next,
-                    }
-                }
-                head if self.key_of(head) == key => {
-                    return Chain {
-                        cur: head,
-                        next: &self.next,
-                    }
-                }
-                _ => slot = (slot + 1) & self.mask,
-            }
+        Chain {
+            cur: self.find(key).map_or(NONE, |slot| self.heads[slot]),
+            next: &self.next,
         }
     }
 
-    /// Single-condition probe without building a slice.
+    /// Number of build rows matching `key`: the length of the chain
+    /// [`KeyTable::probe`] would walk, read without walking it.
     #[inline]
-    pub(crate) fn probe1(&self, key: i64) -> Chain<'_> {
-        debug_assert_eq!(self.stride, 1);
-        self.probe(std::slice::from_ref(&key))
+    pub(crate) fn count(&self, key: &[i64]) -> usize {
+        self.find(key).map_or(0, |slot| self.counts[slot] as usize)
     }
 }
 
@@ -182,7 +188,6 @@ mod tests {
         assert_eq!(rows(&t, &[3]), vec![1, 4]);
         assert_eq!(rows(&t, &[9]), vec![5]);
         assert_eq!(rows(&t, &[8]), Vec::<u32>::new());
-        assert_eq!(t.probe1(7).collect::<Vec<_>>(), vec![0, 2, 3]);
     }
 
     #[test]
@@ -220,5 +225,35 @@ mod tests {
         assert_eq!(rows(&t, &[i64::MAX]), vec![1]);
         assert_eq!(rows(&t, &[0]), vec![2]);
         assert_eq!(rows(&t, &[-1]), vec![3]);
+    }
+
+    #[test]
+    fn per_key_counts_equal_chain_lengths() {
+        let check = |t: &KeyTable, probes: &[Vec<i64>]| {
+            for key in probes {
+                assert_eq!(t.count(key), rows(t, key).len(), "key {key:?}");
+            }
+        };
+        // Single keys, with a miss.
+        let t = KeyTable::build(&[vec![7, 3, 7, 7, 3, 9]]);
+        check(&t, &[vec![7], vec![3], vec![9], vec![8]]);
+        assert_eq!((t.count(&[7]), t.count(&[3]), t.count(&[8])), (3, 2, 0));
+        // Composite keys: every condition must match.
+        let t = KeyTable::build(&[vec![1, 1, 2, 1], vec![1, 2, 1, 1]]);
+        check(&t, &[vec![1, 1], vec![1, 2], vec![2, 1], vec![2, 2]]);
+        assert_eq!(t.count(&[1, 1]), 2);
+        // Adversarial: low-bit collisions, long duplicate chains sharing
+        // probe runs with distinct keys.
+        let keys: Vec<i64> = (0..1000)
+            .map(|i| if i % 2 == 0 { (i % 7) << 32 } else { i << 32 })
+            .collect();
+        let t = KeyTable::build(std::slice::from_ref(&keys));
+        let probes: Vec<Vec<i64>> = keys.iter().map(|&k| vec![k]).chain([vec![1]]).collect();
+        check(&t, &probes);
+        assert_eq!(t.count(&[0]), 72);
+        // Empty build side: every count is zero.
+        let t = KeyTable::build(&[vec![]]);
+        check(&t, &[vec![0], vec![i64::MIN]]);
+        assert_eq!(t.count(&[i64::MAX]), 0);
     }
 }

@@ -14,8 +14,10 @@
 //!   [`filter_sel`](crate::exec::compiled::Compiled::filter_sel)) — the
 //!   predicate dispatch runs once per batch, not once per row.
 //! * **Joins** gather key columns out of the row-major
-//!   [`Relation`] via [`column::ColumnBatch`] and run build/probe over
-//!   flat arrays ([`kernels::KeyTable`]); see [`join`].
+//!   [`Relation`] ([`column::gather_key_range`]) and run build/probe over
+//!   flat arrays ([`kernels::KeyTable`]); see [`join`]. Like every join
+//!   kernel they write only the slots a later join reads, and a join
+//!   nothing reads counts its matches instead of writing them.
 //!
 //! # Byte-identity with the serial reference
 //!
@@ -30,10 +32,11 @@
 //!    order.
 //! 2. **Work**: the serial executor charges its meter in a fixed cadence
 //!    (per-operator upfront work, then output work once per 65 536
-//!    emitted tuples, then the remainder). Batched operators replay the
-//!    exact same `f64` additions in the same order via [`ChargeCadence`]
-//!    — f64 addition does not associate, so summing per batch would
-//!    drift by ulps. Equal charge sequences also mean budget trips fire
+//!    counted tuples, then the remainder). Batched operators replay the
+//!    exact same `f64` additions in the same order via
+//!    [`ChargeCadence`](crate::exec::workunits::ChargeCadence) — f64
+//!    addition does not associate, so summing per batch would drift by
+//!    ulps. Equal charge sequences also mean budget trips fire
 //!    at the same charge, producing identical
 //!    [`EngineError::WorkLimitExceeded`] errors; the only divergence is
 //!    internal (a batch may finish being *materialized* before the trip
@@ -56,7 +59,6 @@ pub(crate) mod kernels;
 use crate::error::Result;
 use crate::exec::executor::{Executor, WorkMeter};
 use crate::exec::relation::Relation;
-use crate::exec::workunits::CostParams;
 use crate::query::spj::SpjQuery;
 
 /// Default rows per batch when `ExecMode::Batched` / `BatchedParallel`
@@ -64,53 +66,6 @@ use crate::query::spj::SpjQuery;
 /// 1024 row ids keep a batch's selection vector and gathered key columns
 /// comfortably inside L1 while amortizing per-batch dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// Replays the serial executor's output-work charge cadence.
-///
-/// The serial row loop charges `output_work(65_536, width)` every time
-/// the emitted-row counter crosses a multiple of 65 536, and
-/// `output_work(emitted % 65_536, width)` once at operator end. Batched
-/// operators count emitted rows per batch and feed them through
-/// [`ChargeCadence::bump`], which issues exactly the crossing charges the
-/// serial loop would have issued — same values, same order — so
-/// accumulated work stays bit-identical and budget trips raise the same
-/// error at the same charge.
-#[derive(Debug, Default)]
-pub(crate) struct ChargeCadence {
-    /// Output tuples emitted so far.
-    emitted: usize,
-    /// Tuples already covered by full-block charges.
-    charged: usize,
-}
-
-impl ChargeCadence {
-    /// A fresh cadence for one operator.
-    pub(crate) fn new() -> ChargeCadence {
-        ChargeCadence::default()
-    }
-
-    /// Record `n` newly emitted tuples, issuing any 65 536-block charges
-    /// the serial loop would have issued while emitting them.
-    pub(crate) fn bump(
-        &mut self,
-        n: usize,
-        meter: &mut WorkMeter,
-        p: &CostParams,
-        width: usize,
-    ) -> Result<()> {
-        self.emitted += n;
-        while self.charged + 65_536 <= self.emitted {
-            self.charged += 65_536;
-            meter.add(p.output_work(65_536.0, width))?;
-        }
-        Ok(())
-    }
-
-    /// Issue the serial end-of-operator remainder charge.
-    pub(crate) fn finish(self, meter: &mut WorkMeter, p: &CostParams, width: usize) -> Result<()> {
-        meter.add(p.output_work((self.emitted % 65_536) as f64, width))
-    }
-}
 
 /// Batched scan: selection-vector filtering over contiguous row ranges.
 ///
@@ -154,12 +109,12 @@ pub(crate) fn scan(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::catalog::Catalog;
     use crate::error::EngineError;
     use crate::exec::compiled::compile_pred;
     use crate::exec::executor::{ExecConfig, Executor};
     use crate::exec::parallel::ExecMode;
+    use crate::exec::workunits::CostParams;
     use crate::plan::physical::{JoinAlgo, PhysNode};
     use crate::query::expr::{CmpOp, ColRef, JoinCond, Predicate, TableRef};
     use crate::query::spj::SpjQuery;
@@ -177,18 +132,29 @@ mod tests {
     }
 
     /// Assert serial and batched agree byte-for-byte (or error-for-error)
-    /// on `plan`, across a spread of batch sizes.
+    /// on `plan`, across a spread of batch sizes, and that the counting
+    /// `execute` reports what `execute_collect` does.
     fn assert_modes_agree(c: &Catalog, q: &SpjQuery, plan: &PhysNode, sizes: &[usize]) {
         let serial = Executor::with_defaults(c).execute_collect(q, plan);
         for &b in sizes {
             let got = batched(c, b).execute_collect(q, plan);
+            let counted = batched(c, b).execute(q, plan);
+            match (&serial, &counted) {
+                (Ok((sr, _)), Ok(cr)) => {
+                    assert_eq!(sr.count, cr.count, "counted, batch {b}");
+                    assert_eq!(sr.work.to_bits(), cr.work.to_bits(), "counted, batch {b}");
+                    assert_eq!(sr.intermediates, cr.intermediates, "counted, batch {b}");
+                }
+                (Err(se), Err(ce)) => assert_eq!(se, ce, "counted, batch {b}"),
+                (s, g) => panic!("counting mismatch at batch {b}: serial {s:?} vs {g:?}"),
+            }
             match (&serial, &got) {
                 (Ok((sr, srel)), Ok((br, brel))) => {
                     assert_eq!(sr.count, br.count, "batch {b}");
                     assert_eq!(sr.work.to_bits(), br.work.to_bits(), "batch {b}");
                     assert_eq!(sr.intermediates, br.intermediates, "batch {b}");
-                    assert_eq!(srel.slots, brel.slots, "batch {b}");
-                    assert_eq!(srel.rows, brel.rows, "batch {b}");
+                    assert_eq!(srel.slots(), brel.slots(), "batch {b}");
+                    assert_eq!(srel.rows(), brel.rows(), "batch {b}");
                 }
                 (Err(se), Err(be)) => assert_eq!(se, be, "batch {b}"),
                 (s, g) => panic!("mode mismatch at batch {b}: serial {s:?} vs batched {g:?}"),
@@ -346,7 +312,8 @@ mod tests {
         // issues full-block charges; sweep budgets so trips land on the
         // upfront charge, mid-cadence (inside a batch), and the
         // remainder. Every cell must agree with serial on Ok/Err, the
-        // error value, and (when Ok) bit-exact work.
+        // error value, and (when Ok) bit-exact work — materializing or
+        // counting, where the join is the counting root.
         let mut c = Catalog::new();
         c.add_table(
             TableBuilder::new("l")
@@ -367,57 +334,41 @@ mod tests {
         );
         let plan = PhysNode::join(JoinAlgo::Hash, PhysNode::scan(0), PhysNode::scan(1));
         let total = Executor::with_defaults(&c).execute(&q, &plan).unwrap().work;
+        // Work charged before the join's first output block.
+        let p = CostParams::default();
+        let upfront = p.scan_work(1000.0, 0)
+            + p.scan_work(100.0, 0)
+            + 1000.0 * p.hash_build
+            + 100.0 * p.hash_probe;
         for frac in [0.001, 0.3, 0.6, 0.9, 0.999] {
             let budget = Some(total * frac);
-            let serial = Executor::new(
-                &c,
-                ExecConfig {
-                    max_work: budget,
-                    ..Default::default()
-                },
-            )
-            .execute(&q, &plan);
-            let serial_err = serial.unwrap_err();
+            let config = |mode| ExecConfig {
+                max_work: budget,
+                mode,
+                ..Default::default()
+            };
+            let serial = Executor::new(&c, config(ExecMode::Serial));
+            let serial_err = serial.execute_collect(&q, &plan).unwrap_err();
             assert!(matches!(serial_err, EngineError::WorkLimitExceeded { .. }));
+            if frac >= 0.3 {
+                assert!(total * frac > upfront, "the trip lands in the output");
+            }
+            assert_eq!(
+                serial.execute(&q, &plan).unwrap_err(),
+                serial_err,
+                "counting, frac {frac}"
+            );
             for &b in &[1usize, 7, 64, 1024] {
-                let got = Executor::new(
-                    &c,
-                    ExecConfig {
-                        max_work: budget,
-                        mode: ExecMode::Batched { batch_size: b },
-                        ..Default::default()
-                    },
-                )
-                .execute(&q, &plan);
+                let ex = Executor::new(&c, config(ExecMode::Batched { batch_size: b }));
+                let got = ex.execute_collect(&q, &plan).map(|(r, _)| r);
                 assert_eq!(got.unwrap_err(), serial_err, "frac {frac} batch {b}");
+                let counted = ex.execute(&q, &plan);
+                assert_eq!(
+                    counted.unwrap_err(),
+                    serial_err,
+                    "counting, frac {frac} batch {b}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn charge_cadence_replays_serial_blocks() {
-        let p = CostParams::default();
-        let width = 2;
-        // Serial reference: charge per emitted row at 65 536 multiples.
-        let mut serial = WorkMeter::new(None);
-        let mut emitted = 0usize;
-        for _ in 0..150_000 {
-            emitted += 1;
-            if emitted.is_multiple_of(65_536) {
-                serial.add(p.output_work(65_536.0, width)).unwrap();
-            }
-        }
-        serial
-            .add(p.output_work((emitted % 65_536) as f64, width))
-            .unwrap();
-        // Cadence replay in uneven lumps, including lumps spanning more
-        // than one block boundary.
-        let mut meter = WorkMeter::new(None);
-        let mut cadence = ChargeCadence::new();
-        for lump in [1usize, 65_535, 2, 70_000, 14_462] {
-            cadence.bump(lump, &mut meter, &p, width).unwrap();
-        }
-        cadence.finish(&mut meter, &p, width).unwrap();
-        assert_eq!(meter.work().to_bits(), serial.work().to_bits());
     }
 }

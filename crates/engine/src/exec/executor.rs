@@ -5,6 +5,22 @@
 //! wall-clock time, and the true cardinality of every intermediate result —
 //! the raw material for training learned components.
 //!
+//! # Counting vs collecting
+//!
+//! [`Executor::execute`] answers `COUNT(*)` and returns no tuples, so it
+//! writes only what a later operator reads: each operator keeps the
+//! row-id slots of the tables a later join condition touches (see
+//! [`crate::exec::relation`]), and an operator nothing reads — the root
+//! join, a child of a cross product — counts its matches instead of
+//! materializing them. [`Executor::execute_collect`] materializes every
+//! slot of every operator and returns the final relation. Both issue the
+//! same work charges in the same order (charges read the logical width
+//! and the counted tuples, never the stored slots), so their
+//! [`ExecResult`]s — count, work bits, intermediates, errors — are equal;
+//! the differential harness asserts it in every cell it sweeps. The step
+//! seam ([`Executor::exec_scan_step`] / [`Executor::exec_join_step`])
+//! always materializes full width.
+//!
 //! # Row-ordering contract
 //!
 //! Every operator produces its output tuples in a **canonical, fully
@@ -45,8 +61,8 @@ use crate::error::{EngineError, Result};
 use crate::exec::batch;
 use crate::exec::compiled::{compile_pred, Compiled, KeySide};
 use crate::exec::parallel::{self, ExecMode, ParallelConfig};
-use crate::exec::relation::{self, Relation};
-use crate::exec::workunits::CostParams;
+use crate::exec::relation::{self, Projection, Relation};
+use crate::exec::workunits::{ChargeCadence, CostParams};
 use crate::plan::physical::{JoinAlgo, PhysNode};
 use crate::query::expr::JoinCond;
 use crate::query::spj::SpjQuery;
@@ -199,20 +215,35 @@ impl<'a> Executor<'a> {
         self.config.mode
     }
 
-    /// Execute `plan` for `query`.
+    /// Execute `plan` for `query`, counting the answer: operators keep
+    /// only the slots later joins read and the root counts its output
+    /// (see the module docs). The result equals
+    /// [`Executor::execute_collect`]'s.
     pub fn execute(&self, query: &SpjQuery, plan: &PhysNode) -> Result<ExecResult> {
-        self.execute_collect(query, plan).map(|(r, _)| r)
+        self.run(query, plan, TableSet::EMPTY).map(|(r, _)| r)
     }
 
     /// Execute `plan` for `query`, also returning the final output
     /// relation (tuples of base-table row ids in the canonical operator
-    /// order documented on this module). This is the interface of the
-    /// differential correctness harness: two executions are equivalent
-    /// iff their [`ExecResult`]s and final relations are byte-identical.
+    /// order documented on this module), every operator materializing
+    /// every slot. This is the interface of the differential correctness
+    /// harness: two executions are equivalent iff their [`ExecResult`]s
+    /// and final relations are byte-identical.
     pub fn execute_collect(
         &self,
         query: &SpjQuery,
         plan: &PhysNode,
+    ) -> Result<(ExecResult, Relation)> {
+        self.run(query, plan, query.all_tables())
+    }
+
+    /// Execute `plan`, keeping the slots of the tables in `keep` in the
+    /// final relation (and whatever later joins read below it).
+    fn run(
+        &self,
+        query: &SpjQuery,
+        plan: &PhysNode,
+        keep: TableSet,
     ) -> Result<(ExecResult, Relation)> {
         // The plan must cover every table exactly once.
         let mut leaves = 0usize;
@@ -258,6 +289,7 @@ impl<'a> Executor<'a> {
                 self,
                 query,
                 plan,
+                keep,
                 detail,
                 &mut meter,
                 &mut intermediates,
@@ -274,6 +306,7 @@ impl<'a> Executor<'a> {
                     self.exec_node(
                         query,
                         plan,
+                        keep,
                         detail,
                         &mut meter,
                         &mut intermediates,
@@ -286,6 +319,7 @@ impl<'a> Executor<'a> {
             self.exec_node(
                 query,
                 plan,
+                keep,
                 detail,
                 &mut meter,
                 &mut intermediates,
@@ -384,18 +418,27 @@ impl<'a> Executor<'a> {
         right: Relation,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
+        let keep = left.tables().union(right.tables());
         if self.config.mode.threads() > 1 {
             let before = meter.work;
-            match parallel::exec_join_step(self, query, algo, left.clone(), right.clone(), meter) {
+            match parallel::exec_join_step(
+                self,
+                query,
+                algo,
+                left.clone(),
+                right.clone(),
+                keep,
+                meter,
+            ) {
                 Err(EngineError::WorkerFault { op }) if self.config.parallel.fallback_serial => {
                     self.record_degrade(&op);
                     meter.work = before;
-                    self.exec_join(query, algo, left, right, meter)
+                    self.exec_join(query, algo, left, right, keep, meter)
                 }
                 other => other,
             }
         } else {
-            self.exec_join(query, algo, left, right, meter)
+            self.exec_join(query, algo, left, right, keep, meter)
         }
     }
 
@@ -424,10 +467,14 @@ impl<'a> Executor<'a> {
         });
     }
 
+    /// Execute the subtree `node`, keeping the slots of the tables in
+    /// `keep` (a subset of `node`'s tables) in its output.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_node(
         &self,
         query: &SpjQuery,
         node: &PhysNode,
+        keep: TableSet,
         detail: bool,
         meter: &mut WorkMeter,
         intermediates: &mut Vec<(TableSet, u64)>,
@@ -448,13 +495,21 @@ impl<'a> Executor<'a> {
             PhysNode::Scan { pos } => {
                 let before = meter.work;
                 let rel = self.scan_dispatch(query, *pos, meter)?;
+                let rel = if keep.contains(*pos) {
+                    rel
+                } else {
+                    rel.into_count()
+                };
                 (rel, "Scan", meter.work - before)
             }
             PhysNode::Join { algo, left, right } => {
-                let l = self.exec_node(query, left, detail, meter, intermediates, events)?;
-                let r = self.exec_node(query, right, detail, meter, intermediates, events)?;
+                let lkeep = relation::keep_for_child(query, left.tables(), keep);
+                let rkeep = relation::keep_for_child(query, right.tables(), keep);
+                let l = self.exec_node(query, left, lkeep, detail, meter, intermediates, events)?;
+                let r =
+                    self.exec_node(query, right, rkeep, detail, meter, intermediates, events)?;
                 let before = meter.work;
-                let rel = self.exec_join(query, *algo, l, r, meter)?;
+                let rel = self.exec_join(query, *algo, l, r, keep, meter)?;
                 (rel, join_label(*algo), meter.work - before)
             }
         };
@@ -567,17 +622,21 @@ impl<'a> Executor<'a> {
         Ok(KeySide { cols })
     }
 
+    /// Join two inputs, keeping the slots of the tables in `keep` in the
+    /// output (the root of a counting execution keeps none).
     fn exec_join(
         &self,
         query: &SpjQuery,
         algo: JoinAlgo,
         left: Relation,
         right: Relation,
+        keep: TableSet,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         relation::check_row_ids(left.len(), "join left input")?;
         relation::check_row_ids(right.len(), "join right input")?;
         let conds = query.joins_between(left.tables(), right.tables());
+        let proj = Projection::new(&left, &right, keep);
         if conds.is_empty() {
             if algo != JoinAlgo::NestedLoop {
                 return Err(EngineError::InvalidPlan(format!(
@@ -587,27 +646,22 @@ impl<'a> Executor<'a> {
             }
             // Cross products are a single upfront charge plus a straight
             // emit loop; there is no batched variant to dispatch to.
-            return self.cross_join(left, right, meter);
+            return self.cross_join(left, right, proj, meter);
         }
         match (algo, self.config.mode.batch_size()) {
             (JoinAlgo::Hash, Some(b)) => {
-                batch::join::hash_join(self, query, &conds, left, right, b, meter)
+                batch::join::hash_join(self, query, &conds, left, right, proj, b, meter)
             }
-            (JoinAlgo::Hash, None) => self.hash_join(query, &conds, left, right, meter),
+            (JoinAlgo::Hash, None) => self.hash_join(query, &conds, left, right, proj, meter),
             (JoinAlgo::NestedLoop, Some(_)) => {
-                batch::join::nl_join(self, query, &conds, left, right, meter)
+                batch::join::nl_join(self, query, &conds, left, right, proj, meter)
             }
-            (JoinAlgo::NestedLoop, None) => self.nl_join(query, &conds, left, right, meter),
+            (JoinAlgo::NestedLoop, None) => self.nl_join(query, &conds, left, right, proj, meter),
             (JoinAlgo::Merge, Some(_)) => {
-                batch::join::merge_join(self, query, &conds, left, right, meter)
+                batch::join::merge_join(self, query, &conds, left, right, proj, meter)
             }
-            (JoinAlgo::Merge, None) => self.merge_join(query, &conds, left, right, meter),
+            (JoinAlgo::Merge, None) => self.merge_join(query, &conds, left, right, proj, meter),
         }
-    }
-
-    pub(crate) fn emit(out: &mut Vec<u32>, ltuple: &[u32], rtuple: &[u32]) {
-        out.extend_from_slice(ltuple);
-        out.extend_from_slice(rtuple);
     }
 
     /// The hash-join "spill" multiplier for a build side of `build_rows`.
@@ -634,6 +688,7 @@ impl<'a> Executor<'a> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.config.params;
@@ -643,54 +698,60 @@ impl<'a> Executor<'a> {
 
         let lkeys = self.key_side(query, &left, conds)?;
         let rkeys = self.key_side(query, &right, conds)?;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
-        let mut rows: Vec<u32> = Vec::new();
-        let mut emitted = 0usize;
-
         if conds.len() == 1 {
-            let mut table: HashMap<i64, Vec<u32>> = HashMap::new();
-            for i in 0..left.len() {
-                table
-                    .entry(lkeys.single_key(left.tuple(i)))
-                    .or_default()
-                    .push(i as u32);
-            }
-            for j in 0..right.len() {
-                let rt = right.tuple(j);
-                if let Some(matches) = table.get(&rkeys.single_key(rt)) {
-                    for &i in matches {
-                        Self::emit(&mut rows, left.tuple(i as usize), rt);
-                        emitted += 1;
-                        if emitted.is_multiple_of(65_536) {
-                            meter.add(p.output_work(65_536.0, width))?;
-                        }
-                    }
-                }
-            }
+            self.hash_probe(
+                &left,
+                &right,
+                proj,
+                meter,
+                |t| lkeys.single_key(t),
+                |t| rkeys.single_key(t),
+            )
         } else {
-            let mut table: HashMap<Vec<i64>, Vec<u32>> = HashMap::new();
-            for i in 0..left.len() {
-                table
-                    .entry(lkeys.multi_key(left.tuple(i)))
-                    .or_default()
-                    .push(i as u32);
-            }
-            for j in 0..right.len() {
-                let rt = right.tuple(j);
-                if let Some(matches) = table.get(&rkeys.multi_key(rt)) {
+            self.hash_probe(
+                &left,
+                &right,
+                proj,
+                meter,
+                |t| lkeys.multi_key(t),
+                |t| rkeys.multi_key(t),
+            )
+        }
+    }
+
+    /// Build a `HashMap` over the left input's keys and probe it with the
+    /// right's, emitting probe-major or, when `proj` keeps nothing,
+    /// counting each probe's bucket.
+    fn hash_probe<K: Eq + std::hash::Hash>(
+        &self,
+        left: &Relation,
+        right: &Relation,
+        proj: Projection,
+        meter: &mut WorkMeter,
+        lkey: impl Fn(&[u32]) -> K,
+        rkey: impl Fn(&[u32]) -> K,
+    ) -> Result<Relation> {
+        let p = &self.config.params;
+        let width = proj.width();
+        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+        for i in 0..left.len() {
+            table.entry(lkey(left.tuple(i))).or_default().push(i as u32);
+        }
+        let mut rows: Vec<u32> = Vec::new();
+        let mut cadence = ChargeCadence::new();
+        for j in 0..right.len() {
+            let rt = right.tuple(j);
+            if let Some(matches) = table.get(&rkey(rt)) {
+                if !proj.counts_only() {
                     for &i in matches {
-                        Self::emit(&mut rows, left.tuple(i as usize), rt);
-                        emitted += 1;
-                        if emitted.is_multiple_of(65_536) {
-                            meter.add(p.output_work(65_536.0, width))?;
-                        }
+                        proj.emit(&mut rows, left.tuple(i as usize), rt);
                     }
                 }
+                cadence.bump(matches.len(), meter, p, width)?;
             }
         }
-        meter.add(p.output_work((emitted % 65_536) as f64, width))?;
-        Ok(Relation { slots, rows })
+        let len = cadence.finish(meter, p, width)?;
+        Ok(proj.finish(rows, len))
     }
 
     fn nl_join(
@@ -699,6 +760,7 @@ impl<'a> Executor<'a> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.config.params;
@@ -708,46 +770,47 @@ impl<'a> Executor<'a> {
 
         let lkeys = self.key_side(query, &left, conds)?;
         let rkeys = self.key_side(query, &right, conds)?;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
+        let width = proj.width();
         let mut rows: Vec<u32> = Vec::new();
-        let mut emitted = 0usize;
+        let mut cadence = ChargeCadence::new();
         for i in 0..left.len() {
             let lt = left.tuple(i);
             let lk = lkeys.multi_key(lt);
+            let mut matched = 0usize;
             for j in 0..right.len() {
                 let rt = right.tuple(j);
                 if lk == rkeys.multi_key(rt) {
-                    Self::emit(&mut rows, lt, rt);
-                    emitted += 1;
-                    if emitted.is_multiple_of(65_536) {
-                        meter.add(p.output_work(65_536.0, width))?;
+                    if !proj.counts_only() {
+                        proj.emit(&mut rows, lt, rt);
                     }
+                    matched += 1;
                 }
             }
+            cadence.bump(matched, meter, p, width)?;
         }
-        meter.add(p.output_work((emitted % 65_536) as f64, width))?;
-        Ok(Relation { slots, rows })
+        let len = cadence.finish(meter, p, width)?;
+        Ok(proj.finish(rows, len))
     }
 
     fn cross_join(
         &self,
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.config.params;
         let out = left.len() as f64 * right.len() as f64;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
-        meter.add(out * p.nl_pair + p.output_work(out, width))?;
+        meter.add(out * p.nl_pair + p.output_work(out, proj.width()))?;
         let mut rows = Vec::new();
-        for i in 0..left.len() {
-            for j in 0..right.len() {
-                Self::emit(&mut rows, left.tuple(i), right.tuple(j));
+        if !proj.counts_only() {
+            for i in 0..left.len() {
+                for j in 0..right.len() {
+                    proj.emit(&mut rows, left.tuple(i), right.tuple(j));
+                }
             }
         }
-        Ok(Relation { slots, rows })
+        Ok(proj.finish(rows, left.len() * right.len()))
     }
 
     fn merge_join(
@@ -756,6 +819,7 @@ impl<'a> Executor<'a> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.config.params;
@@ -775,24 +839,27 @@ impl<'a> Executor<'a> {
             .collect();
         lsorted.sort_unstable();
         rsorted.sort_unstable();
-        Self::merge_phase(p, &left, &right, &lsorted, &rsorted, meter)
+        Self::merge_phase(p, &left, &right, &lsorted, &rsorted, proj, meter)
     }
 
     /// The merge phase of a merge join over pre-sorted key/index vectors.
     /// Shared with the parallel executor, whose only parallel piece is key
     /// extraction: the merge itself is inherently sequential and cheap.
+    /// A matching key group of `a × b` tuples is emitted left-major, one
+    /// left row (and one cadence bump) at a time, or — when `proj` keeps
+    /// nothing — counted as one lump.
     pub(crate) fn merge_phase(
         p: &CostParams,
         left: &Relation,
         right: &Relation,
         lsorted: &[(Vec<i64>, u32)],
         rsorted: &[(Vec<i64>, u32)],
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        let slots = Relation::combined_slots(left, right);
-        let width = slots.len();
+        let width = proj.width();
         let mut rows: Vec<u32> = Vec::new();
-        let mut emitted = 0usize;
+        let mut cadence = ChargeCadence::new();
         let (mut i, mut j) = (0usize, 0usize);
         while i < lsorted.len() && j < rsorted.len() {
             match lsorted[i].0.cmp(&rsorted[j].0) {
@@ -800,20 +867,18 @@ impl<'a> Executor<'a> {
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
                     // Find the full equal groups on both sides.
-                    let key = lsorted[i].0.clone();
-                    let i_end = lsorted[i..].iter().take_while(|(k, _)| *k == key).count() + i;
-                    let j_end = rsorted[j..].iter().take_while(|(k, _)| *k == key).count() + j;
-                    for (_, li) in &lsorted[i..i_end] {
-                        for (_, rj) in &rsorted[j..j_end] {
-                            Self::emit(
-                                &mut rows,
-                                left.tuple(*li as usize),
-                                right.tuple(*rj as usize),
-                            );
-                            emitted += 1;
-                            if emitted.is_multiple_of(65_536) {
-                                meter.add(p.output_work(65_536.0, width))?;
+                    let key = &lsorted[i].0;
+                    let i_end = lsorted[i..].iter().take_while(|(k, _)| k == key).count() + i;
+                    let j_end = rsorted[j..].iter().take_while(|(k, _)| k == key).count() + j;
+                    if proj.counts_only() {
+                        cadence.bump((i_end - i) * (j_end - j), meter, p, width)?;
+                    } else {
+                        for (_, li) in &lsorted[i..i_end] {
+                            let lt = left.tuple(*li as usize);
+                            for (_, rj) in &rsorted[j..j_end] {
+                                proj.emit(&mut rows, lt, right.tuple(*rj as usize));
                             }
+                            cadence.bump(j_end - j, meter, p, width)?;
                         }
                     }
                     i = i_end;
@@ -821,8 +886,8 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        meter.add(p.output_work((emitted % 65_536) as f64, width))?;
-        Ok(Relation { slots, rows })
+        let len = cadence.finish(meter, p, width)?;
+        Ok(proj.finish(rows, len))
     }
 }
 
@@ -1085,8 +1150,8 @@ mod tests {
                 assert_eq!(sr.count, pr.count, "{algo} x{threads}");
                 assert_eq!(sr.work.to_bits(), pr.work.to_bits(), "{algo} x{threads}");
                 assert_eq!(sr.intermediates, pr.intermediates, "{algo} x{threads}");
-                assert_eq!(srel.slots, prel.slots, "{algo} x{threads}");
-                assert_eq!(srel.rows, prel.rows, "{algo} x{threads}");
+                assert_eq!(srel.slots(), prel.slots(), "{algo} x{threads}");
+                assert_eq!(srel.rows(), prel.rows(), "{algo} x{threads}");
             }
         }
     }
@@ -1218,5 +1283,189 @@ mod tests {
         );
         let err = ex.execute(&q, &join_plan(JoinAlgo::Hash)).unwrap_err();
         assert!(matches!(err, EngineError::WorkLimitExceeded { .. }));
+    }
+
+    /// Every execution mode, with morsels small enough to split the
+    /// fixtures across workers.
+    fn all_modes() -> Vec<ExecConfig> {
+        [
+            ExecMode::Serial,
+            ExecMode::Batched { batch_size: 1 },
+            ExecMode::Batched { batch_size: 7 },
+            ExecMode::Parallel { threads: 2 },
+            ExecMode::BatchedParallel {
+                threads: 2,
+                batch_size: 7,
+            },
+        ]
+        .into_iter()
+        .map(|mode| ExecConfig {
+            mode,
+            parallel: ParallelConfig {
+                morsel_rows: 3,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .collect()
+    }
+
+    /// `execute` (pruned slots, counting root) must report exactly what
+    /// `execute_collect` (every slot materialized) reports, in every
+    /// mode: count, work bits, intermediates. Returns the count.
+    fn assert_counting_matches_collect(c: &Catalog, q: &SpjQuery, plan: &PhysNode) -> u64 {
+        let (reference, _) = Executor::with_defaults(c).execute_collect(q, plan).unwrap();
+        for config in all_modes() {
+            let mode = config.mode;
+            let ex = Executor::new(c, config);
+            let (collected, _) = ex.execute_collect(q, plan).unwrap();
+            let counted = ex.execute(q, plan).unwrap();
+            for r in [&collected, &counted] {
+                assert_eq!(r.count, reference.count, "{mode}");
+                assert_eq!(r.work.to_bits(), reference.work.to_bits(), "{mode}");
+                assert_eq!(r.intermediates, reference.intermediates, "{mode}");
+            }
+        }
+        reference.count
+    }
+
+    /// The relation `execute` ends with, for inspecting what it stored.
+    fn counted_root(c: &Catalog, q: &SpjQuery, plan: &PhysNode) -> Relation {
+        let ex = Executor::with_defaults(c);
+        let mut meter = WorkMeter::new(None);
+        ex.exec_node(
+            q,
+            plan,
+            TableSet::EMPTY,
+            false,
+            &mut meter,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+        .unwrap()
+    }
+
+    /// A chain `w - x - y - z` of many-to-one links with fan-out 2
+    /// (32 answers), and a pair `u - v` joined to nothing else.
+    fn chain_fixture() -> Catalog {
+        let mut c = Catalog::new();
+        let child = |name: &str, n: i64, fk: &str| {
+            TableBuilder::new(name)
+                .int("id", (0..n).collect())
+                .int(fk, (0..n).map(|i| i / 2).collect())
+                .build()
+                .unwrap()
+        };
+        c.add_table(
+            TableBuilder::new("w")
+                .int("id", (0..4).collect())
+                .build()
+                .unwrap(),
+        );
+        c.add_table(child("x", 8, "w_id"));
+        c.add_table(child("y", 16, "x_id"));
+        c.add_table(child("z", 32, "y_id"));
+        c.add_table(
+            TableBuilder::new("u")
+                .int("id", (0..3).collect())
+                .build()
+                .unwrap(),
+        );
+        c.add_table(child("v", 6, "u_id"));
+        c
+    }
+
+    fn cond(l: (&str, &str), r: (&str, &str)) -> JoinCond {
+        JoinCond::new(ColRef::new(l.0, l.1), ColRef::new(r.0, r.1))
+    }
+
+    #[test]
+    fn nl_and_merge_above_pruned_children_charge_logical_width() {
+        let c = chain_fixture();
+        let q = SpjQuery::new(
+            ["w", "x", "y", "z"].map(TableRef::bare).to_vec(),
+            vec![
+                cond(("w", "id"), ("x", "w_id")),
+                cond(("x", "id"), ("y", "x_id")),
+                cond(("y", "id"), ("z", "y_id")),
+            ],
+            vec![],
+        );
+        let (w, x, y, z) = (0, 1, 2, 3);
+        let join = |a, l, r| PhysNode::join(a, l, r);
+        let wx = || join(JoinAlgo::Hash, PhysNode::scan(w), PhysNode::scan(x));
+        // Under a counting root, `w ⋈ x` stores only x (w is read by
+        // nothing later), yet every join above it covers w and must charge
+        // its output at the logical width.
+        let plans = [
+            // Bushy: a merge / NL root over two pruned children.
+            join(
+                JoinAlgo::Merge,
+                wx(),
+                join(JoinAlgo::NestedLoop, PhysNode::scan(y), PhysNode::scan(z)),
+            ),
+            join(
+                JoinAlgo::NestedLoop,
+                wx(),
+                join(JoinAlgo::Hash, PhysNode::scan(y), PhysNode::scan(z)),
+            ),
+            // Left-deep: a non-root NL / merge over a pruned child.
+            join(
+                JoinAlgo::Hash,
+                join(JoinAlgo::NestedLoop, wx(), PhysNode::scan(y)),
+                PhysNode::scan(z),
+            ),
+            join(
+                JoinAlgo::Hash,
+                join(JoinAlgo::Merge, wx(), PhysNode::scan(y)),
+                PhysNode::scan(z),
+            ),
+        ];
+        for plan in &plans {
+            assert_eq!(
+                assert_counting_matches_collect(&c, &q, plan),
+                32,
+                "{plan:?}"
+            );
+            let root = counted_root(&c, &q, plan);
+            assert_eq!((root.len(), root.width()), (32, 0), "the root only counts");
+            assert_eq!(root.tables(), q.all_tables());
+        }
+    }
+
+    #[test]
+    fn cross_products_of_zero_slot_children_count_correctly() {
+        let c = chain_fixture();
+        // Two components with no condition between them: `w ⋈ x` (8
+        // tuples) and `u ⋈ v` (6). A counting root keeps nothing of
+        // either side.
+        let q = SpjQuery::new(
+            ["w", "x", "u", "v"].map(TableRef::bare).to_vec(),
+            vec![
+                cond(("w", "id"), ("x", "w_id")),
+                cond(("u", "id"), ("v", "u_id")),
+            ],
+            vec![],
+        );
+        let wx = PhysNode::join(JoinAlgo::Hash, PhysNode::scan(0), PhysNode::scan(1));
+        let uv = PhysNode::join(JoinAlgo::Merge, PhysNode::scan(2), PhysNode::scan(3));
+        let cross = PhysNode::join(JoinAlgo::NestedLoop, wx, uv);
+        assert_eq!(assert_counting_matches_collect(&c, &q, &cross), 48);
+        assert_eq!(counted_root(&c, &q, &cross).width(), 0);
+        // A cross product of two bare scans: both scans keep no slot.
+        let scans = SpjQuery::new(["w", "u"].map(TableRef::bare).to_vec(), vec![], vec![]);
+        let plan = PhysNode::join(JoinAlgo::NestedLoop, PhysNode::scan(0), PhysNode::scan(1));
+        assert_eq!(assert_counting_matches_collect(&c, &scans, &plan), 12);
+        // A cross product below a join keeps the slot the join reads.
+        let plan = PhysNode::join(
+            JoinAlgo::Hash,
+            PhysNode::join(
+                JoinAlgo::Hash,
+                PhysNode::join(JoinAlgo::NestedLoop, PhysNode::scan(0), PhysNode::scan(2)),
+                PhysNode::scan(1),
+            ),
+            PhysNode::scan(3),
+        );
+        assert_eq!(assert_counting_matches_collect(&c, &q, &plan), 48);
     }
 }

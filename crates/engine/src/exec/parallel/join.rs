@@ -8,40 +8,28 @@
 //! * workers feed the shared *approximate* accumulator as they emit, so
 //!   the budget can cancel dispatch mid-operator;
 //! * after the deterministic morsel-order merge, output work is
-//!   **replayed** as the exact serial sequence of chunked charges, making
-//!   the final work value bit-identical to serial execution.
+//!   **replayed** as the exact serial sequence of chunked charges
+//!   ([`ChargeCadence::charge_all`]), making the final work value
+//!   bit-identical to serial execution.
+//!
+//! Morsel bodies write through the same [`Projection`] as the serial
+//! kernels and, when it keeps nothing, return only their match counts.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::error::{EngineError, Result};
 use crate::exec::batch::column::{gather_key_column, gather_key_range};
-use crate::exec::batch::join::{keys_equal, probe_range};
+use crate::exec::batch::join::{nl_pairs, probe_range};
 use crate::exec::batch::kernels::KeyTable;
 use crate::exec::compiled::KeySide;
 use crate::exec::executor::{Executor, WorkMeter};
 use crate::exec::parallel::ParRun;
-use crate::exec::relation::Relation;
-use crate::exec::workunits::CostParams;
+use crate::exec::relation::{Projection, Relation};
+use crate::exec::workunits::ChargeCadence;
 use crate::plan::physical::JoinAlgo;
 use crate::query::expr::JoinCond;
-
-/// Replay the serial executor's chunked output-work charges for a join
-/// that emitted `emitted` tuples of `width` slots: one charge per full
-/// 65,536-tuple chunk, then the remainder. Bit-identical to the serial
-/// interleaved sequence because f64 addition is deterministic for a fixed
-/// sequence of operands.
-fn replay_output_charges(
-    meter: &mut WorkMeter,
-    p: &CostParams,
-    emitted: usize,
-    width: usize,
-) -> Result<()> {
-    for _ in 0..emitted / 65_536 {
-        meter.add(p.output_work(65_536.0, width))?;
-    }
-    meter.add(p.output_work((emitted % 65_536) as f64, width))
-}
+use crate::query::table_set::TableSet;
 
 impl ParRun<'_> {
     pub(crate) fn join(
@@ -49,11 +37,13 @@ impl ParRun<'_> {
         algo: JoinAlgo,
         left: Relation,
         right: Relation,
+        keep: TableSet,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         crate::exec::relation::check_row_ids(left.len(), "join left input")?;
         crate::exec::relation::check_row_ids(right.len(), "join right input")?;
         let conds = self.query.joins_between(left.tables(), right.tables());
+        let proj = Projection::new(&left, &right, keep);
         if conds.is_empty() {
             if algo != JoinAlgo::NestedLoop {
                 return Err(EngineError::InvalidPlan(format!(
@@ -61,12 +51,12 @@ impl ParRun<'_> {
                      must use NestedLoopJoin)"
                 )));
             }
-            return self.cross_join(left, right, meter);
+            return self.cross_join(left, right, proj, meter);
         }
         match algo {
-            JoinAlgo::Hash => self.hash_join(&conds, left, right, meter),
-            JoinAlgo::NestedLoop => self.nl_join(&conds, left, right, meter),
-            JoinAlgo::Merge => self.merge_join(&conds, left, right, meter),
+            JoinAlgo::Hash => self.hash_join(&conds, left, right, proj, meter),
+            JoinAlgo::NestedLoop => self.nl_join(&conds, left, right, proj, meter),
+            JoinAlgo::Merge => self.merge_join(&conds, left, right, proj, meter),
         }
     }
 
@@ -75,6 +65,7 @@ impl ParRun<'_> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.ex.config.params;
@@ -85,21 +76,19 @@ impl ParRun<'_> {
 
         let lkeys = self.ex.key_side(self.query, &left, conds)?;
         let rkeys = self.ex.key_side(self.query, &right, conds)?;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
         let (rows, emitted) = if let Some(batch) = self.batch {
-            self.hash_join_batched(&left, &right, width, &lkeys, &rkeys, batch)?
+            self.hash_join_batched(&left, &right, &proj, &lkeys, &rkeys, batch)?
         } else if conds.len() == 1 {
-            self.hash_join_keyed(&left, &right, width, &lkeys, &rkeys, |ks, t| {
+            self.hash_join_keyed(&left, &right, &proj, &lkeys, &rkeys, |ks, t| {
                 ks.single_key(t)
             })?
         } else {
-            self.hash_join_keyed(&left, &right, width, &lkeys, &rkeys, |ks, t| {
+            self.hash_join_keyed(&left, &right, &proj, &lkeys, &rkeys, |ks, t| {
                 ks.multi_key(t)
             })?
         };
-        replay_output_charges(meter, p, emitted, width)?;
-        Ok(Relation { slots, rows })
+        ChargeCadence::charge_all(emitted, meter, p, proj.width())?;
+        Ok(proj.finish(rows, emitted))
     }
 
     /// Batched-parallel hash join: build-side key columns are gathered
@@ -113,7 +102,7 @@ impl ParRun<'_> {
         &self,
         left: &Relation,
         right: &Relation,
-        width: usize,
+        proj: &Projection,
         lkeys: &KeySide<'_>,
         rkeys: &KeySide<'_>,
         batch: usize,
@@ -139,8 +128,8 @@ impl ParRun<'_> {
         let params = &self.ex.config.params;
         let chunks = self.dispatch(right.len(), "HashJoin", move |_, range| {
             let mut rows: Vec<u32> = Vec::new();
-            let emitted = probe_range(table, left, right, rkeys, range, batch, &mut rows);
-            shared.add_approx(params.output_work(emitted as f64, width));
+            let emitted = probe_range(table, left, right, rkeys, proj, range, batch, &mut rows);
+            shared.add_approx(params.output_work(emitted as f64, proj.width()));
             (rows, emitted)
         })?;
         Ok(concat_chunks(chunks))
@@ -158,7 +147,7 @@ impl ParRun<'_> {
         &self,
         left: &Relation,
         right: &Relation,
-        width: usize,
+        proj: &Projection,
         lkeys: &KeySide<'_>,
         rkeys: &KeySide<'_>,
         key: F,
@@ -193,13 +182,15 @@ impl ParRun<'_> {
             for j in range {
                 let rt = right.tuple(j);
                 if let Some(matches) = table.get(&key(rkeys, rt)) {
-                    for &i in matches {
-                        Executor::emit(&mut rows, left.tuple(i as usize), rt);
-                        emitted += 1;
+                    if !proj.counts_only() {
+                        for &i in matches {
+                            proj.emit(&mut rows, left.tuple(i as usize), rt);
+                        }
                     }
+                    emitted += matches.len();
                 }
             }
-            shared.add_approx(params.output_work(emitted as f64, width));
+            shared.add_approx(params.output_work(emitted as f64, proj.width()));
             (rows, emitted)
         })?;
         Ok(concat_chunks(chunks))
@@ -210,6 +201,7 @@ impl ParRun<'_> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.ex.config.params;
@@ -219,10 +211,9 @@ impl ParRun<'_> {
 
         let lkeys = self.ex.key_side(self.query, &left, conds)?;
         let rkeys = self.ex.key_side(self.query, &right, conds)?;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
+        let width = proj.width();
         let (lkeys, rkeys) = (&lkeys, &rkeys);
-        let (lref, rref) = (&left, &right);
+        let (lref, rref, pref) = (&left, &right, &proj);
         let shared = &self.shared;
         let chunks = if self.batch.is_some() {
             // Batched morsel body: both sides' key columns are gathered
@@ -242,30 +233,9 @@ impl ParRun<'_> {
             let (lcols, rcols) = (&lcols, &rcols);
             self.dispatch(left.len(), "NestedLoopJoin", move |_, range| {
                 let mut rows: Vec<u32> = Vec::new();
-                let mut emitted = 0usize;
-                if lcols.len() == 1 {
-                    let (lc, rc) = (&lcols[0], &rcols[0]);
-                    for i in range {
-                        let lt = lref.tuple(i);
-                        let lk = lc[i];
-                        for (j, &rk) in rc.iter().enumerate() {
-                            if rk == lk {
-                                Executor::emit(&mut rows, lt, rref.tuple(j));
-                                emitted += 1;
-                            }
-                        }
-                    }
-                } else {
-                    for i in range {
-                        let lt = lref.tuple(i);
-                        for j in 0..rref.len() {
-                            if keys_equal(lcols, rcols, i, j) {
-                                Executor::emit(&mut rows, lt, rref.tuple(j));
-                                emitted += 1;
-                            }
-                        }
-                    }
-                }
+                let emitted =
+                    nl_pairs(lref, rref, lcols, rcols, pref, range, &mut rows, |_| Ok(()))
+                        .expect("a pair loop without charges cannot fail");
                 shared.add_approx(p.output_work(emitted as f64, width));
                 (rows, emitted)
             })?
@@ -279,7 +249,9 @@ impl ParRun<'_> {
                     for j in 0..rref.len() {
                         let rt = rref.tuple(j);
                         if lk == rkeys.multi_key(rt) {
-                            Executor::emit(&mut rows, lt, rt);
+                            if !pref.counts_only() {
+                                pref.emit(&mut rows, lt, rt);
+                            }
                             emitted += 1;
                         }
                     }
@@ -289,38 +261,36 @@ impl ParRun<'_> {
             })?
         };
         let (rows, emitted) = concat_chunks(chunks);
-        replay_output_charges(meter, p, emitted, width)?;
-        Ok(Relation { slots, rows })
+        ChargeCadence::charge_all(emitted, meter, p, width)?;
+        Ok(proj.finish(rows, emitted))
     }
 
     fn cross_join(
         &self,
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.ex.config.params;
         let out = left.len() as f64 * right.len() as f64;
-        let slots = Relation::combined_slots(&left, &right);
-        let width = slots.len();
         // Serial charges the cross product in one upfront add; match it.
-        meter.add(out * p.nl_pair + p.output_work(out, width))?;
+        meter.add(out * p.nl_pair + p.output_work(out, proj.width()))?;
         self.shared.seed_work(meter.work);
-        let (lref, rref) = (&left, &right);
+        let (lref, rref, pref) = (&left, &right, &proj);
         let chunks = self.dispatch(left.len(), "NestedLoopJoin", move |_, range| {
             let mut rows: Vec<u32> = Vec::new();
-            for i in range {
-                for j in 0..rref.len() {
-                    Executor::emit(&mut rows, lref.tuple(i), rref.tuple(j));
+            if !pref.counts_only() {
+                for i in range.clone() {
+                    for j in 0..rref.len() {
+                        pref.emit(&mut rows, lref.tuple(i), rref.tuple(j));
+                    }
                 }
             }
-            rows
+            (rows, range.len() * rref.len())
         })?;
-        let mut rows = Vec::new();
-        for c in chunks {
-            rows.extend(c);
-        }
-        Ok(Relation { slots, rows })
+        let (rows, emitted) = concat_chunks(chunks);
+        Ok(proj.finish(rows, emitted))
     }
 
     /// Merge join: key extraction is parallel (order-preserving because
@@ -332,6 +302,7 @@ impl ParRun<'_> {
         conds: &[&JoinCond],
         left: Relation,
         right: Relation,
+        proj: Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let p = &self.ex.config.params;
@@ -362,7 +333,7 @@ impl ParRun<'_> {
         let mut rsorted: Vec<(Vec<i64>, u32)> = rext.into_iter().flatten().collect();
         lsorted.sort_unstable();
         rsorted.sort_unstable();
-        Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, meter)
+        Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, proj, meter)
     }
 }
 

@@ -52,7 +52,7 @@ use crate::error::Result;
 use crate::exec::executor::{join_label, Executor, WorkMeter};
 use crate::exec::parallel::morsel::{morsels, SharedRun};
 use crate::exec::parallel::pool::{run_morsels, PoolStats};
-use crate::exec::relation::Relation;
+use crate::exec::relation::{keep_for_child, Relation};
 use crate::plan::physical::PhysNode;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
@@ -229,20 +229,24 @@ pub(crate) struct ParRun<'a> {
 }
 
 /// Execute `plan` on the morsel pool, with worker count and batch size
-/// taken from the executor's configured mode. Mirrors
-/// [`Executor::exec_node`] exactly: same validation, same intermediates,
-/// same operator events, bit-identical work accounting.
+/// taken from the executor's configured mode, keeping the slots of the
+/// tables in `keep` in the final relation. Mirrors
+/// [`Executor::exec_node`] exactly: same validation, same slot pruning,
+/// same intermediates, same operator events, bit-identical work
+/// accounting.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_plan(
     ex: &Executor<'_>,
     query: &SpjQuery,
     plan: &PhysNode,
+    keep: TableSet,
     detail: bool,
     meter: &mut WorkMeter,
     intermediates: &mut Vec<(TableSet, u64)>,
     events: &mut Vec<OperatorEvent>,
 ) -> Result<Relation> {
     let run = step_run(ex, query, detail);
-    let result = run.node(plan, meter, intermediates, events);
+    let result = run.node(plan, keep, meter, intermediates, events);
     run.finish();
     result
 }
@@ -286,20 +290,23 @@ pub(crate) fn exec_join_step(
     algo: crate::plan::physical::JoinAlgo,
     left: Relation,
     right: Relation,
+    keep: TableSet,
     meter: &mut WorkMeter,
 ) -> Result<Relation> {
     let run = step_run(ex, query, false);
-    let result = run.join(algo, left, right, meter);
+    let result = run.join(algo, left, right, keep, meter);
     run.finish();
     result
 }
 
 impl ParRun<'_> {
-    /// Execute one plan node; identical structure to the serial
-    /// `exec_node` so per-operator work attribution and event order match.
+    /// Execute one plan node, keeping the slots of the tables in `keep`;
+    /// identical structure to the serial `exec_node` so slot pruning,
+    /// per-operator work attribution and event order match.
     fn node(
         &self,
         node: &PhysNode,
+        keep: TableSet,
         meter: &mut WorkMeter,
         intermediates: &mut Vec<(TableSet, u64)>,
         events: &mut Vec<OperatorEvent>,
@@ -317,13 +324,20 @@ impl ParRun<'_> {
             PhysNode::Scan { pos } => {
                 let before = meter.work;
                 let rel = self.scan(*pos, meter)?;
+                let rel = if keep.contains(*pos) {
+                    rel
+                } else {
+                    rel.into_count()
+                };
                 (rel, "Scan", meter.work - before)
             }
             PhysNode::Join { algo, left, right } => {
-                let l = self.node(left, meter, intermediates, events)?;
-                let r = self.node(right, meter, intermediates, events)?;
+                let lkeep = keep_for_child(self.query, left.tables(), keep);
+                let rkeep = keep_for_child(self.query, right.tables(), keep);
+                let l = self.node(left, lkeep, meter, intermediates, events)?;
+                let r = self.node(right, rkeep, meter, intermediates, events)?;
                 let before = meter.work;
-                let rel = self.join(*algo, l, r, meter)?;
+                let rel = self.join(*algo, l, r, keep, meter)?;
                 (rel, join_label(*algo), meter.work - before)
             }
         };

@@ -14,12 +14,18 @@
 //! executor's determinism guarantee (the row-ordering half lives in
 //! [`crate::exec::executor`]'s module docs): charges are accumulated in a
 //! fixed serial order — per-operator up-front charges, then per-tuple
-//! output charges in 64 Ki-tuple blocks as rows are emitted. `f64`
-//! addition does not associate, so the parallel executor must *replay*
-//! emission charges in this exact cadence after its deterministic merge
-//! rather than summing worker-local totals; any change to the cadence
-//! here changes recorded work bit-for-bit and must be mirrored in
-//! `exec::parallel`.
+//! output charges in 64 Ki-tuple blocks as rows are produced. A block is
+//! charged for the tuples a join *counts*, at the join's logical width
+//! (its tables, not the slots it stores), so a join that only counts its
+//! output — the root of [`crate::exec::Executor::execute`] — and one that
+//! materializes it issue the same charges. Every join kernel feeds its
+//! counts through `ChargeCadence`; `f64` addition does not associate, so
+//! batched and parallel kernels, which count in lumps, rely on it to
+//! replay the exact operand sequence rather than summing lump totals.
+//! Any change to the cadence here changes recorded work bit-for-bit.
+
+use crate::error::Result;
+use crate::exec::executor::WorkMeter;
 
 /// Per-tuple cost constants shared by the executor and the native cost
 /// model, plus executor-only runtime effects.
@@ -128,6 +134,73 @@ impl CostParams {
 /// [`CostParams::parallel_work`].
 pub const PARALLEL_SERIAL_FRACTION: f64 = 0.08;
 
+/// Issues a join's output-work charges in the serial cadence.
+///
+/// The reference row loop charges `output_work(65_536, width)` every time
+/// its emitted-tuple counter crosses a multiple of 65 536, and
+/// `output_work(emitted % 65_536, width)` once at operator end. Kernels
+/// count tuples in lumps (a hash chain, a merge group, a batch, a morsel)
+/// and feed each lump through [`ChargeCadence::bump`], which issues
+/// exactly the crossing charges the row loop would have issued — same
+/// values, same order — so accumulated work stays bit-identical and a
+/// budget trip raises the same error at the same charge.
+#[derive(Debug, Default)]
+pub(crate) struct ChargeCadence {
+    /// Output tuples counted so far.
+    emitted: usize,
+    /// Tuples already covered by full-block charges.
+    charged: usize,
+}
+
+impl ChargeCadence {
+    /// A fresh cadence for one operator.
+    pub(crate) fn new() -> ChargeCadence {
+        ChargeCadence::default()
+    }
+
+    /// Record `n` more output tuples, issuing any 65 536-block charges
+    /// the row loop would have issued while producing them.
+    pub(crate) fn bump(
+        &mut self,
+        n: usize,
+        meter: &mut WorkMeter,
+        p: &CostParams,
+        width: usize,
+    ) -> Result<()> {
+        self.emitted += n;
+        while self.charged + 65_536 <= self.emitted {
+            self.charged += 65_536;
+            meter.add(p.output_work(65_536.0, width))?;
+        }
+        Ok(())
+    }
+
+    /// Issue the end-of-operator remainder charge; returns the operator's
+    /// output tuple count.
+    pub(crate) fn finish(
+        self,
+        meter: &mut WorkMeter,
+        p: &CostParams,
+        width: usize,
+    ) -> Result<usize> {
+        meter.add(p.output_work((self.emitted % 65_536) as f64, width))?;
+        Ok(self.emitted)
+    }
+
+    /// Every charge of an operator that produced `n` tuples, issued at
+    /// once (the parallel kernels count first and charge after merging).
+    pub(crate) fn charge_all(
+        n: usize,
+        meter: &mut WorkMeter,
+        p: &CostParams,
+        width: usize,
+    ) -> Result<()> {
+        let mut cadence = ChargeCadence::new();
+        cadence.bump(n, meter, p, width)?;
+        cadence.finish(meter, p, width).map(drop)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +245,36 @@ mod tests {
         let p = CostParams::default();
         let m = p.merge_join_work(100.0, 200.0, 10.0, 2);
         assert!(m >= p.sort_work(100.0) + p.sort_work(200.0));
+    }
+
+    #[test]
+    fn charge_cadence_replays_serial_blocks() {
+        let p = CostParams::default();
+        let width = 2;
+        // Serial reference: charge per emitted row at 65 536 multiples.
+        let mut serial = WorkMeter::new(None);
+        let mut emitted = 0usize;
+        for _ in 0..150_000 {
+            emitted += 1;
+            if emitted.is_multiple_of(65_536) {
+                serial.add(p.output_work(65_536.0, width)).unwrap();
+            }
+        }
+        serial
+            .add(p.output_work((emitted % 65_536) as f64, width))
+            .unwrap();
+        // Cadence replay in uneven lumps, including lumps spanning more
+        // than one block boundary.
+        let mut meter = WorkMeter::new(None);
+        let mut cadence = ChargeCadence::new();
+        for lump in [1usize, 65_535, 2, 70_000, 14_462] {
+            cadence.bump(lump, &mut meter, &p, width).unwrap();
+        }
+        assert_eq!(cadence.finish(&mut meter, &p, width).unwrap(), 150_000);
+        assert_eq!(meter.work().to_bits(), serial.work().to_bits());
+        // One lump of everything replays the same sequence.
+        let mut once = WorkMeter::new(None);
+        ChargeCadence::charge_all(150_000, &mut once, &p, width).unwrap();
+        assert_eq!(once.work().to_bits(), serial.work().to_bits());
     }
 }

@@ -166,7 +166,10 @@ fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
 /// everywhere: equal counts, bit-identical work, equal intermediates,
 /// identical output relations (slots and row order), and — when the
 /// serial run errors (e.g. a work budget trip) — the *same* error from
-/// every cell.
+/// every cell. In every cell, serial included, the counting
+/// [`Executor::execute`] must also report exactly what that cell's
+/// [`Executor::execute_collect`] does: count, work bits, intermediates,
+/// or the same error.
 ///
 /// Returns a human-readable description of the first divergence, so
 /// property tests can surface the failing cell.
@@ -184,10 +187,13 @@ pub fn diff_plan(
         },
     );
     let serial = serial_exec.execute_collect(query, plan);
+    check_counting(&serial_exec, &serial, "serial", query, plan)?;
     let mut cells = 0;
     for (cell, config) in sweep_cells(cfg) {
         cells += 1;
-        let candidate = Executor::new(catalog, config).execute_collect(query, plan);
+        let exec = Executor::new(catalog, config);
+        let candidate = exec.execute_collect(query, plan);
+        check_counting(&exec, &candidate, &cell, query, plan)?;
         match (&serial, &candidate) {
             (Ok((sr, srel)), Ok((pr, prel))) => {
                 compare(sr, srel, pr, prel, &cell, query)?;
@@ -221,6 +227,26 @@ pub fn diff_plan(
     }
 }
 
+/// Require `exec.execute` to report what `collected` (the same executor's
+/// `execute_collect`) did.
+fn check_counting(
+    exec: &Executor<'_>,
+    collected: &Result<(ExecResult, Relation), EngineError>,
+    cell: &str,
+    query: &SpjQuery,
+    plan: &PhysNode,
+) -> Result<(), String> {
+    match (collected, exec.execute(query, plan)) {
+        (Ok((cr, _)), Ok(er)) if result_fingerprint(cr) == result_fingerprint(&er) => Ok(()),
+        (Err(ce), Err(ee)) if same_error(ce, &ee) => Ok(()),
+        (collected, counted) => Err(format!(
+            "counting divergence at {cell} for `{query}`: execute_collect {:?} vs execute {:?}",
+            collected.as_ref().map(|(r, _)| result_fingerprint(r)),
+            counted.as_ref().map(result_fingerprint),
+        )),
+    }
+}
+
 fn same_error(a: &EngineError, b: &EngineError) -> bool {
     // Budget trips must agree exactly; other errors are plan-validation
     // failures that do not depend on the mode.
@@ -248,20 +274,21 @@ fn compare(
             pr.intermediates.len(),
         ));
     }
-    if srel.slots != prel.slots {
+    if srel.slots() != prel.slots() {
         return Err(format!(
             "slot-layout divergence at {cell} for `{query}`: {:?} vs {:?}",
-            srel.slots, prel.slots
+            srel.slots(),
+            prel.slots()
         ));
     }
-    if srel.rows != prel.rows {
+    if srel.rows() != prel.rows() {
         let first = srel
-            .rows
+            .rows()
             .iter()
-            .zip(&prel.rows)
+            .zip(prel.rows())
             .position(|(a, b)| a != b)
             .map(|i| i.to_string())
-            .unwrap_or_else(|| format!("length {} vs {}", srel.rows.len(), prel.rows.len()));
+            .unwrap_or_else(|| format!("length {} vs {}", srel.rows().len(), prel.rows().len()));
         return Err(format!(
             "row divergence at {cell} for `{query}`: first difference at flat index {first}"
         ));

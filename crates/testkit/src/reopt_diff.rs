@@ -134,7 +134,7 @@ pub fn diff_reopt_plan(
                             rr.work.to_bits(),
                         ));
                     }
-                    if brel.slots != rrel.slots || brel.rows != rrel.rows {
+                    if brel.slots() != rrel.slots() || brel.rows() != rrel.rows() {
                         return Err(format!(
                             "untriggered relation divergence at {cell} for `{query}`"
                         ));
@@ -146,8 +146,8 @@ pub fn diff_reopt_plan(
                     // intermediates are still the original plan's.
                     if br.count != rr.count
                         || br.intermediates != rr.intermediates
-                        || brel.slots != rrel.slots
-                        || brel.rows != rrel.rows
+                        || brel.slots() != rrel.slots()
+                        || brel.rows() != rrel.rows()
                     {
                         return Err(format!("kept-plan divergence at {cell} for `{query}`"));
                     }
