@@ -3,11 +3,14 @@
 //! per epoch; the survey's cost argument for learned optimizers collapses
 //! if the execution feedback itself is the bottleneck. This experiment
 //! runs a scan-heavy workload (single-table scans plus 2-table hash
-//! joins over a scaled `stats_like` catalog) through `ExecMode::Serial`
-//! and `ExecMode::Parallel` at a sweep of thread counts, verifying byte
-//! identity at every cell (counts, bit-exact work, relation digests)
-//! and reporting wall-clock speedup and worker utilization. Artifacts:
-//! one JSONL record per thread count in `results/exp_e11_scaling.jsonl`.
+//! joins over a scaled `stats_like` catalog) through `ExecMode::Serial`,
+//! `ExecMode::Batched` at the default batch size, and `ExecMode::Parallel`
+//! at a sweep of thread counts, verifying byte identity with serial at
+//! every cell (counts, bit-exact work, relation digests) and reporting
+//! wall-clock speedup and worker utilization. Parallel morsel bodies run
+//! the batched kernels at that same batch size, so speedups are measured
+//! against the batched run: the curve isolates thread scaling. Artifacts:
+//! one JSONL record per mode in `results/exp_e11_scaling.jsonl`.
 //!
 //! On hosts with at least four cores the binary asserts ≥2× speedup at
 //! four threads; on smaller machines (including 1-CPU CI containers) the
@@ -18,6 +21,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use lqo_engine::datagen::stats_like;
+use lqo_engine::exec::batch::DEFAULT_BATCH_SIZE;
 use lqo_engine::{Catalog, ExecConfig, ExecMode, Executor, ParallelConfig, PhysNode, SpjQuery};
 use lqo_obs::ObsContext;
 
@@ -61,13 +65,14 @@ impl Default for Config {
 /// One JSONL record: the measured scaling at one thread count.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalingPoint {
-    /// Worker threads (`0` encodes the serial reference run).
+    /// Worker threads (`0` encodes the single-threaded serial and
+    /// batched reference runs).
     pub threads: usize,
-    /// Execution mode label (`serial` or `parallel:N`).
+    /// Execution mode label (`serial`, `batched:B`, or `parallel:N`).
     pub mode: String,
     /// Best-of-`repeats` wall time for the whole workload, seconds.
     pub wall_s: f64,
-    /// `serial_wall / wall` (1.0 for the serial row).
+    /// `batched_wall / wall` (1.0 for the batched row).
     pub speedup: f64,
     /// Queries executed.
     pub queries: usize,
@@ -201,54 +206,40 @@ pub fn run(cfg: &Config) -> Output {
     let pairs = workload(&catalog, cfg);
     assert!(!pairs.is_empty(), "empty workload");
 
+    // Serial is the identity reference; the batched run, whose kernels
+    // the parallel morsel bodies share, is the speedup baseline.
     let serial = run_mode(&catalog, &pairs, cfg, ExecMode::Serial);
+    let batched = ExecMode::Batched {
+        batch_size: DEFAULT_BATCH_SIZE,
+    };
+    let mut cells = vec![(0, batched, run_mode(&catalog, &pairs, cfg, batched))];
+    for &threads in &cfg.thread_counts {
+        let mode = ExecMode::Parallel { threads };
+        cells.push((threads, mode, run_mode(&catalog, &pairs, cfg, mode)));
+    }
+    let baseline_s = cells[0].2.wall_s;
+
     let mut table = TextTable::new(
         "E11: morsel-driven parallel scaling (byte-identity verified per cell)",
         &["mode", "wall_s", "speedup", "morsels", "utilization"],
     );
-    let mut points = vec![ScalingPoint {
-        threads: 0,
-        mode: "serial".into(),
-        wall_s: serial.wall_s,
-        speedup: 1.0,
-        queries: pairs.len(),
-        total_count: serial.total_count,
-        morsels: 0,
-        utilization: 0.0,
-    }];
-    table.row(vec![
-        "serial".into(),
-        format!("{:.4}", serial.wall_s),
-        "1.00".into(),
-        "0".into(),
-        "-".into(),
-    ]);
-
-    for &threads in &cfg.thread_counts {
-        let run = run_mode(&catalog, &pairs, cfg, ExecMode::Parallel { threads });
-        assert_eq!(
-            run.total_count, serial.total_count,
-            "count divergence at {threads} threads"
-        );
-        assert_eq!(
-            run.digest, serial.digest,
-            "digest divergence at {threads} threads"
-        );
-        assert_eq!(
-            run.work_bits, serial.work_bits,
-            "work-unit divergence at {threads} threads"
-        );
-        let speedup = serial.wall_s / run.wall_s.max(1e-12);
+    let mut points = Vec::new();
+    let mut record = |threads: usize, mode: String, run: &ModeRun| {
+        let speedup = baseline_s / run.wall_s.max(1e-12);
         table.row(vec![
-            format!("parallel:{threads}"),
+            mode.clone(),
             format!("{:.4}", run.wall_s),
             format!("{speedup:.2}"),
             run.morsels.to_string(),
-            format!("{:.2}", run.utilization),
+            if threads > 0 {
+                format!("{:.2}", run.utilization)
+            } else {
+                "-".into()
+            },
         ]);
         points.push(ScalingPoint {
             threads,
-            mode: format!("parallel:{threads}"),
+            mode,
             wall_s: run.wall_s,
             speedup,
             queries: pairs.len(),
@@ -256,6 +247,19 @@ pub fn run(cfg: &Config) -> Output {
             morsels: run.morsels,
             utilization: run.utilization,
         });
+    };
+    record(0, "serial".into(), &serial);
+    for (threads, mode, run) in &cells {
+        assert_eq!(
+            run.total_count, serial.total_count,
+            "count divergence at {mode}"
+        );
+        assert_eq!(run.digest, serial.digest, "digest divergence at {mode}");
+        assert_eq!(
+            run.work_bits, serial.work_bits,
+            "work-unit divergence at {mode}"
+        );
+        record(*threads, mode.to_string(), run);
     }
 
     Output {
@@ -291,15 +295,18 @@ mod tests {
             seed: 0xE11,
         };
         let out = run(&cfg);
-        assert_eq!(out.points.len(), 3);
+        // serial + batched baseline + 2 parallel.
+        assert_eq!(out.points.len(), 4);
         assert_eq!(out.points[0].mode, "serial");
+        assert_eq!(out.points[1].mode, format!("batched:{DEFAULT_BATCH_SIZE}"));
+        assert_eq!(out.points[1].speedup, 1.0);
         assert!(out
             .points
             .iter()
             .all(|p| p.total_count == out.points[0].total_count));
-        assert!(out.points[1].morsels > 0, "parallel runs dispatch morsels");
+        assert!(out.points[2].morsels > 0, "parallel runs dispatch morsels");
         let jsonl = to_jsonl(&out.points);
-        assert_eq!(jsonl.lines().count(), 3);
+        assert_eq!(jsonl.lines().count(), 4);
         assert!(jsonl.contains("\"mode\":\"parallel:2\""));
     }
 }

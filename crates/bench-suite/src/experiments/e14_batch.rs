@@ -3,7 +3,8 @@
 //! learned optimizers assumes execution feedback is cheap to collect;
 //! PR 4 attacked that with morsel parallelism, this experiment measures
 //! the orthogonal axis: columnar batch execution (`ExecMode::Batched`)
-//! on a single thread, plus one composed `BatchedParallel` cell. The
+//! on a single thread, plus one composed `Parallel` cell (whose morsel
+//! bodies are the batched kernels at `DEFAULT_BATCH_SIZE`). The
 //! workload is the scan/join mix of E11 (single-table scans and 2-table
 //! hash joins over a scaled `stats_like` catalog). Every cell is
 //! verified byte-identical to the serial reference — counts, bit-exact
@@ -40,7 +41,7 @@ pub struct Config {
     pub num_joins: usize,
     /// Batch sizes to sweep (serial is always measured first).
     pub batch_sizes: Vec<usize>,
-    /// Threads for the single composed `BatchedParallel` cell.
+    /// Threads for the single composed `Parallel` cell.
     pub threads: usize,
     /// Morsel size for the composed cell.
     pub morsel_rows: usize,
@@ -69,8 +70,7 @@ impl Default for Config {
 /// One JSONL record: the measured cell at one mode.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchPoint {
-    /// Execution mode label (`serial`, `batched:N`, or
-    /// `batched-parallel:T:N`).
+    /// Execution mode label (`serial`, `batched:N`, or `parallel:T`).
     pub mode: String,
     /// Columnar batch size (`0` encodes the serial reference run).
     pub batch_size: usize,
@@ -214,14 +214,10 @@ pub fn run(cfg: &Config) -> Output {
             )
         })
         .collect();
-    cells.push((
-        format!("batched-parallel:{}:{}", cfg.threads, DEFAULT_BATCH_SIZE),
-        DEFAULT_BATCH_SIZE,
-        ExecMode::BatchedParallel {
-            threads: cfg.threads,
-            batch_size: DEFAULT_BATCH_SIZE,
-        },
-    ));
+    let parallel = ExecMode::Parallel {
+        threads: cfg.threads,
+    };
+    cells.push((parallel.to_string(), DEFAULT_BATCH_SIZE, parallel));
     for (label, batch_size, mode) in cells {
         let run = run_mode(&catalog, &pairs, cfg, mode);
         assert_eq!(
@@ -283,7 +279,7 @@ mod tests {
             seed: 0xE14,
         };
         let out = run(&cfg);
-        // serial + 2 batched + 1 batched-parallel.
+        // serial + 2 batched + 1 parallel.
         assert_eq!(out.points.len(), 4);
         assert_eq!(out.points[0].mode, "serial");
         assert!(out
@@ -293,6 +289,6 @@ mod tests {
         let jsonl = to_jsonl(&out.points);
         assert_eq!(jsonl.lines().count(), 4);
         assert!(jsonl.contains("\"mode\":\"batched:7\""));
-        assert!(jsonl.contains("batched-parallel:2:"));
+        assert!(jsonl.contains("\"mode\":\"parallel:2\""));
     }
 }

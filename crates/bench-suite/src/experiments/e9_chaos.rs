@@ -334,7 +334,6 @@ pub fn run_worker_chaos(cfg: &Config) -> (TextTable, ObsContext) {
                 parallel: ParallelConfig {
                     morsel_rows: 16,
                     panic_on_morsel: Some(panic_on),
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -732,7 +731,6 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
             parallel: ParallelConfig {
                 morsel_rows: 16,
                 panic_on_morsel: Some(0),
-                ..Default::default()
             },
             ..Default::default()
         };

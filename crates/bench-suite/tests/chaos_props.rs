@@ -169,7 +169,6 @@ proptest! {
                 parallel: ParallelConfig {
                     morsel_rows: 16,
                     panic_on_morsel: Some(panic_on),
-                    ..Default::default()
                 },
                 ..Default::default()
             },

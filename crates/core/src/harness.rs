@@ -428,28 +428,19 @@ mod tests {
         let (ctx, queries) = fixture();
         let serial = TrainingLoop::new(ctx.clone(), queries.clone()).unwrap();
         let s = serial.run_epoch(&mut NativeBaseline::new(ctx.clone()), false);
-        let modes = [
-            ExecMode::Batched { batch_size: 64 },
-            ExecMode::BatchedParallel {
-                threads: 4,
-                batch_size: 64,
-            },
-        ];
-        for mode in modes {
-            let batched = TrainingLoop::new(ctx.clone(), serial.queries().to_vec())
-                .unwrap()
-                .with_exec_mode(mode);
-            let b = batched.run_epoch(&mut NativeBaseline::new(ctx.clone()), false);
-            assert_eq!(s.per_query.len(), b.per_query.len(), "{mode}");
-            for (a, x) in s.per_query.iter().zip(&b.per_query) {
-                assert_eq!(
-                    a.to_bits(),
-                    x.to_bits(),
-                    "per-query work must be bit-identical under {mode}"
-                );
-            }
-            assert_eq!(s.timeouts, b.timeouts, "{mode}");
+        let batched = TrainingLoop::new(ctx.clone(), serial.queries().to_vec())
+            .unwrap()
+            .with_exec_mode(ExecMode::Batched { batch_size: 64 });
+        let b = batched.run_epoch(&mut NativeBaseline::new(ctx), false);
+        assert_eq!(s.per_query.len(), b.per_query.len());
+        for (a, x) in s.per_query.iter().zip(&b.per_query) {
+            assert_eq!(
+                a.to_bits(),
+                x.to_bits(),
+                "per-query work must be bit-identical"
+            );
         }
+        assert_eq!(s.timeouts, b.timeouts);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::query::expr::JoinCond;
 use crate::query::spj::SpjQuery;
 
 /// Gather the key column of every join condition for all tuples of `rel`.
-fn gather_side(
+pub(crate) fn gather_side(
     ex: &Executor,
     query: &SpjQuery,
     rel: &Relation,
@@ -100,7 +100,7 @@ pub(crate) fn hash_join(
 /// projection keeps nothing, only counting them. Returns the number of
 /// output tuples. Shared by the single-threaded batched hash join (which
 /// calls it per batch and charges the cadence in between) and the
-/// batched-parallel path (which calls it per morsel and feeds the shared
+/// parallel hash join (which calls it per morsel and feeds the shared
 /// approximate accumulator instead).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_range(
@@ -159,7 +159,7 @@ pub(crate) fn keys_equal(lcols: &[Vec<i64>], rcols: &[Vec<i64>], i: usize, j: us
 /// tuples in `outer`: emits (or, when `proj` keeps nothing, counts) every
 /// matching pair in outer-major order, calling `after_outer` with each
 /// outer tuple's match count. Returns the total. Shared by the batched
-/// and batched-parallel nested-loop joins.
+/// and parallel nested-loop joins.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nl_pairs(
     left: &Relation,
@@ -267,5 +267,5 @@ pub(crate) fn merge_join(
         .collect();
     lsorted.sort_unstable();
     rsorted.sort_unstable();
-    Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, proj, meter)
+    Executor::merge_phase(p, &left, &right, &lsorted, &rsorted, &proj, meter)
 }

@@ -56,24 +56,26 @@ pub(crate) mod column;
 pub(crate) mod join;
 pub(crate) mod kernels;
 
+use std::ops::Range;
+
 use crate::error::Result;
+use crate::exec::compiled::Compiled;
 use crate::exec::executor::{Executor, WorkMeter};
 use crate::exec::relation::Relation;
 use crate::query::spj::SpjQuery;
 
-/// Default rows per batch when `ExecMode::Batched` / `BatchedParallel`
-/// is selected without an explicit size (`LQO_EXEC_MODE=batched`).
-/// 1024 row ids keep a batch's selection vector and gathered key columns
-/// comfortably inside L1 while amortizing per-batch dispatch to noise.
+/// Default rows per batch: the batch size `ExecMode::Parallel` runs its
+/// kernels at, and the one the benchmark and experiments pick for
+/// `ExecMode::Batched`. 1024 row ids keep a batch's selection vector and
+/// gathered key columns comfortably inside L1 while amortizing per-batch
+/// dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Batched scan: selection-vector filtering over contiguous row ranges.
 ///
 /// Charges `scan_work` upfront exactly as the serial scan does (the scan
-/// has no output cadence), then processes the table in `batch`-row
-/// ranges: the first predicate fills a selection vector for the range,
-/// each residual predicate compacts it in place, and surviving row ids —
-/// still ascending — extend the output.
+/// has no output cadence), then filters the whole table with
+/// [`scan_range`].
 pub(crate) fn scan(
     ex: &Executor,
     query: &SpjQuery,
@@ -83,11 +85,27 @@ pub(crate) fn scan(
 ) -> Result<Relation> {
     let (n, compiled) = ex.compile_scan(query, pos)?;
     meter.add(ex.params().scan_work(n as f64, compiled.len()))?;
-    let batch = batch.max(1);
     let mut out: Vec<u32> = Vec::new();
-    let mut sel: Vec<u32> = Vec::with_capacity(batch.min(n.max(1)));
-    for start in (0..n).step_by(batch) {
-        let end = (start + batch).min(n);
+    scan_range(&compiled, 0..n, batch, &mut out);
+    Ok(Relation::from_scan(pos, out))
+}
+
+/// Append the rows of `range` that satisfy every predicate in `compiled`
+/// to `out`, processing `batch`-row sub-ranges: the first predicate fills
+/// a selection vector for the sub-range, each residual predicate compacts
+/// it in place, and surviving row ids — still ascending — extend `out`.
+/// The batched scan runs it over the whole table, the parallel scan once
+/// per morsel.
+pub(crate) fn scan_range(
+    compiled: &[Compiled<'_>],
+    range: Range<usize>,
+    batch: usize,
+    out: &mut Vec<u32>,
+) {
+    let batch = batch.max(1);
+    let mut sel: Vec<u32> = Vec::with_capacity(batch.min(range.len().max(1)));
+    for start in range.clone().step_by(batch) {
+        let end = (start + batch).min(range.end);
         match compiled.split_first() {
             // No predicates: the whole range qualifies.
             None => out.extend(start as u32..end as u32),
@@ -104,7 +122,6 @@ pub(crate) fn scan(
             }
         }
     }
-    Ok(Relation::from_scan(pos, out))
 }
 
 #[cfg(test)]

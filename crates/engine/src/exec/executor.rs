@@ -21,6 +21,18 @@
 //! seam ([`Executor::exec_scan_step`] / [`Executor::exec_join_step`])
 //! always materializes full width.
 //!
+//! # One walker, one entry point per operator
+//!
+//! Every mode runs through the same plan walker (`exec_node`) and the same
+//! two operator entry points, `scan_op` and `join_op`, which the step seam
+//! calls too. They validate the inputs once and pick where the operator
+//! runs: on the query's morsel pool run ([`crate::exec::parallel`]) when
+//! the mode has more than one worker, otherwise in-thread — the
+//! tuple-at-a-time kernels below for [`ExecMode::Serial`], the batched
+//! kernels of [`crate::exec::batch`] for every other mode. A contained
+//! worker fault re-runs that one operator in-thread from its pre-operator
+//! work snapshot, and the rest of the query stays in-thread.
+//!
 //! # Row-ordering contract
 //!
 //! Every operator produces its output tuples in a **canonical, fully
@@ -39,7 +51,7 @@
 //!   sort position then right sort position. Sort positions themselves are
 //!   deterministic because sort keys are disambiguated by input index.
 //!
-//! The parallel executor ([`crate::exec::parallel`]) preserves this order
+//! The morsel pool ([`crate::exec::parallel`]) preserves this order
 //! by assigning contiguous input ranges (morsels) to workers and
 //! concatenating per-morsel outputs in morsel index order; the
 //! differential harness in `crates/testkit` asserts the equivalence on
@@ -60,7 +72,7 @@ use crate::catalog::Catalog;
 use crate::error::{EngineError, Result};
 use crate::exec::batch;
 use crate::exec::compiled::{compile_pred, Compiled, KeySide};
-use crate::exec::parallel::{self, ExecMode, ParallelConfig};
+use crate::exec::parallel::{ExecMode, ParRun, ParallelConfig};
 use crate::exec::relation::{self, Projection, Relation};
 use crate::exec::workunits::{ChargeCadence, CostParams};
 use crate::plan::physical::{JoinAlgo, PhysNode};
@@ -78,7 +90,8 @@ pub struct ExecConfig {
     /// would time out). The parallel executor honours the same budget via
     /// cancellation-aware morsel dispatch.
     pub max_work: Option<f64>,
-    /// Execution mode: serial (default) or morsel-driven parallel.
+    /// Execution mode: serial (default), batched, or morsel-driven
+    /// parallel.
     pub mode: ExecMode,
     /// Tuning and fault-injection knobs for the parallel mode.
     pub parallel: ParallelConfig,
@@ -280,52 +293,18 @@ impl<'a> Executor<'a> {
         let mut meter = WorkMeter::new(self.config.max_work);
         let mut intermediates = Vec::new();
         let mut events = Vec::new();
-        // Single-threaded modes (Serial, Batched, and either parallel
-        // mode clamped to one worker) run in-thread through `exec_node`,
-        // which dispatches per-operator between the tuple-at-a-time and
-        // batched kernels; multi-worker modes go through the morsel pool.
-        let attempt = if self.config.mode.threads() > 1 {
-            match parallel::exec_plan(
-                self,
-                query,
-                plan,
-                keep,
-                detail,
-                &mut meter,
-                &mut intermediates,
-                &mut events,
-            ) {
-                Err(EngineError::WorkerFault { op }) if self.config.parallel.fallback_serial => {
-                    // A worker died mid-morsel: degrade the query to the
-                    // in-thread path rather than fail it. The retry
-                    // restarts accounting from zero.
-                    self.record_degrade(&op);
-                    meter = WorkMeter::new(self.config.max_work);
-                    intermediates.clear();
-                    events.clear();
-                    self.exec_node(
-                        query,
-                        plan,
-                        keep,
-                        detail,
-                        &mut meter,
-                        &mut intermediates,
-                        &mut events,
-                    )
-                }
-                other => other,
-            }
-        } else {
+        let attempt = self.with_pool(query, detail, |par| {
             self.exec_node(
                 query,
                 plan,
                 keep,
                 detail,
+                par,
                 &mut meter,
                 &mut intermediates,
                 &mut events,
             )
-        };
+        });
         if self.flight.is_enabled() {
             if let Err(EngineError::WorkLimitExceeded { limit }) = &attempt {
                 self.flight.publish(
@@ -389,23 +368,9 @@ impl<'a> Executor<'a> {
         pos: usize,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        if self.config.mode.threads() > 1 {
-            let before = meter.work;
-            match parallel::exec_scan_step(self, query, pos, meter) {
-                Err(EngineError::WorkerFault { op }) if self.config.parallel.fallback_serial => {
-                    // A worker died mid-morsel: degrade this operator to
-                    // the in-thread path. The retry restores the meter to
-                    // the pre-operator snapshot, so the charge sequence
-                    // stays byte-identical to serial.
-                    self.record_degrade(&op);
-                    meter.work = before;
-                    self.scan_dispatch(query, pos, meter)
-                }
-                other => other,
-            }
-        } else {
-            self.scan_dispatch(query, pos, meter)
-        }
+        self.with_pool(query, false, |par| {
+            self.scan_op(query, pos, TableSet::singleton(pos), par, meter)
+        })
     }
 
     /// Execute a single join operator over two already-materialized
@@ -419,26 +384,51 @@ impl<'a> Executor<'a> {
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let keep = left.tables().union(right.tables());
-        if self.config.mode.threads() > 1 {
-            let before = meter.work;
-            match parallel::exec_join_step(
-                self,
-                query,
-                algo,
-                left.clone(),
-                right.clone(),
-                keep,
-                meter,
-            ) {
-                Err(EngineError::WorkerFault { op }) if self.config.parallel.fallback_serial => {
-                    self.record_degrade(&op);
-                    meter.work = before;
-                    self.exec_join(query, algo, left, right, keep, meter)
-                }
-                other => other,
+        self.with_pool(query, false, |par| {
+            self.join_op(query, algo, left, right, keep, par, meter)
+        })
+    }
+
+    /// Run `f` with the morsel pool run of one query (or one step): a run
+    /// when the mode has more than one worker, `None` otherwise. One run
+    /// spans every operator `f` executes, so its morsel sequence,
+    /// approximate budget and utilization cover the whole query.
+    fn with_pool<T>(
+        &self,
+        query: &SpjQuery,
+        detail: bool,
+        f: impl FnOnce(Option<&ParRun<'_>>) -> T,
+    ) -> T {
+        if self.config.mode.threads() == 1 {
+            return f(None);
+        }
+        let run = ParRun::new(self, query, detail);
+        let out = f(Some(&run));
+        run.finish();
+        out
+    }
+
+    /// Run `op` on the pool run `par`, unless there is none or a worker
+    /// fault has cancelled it. `None` tells the caller to run the operator
+    /// in-thread — also when `op` itself hits a contained worker fault,
+    /// which is logged and rewinds the meter to its pre-operator value so
+    /// the rerun replays the same charges. A faulted run stays cancelled,
+    /// so the rest of the query runs in-thread too.
+    fn try_pool(
+        &self,
+        par: Option<&ParRun<'_>>,
+        meter: &mut WorkMeter,
+        op: impl FnOnce(&ParRun<'_>, &mut WorkMeter) -> Result<Relation>,
+    ) -> Option<Result<Relation>> {
+        let run = par.filter(|run| !run.shared.is_cancelled())?;
+        let before = meter.work;
+        match op(run, meter) {
+            Err(EngineError::WorkerFault { op }) => {
+                self.record_degrade(&op);
+                meter.work = before;
+                None
             }
-        } else {
-            self.exec_join(query, algo, left, right, keep, meter)
+            done => Some(done),
         }
     }
 
@@ -468,7 +458,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute the subtree `node`, keeping the slots of the tables in
-    /// `keep` (a subset of `node`'s tables) in its output.
+    /// `keep` (a subset of `node`'s tables) in its output; operators go to
+    /// the pool run `par` when there is one.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_node(
         &self,
@@ -476,6 +467,7 @@ impl<'a> Executor<'a> {
         node: &PhysNode,
         keep: TableSet,
         detail: bool,
+        par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
         intermediates: &mut Vec<(TableSet, u64)>,
         events: &mut Vec<OperatorEvent>,
@@ -494,22 +486,34 @@ impl<'a> Executor<'a> {
         let (rel, op, own_work) = match node {
             PhysNode::Scan { pos } => {
                 let before = meter.work;
-                let rel = self.scan_dispatch(query, *pos, meter)?;
-                let rel = if keep.contains(*pos) {
-                    rel
-                } else {
-                    rel.into_count()
-                };
+                let rel = self.scan_op(query, *pos, keep, par, meter)?;
                 (rel, "Scan", meter.work - before)
             }
             PhysNode::Join { algo, left, right } => {
                 let lkeep = relation::keep_for_child(query, left.tables(), keep);
                 let rkeep = relation::keep_for_child(query, right.tables(), keep);
-                let l = self.exec_node(query, left, lkeep, detail, meter, intermediates, events)?;
-                let r =
-                    self.exec_node(query, right, rkeep, detail, meter, intermediates, events)?;
+                let l = self.exec_node(
+                    query,
+                    left,
+                    lkeep,
+                    detail,
+                    par,
+                    meter,
+                    intermediates,
+                    events,
+                )?;
+                let r = self.exec_node(
+                    query,
+                    right,
+                    rkeep,
+                    detail,
+                    par,
+                    meter,
+                    intermediates,
+                    events,
+                )?;
                 let before = meter.work;
-                let rel = self.exec_join(query, *algo, l, r, keep, meter)?;
+                let rel = self.join_op(query, *algo, l, r, keep, par, meter)?;
                 (rel, join_label(*algo), meter.work - before)
             }
         };
@@ -527,21 +531,29 @@ impl<'a> Executor<'a> {
         Ok(rel)
     }
 
-    /// Route a scan to the tuple-at-a-time or batched kernel, per the
-    /// configured mode. `ExecMode::BatchedParallel` reaches this on its
-    /// single-threaded paths (clamped thread counts, worker-fault
-    /// retries, morsel bodies recurse elsewhere) and uses the batched
-    /// kernel there too — output is byte-identical either way.
-    fn scan_dispatch(
+    /// The scan operator of every mode and of the step seam: on the pool
+    /// run `par` while it is live, else in-thread on the mode's kernel. A
+    /// scan whose table `keep` does not name is reduced to its count.
+    pub(crate) fn scan_op(
         &self,
         query: &SpjQuery,
         pos: usize,
+        keep: TableSet,
+        par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        match self.config.mode.batch_size() {
-            Some(b) => batch::scan(self, query, pos, b, meter),
-            None => self.exec_scan(query, pos, meter),
-        }
+        let rel = match self.try_pool(par, meter, |run, meter| run.scan(pos, meter)) {
+            Some(done) => done?,
+            None => match self.config.mode.batch_size() {
+                Some(b) => batch::scan(self, query, pos, b, meter)?,
+                None => self.exec_scan(query, pos, meter)?,
+            },
+        };
+        Ok(if keep.contains(pos) {
+            rel
+        } else {
+            rel.into_count()
+        })
     }
 
     fn exec_scan(&self, query: &SpjQuery, pos: usize, meter: &mut WorkMeter) -> Result<Relation> {
@@ -622,28 +634,39 @@ impl<'a> Executor<'a> {
         Ok(KeySide { cols })
     }
 
-    /// Join two inputs, keeping the slots of the tables in `keep` in the
-    /// output (the root of a counting execution keeps none).
-    fn exec_join(
+    /// The join operator of every mode and of the step seam: checks the
+    /// inputs, then joins them on the pool run `par` while it is live,
+    /// else in-thread on the mode's kernel, keeping the slots of the
+    /// tables in `keep` in the output (the root of a counting execution
+    /// keeps none).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn join_op(
         &self,
         query: &SpjQuery,
         algo: JoinAlgo,
         left: Relation,
         right: Relation,
         keep: TableSet,
+        par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         relation::check_row_ids(left.len(), "join left input")?;
         relation::check_row_ids(right.len(), "join right input")?;
         let conds = query.joins_between(left.tables(), right.tables());
+        if conds.is_empty() && algo != JoinAlgo::NestedLoop {
+            return Err(EngineError::InvalidPlan(format!(
+                "{algo} requires at least one equi-join condition (cross products \
+                 must use NestedLoopJoin)"
+            )));
+        }
         let proj = Projection::new(&left, &right, keep);
+        let pooled = self.try_pool(par, meter, |run, meter| {
+            run.join(algo, &conds, &left, &right, &proj, meter)
+        });
+        if let Some(done) = pooled {
+            return done;
+        }
         if conds.is_empty() {
-            if algo != JoinAlgo::NestedLoop {
-                return Err(EngineError::InvalidPlan(format!(
-                    "{algo} requires at least one equi-join condition (cross products \
-                     must use NestedLoopJoin)"
-                )));
-            }
             // Cross products are a single upfront charge plus a straight
             // emit loop; there is no batched variant to dispatch to.
             return self.cross_join(left, right, proj, meter);
@@ -839,7 +862,7 @@ impl<'a> Executor<'a> {
             .collect();
         lsorted.sort_unstable();
         rsorted.sort_unstable();
-        Self::merge_phase(p, &left, &right, &lsorted, &rsorted, proj, meter)
+        Self::merge_phase(p, &left, &right, &lsorted, &rsorted, &proj, meter)
     }
 
     /// The merge phase of a merge join over pre-sorted key/index vectors.
@@ -854,7 +877,7 @@ impl<'a> Executor<'a> {
         right: &Relation,
         lsorted: &[(Vec<i64>, u32)],
         rsorted: &[(Vec<i64>, u32)],
-        proj: Projection,
+        proj: &Projection,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let width = proj.width();
@@ -1208,66 +1231,55 @@ mod tests {
     }
 
     #[test]
-    fn parallel_worker_fault_degrades_to_serial() {
+    fn parallel_fault_at_any_morsel_reruns_only_that_operator() {
+        // `a` (10 rows) and `b` (21 rows) in 4-row morsels: the scans
+        // dispatch morsels 0..=2 and 3..=8, the hash join's build 9..=11
+        // and its probe 12..=17. A fault anywhere re-runs the faulting
+        // operator in-thread and the rest of the query stays there; the
+        // account, the intermediates and the operator events are the
+        // serial ones, each operator recorded once, and the degrade is
+        // visible in metrics and as a guard event.
         let (c, q) = fixture();
-        let serial_count = Executor::with_defaults(&c)
-            .execute(&q, &join_plan(JoinAlgo::Hash))
-            .unwrap()
-            .count;
-        let obs = ObsContext::enabled();
-        let ex = Executor::new(
-            &c,
-            ExecConfig {
-                mode: ExecMode::Parallel { threads: 2 },
-                parallel: ParallelConfig {
-                    morsel_rows: 4,
-                    panic_on_morsel: Some(0),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .with_obs(obs.clone());
-        obs.begin_query("degrade-test");
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
-        let r = ex.execute(&q, &join_plan(JoinAlgo::Hash)).unwrap();
-        std::panic::set_hook(prev);
-        let trace = obs.end_query().unwrap();
-        assert_eq!(r.count, serial_count);
-        assert_eq!(
-            obs.metrics()
-                .unwrap()
-                .snapshot()
-                .counter("lqo.exec.parallel.degraded"),
-            Some(1)
-        );
-        assert!(trace
-            .guard
-            .iter()
-            .any(|g| g.component == "exec:parallel" && g.action == "fallback:serial"));
-    }
-
-    #[test]
-    fn parallel_worker_fault_errors_without_fallback() {
-        let (c, q) = fixture();
-        let ex = Executor::new(
-            &c,
-            ExecConfig {
-                mode: ExecMode::Parallel { threads: 2 },
-                parallel: ParallelConfig {
-                    morsel_rows: 4,
-                    panic_on_morsel: Some(0),
-                    fallback_serial: false,
-                },
-                ..Default::default()
-            },
-        );
+        let plan = join_plan(JoinAlgo::Hash);
+        let (sr, srel) = Executor::with_defaults(&c)
+            .execute_collect(&q, &plan)
+            .unwrap();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = ex.execute(&q, &join_plan(JoinAlgo::Hash)).unwrap_err();
+        for seq in 0..20u64 {
+            let obs = ObsContext::enabled();
+            let ex = Executor::new(
+                &c,
+                ExecConfig {
+                    mode: ExecMode::Parallel { threads: 2 },
+                    parallel: ParallelConfig {
+                        morsel_rows: 4,
+                        panic_on_morsel: Some(seq),
+                    },
+                    ..Default::default()
+                },
+            )
+            .with_obs(obs.clone());
+            obs.begin_query("fault-sweep");
+            let (pr, prel) = ex.execute_collect(&q, &plan).unwrap();
+            let trace = obs.end_query().unwrap();
+            assert_eq!(pr.work.to_bits(), sr.work.to_bits(), "seq {seq}");
+            assert_eq!(pr.intermediates, sr.intermediates, "seq {seq}");
+            assert_eq!(prel.rows(), srel.rows(), "seq {seq}");
+            assert_eq!(trace.exec.operators.len(), 3, "seq {seq}");
+            let degraded = obs
+                .metrics()
+                .unwrap()
+                .snapshot()
+                .counter("lqo.exec.parallel.degraded");
+            assert_eq!(degraded, (seq < 18).then_some(1), "seq {seq}");
+            let logged = trace
+                .guard
+                .iter()
+                .any(|g| g.component == "exec:parallel" && g.action == "fallback:serial");
+            assert_eq!(logged, seq < 18, "seq {seq}");
+        }
         std::panic::set_hook(prev);
-        assert!(matches!(err, EngineError::WorkerFault { .. }));
     }
 
     #[test]
@@ -1293,10 +1305,6 @@ mod tests {
             ExecMode::Batched { batch_size: 1 },
             ExecMode::Batched { batch_size: 7 },
             ExecMode::Parallel { threads: 2 },
-            ExecMode::BatchedParallel {
-                threads: 2,
-                batch_size: 7,
-            },
         ]
         .into_iter()
         .map(|mode| ExecConfig {
@@ -1338,6 +1346,7 @@ mod tests {
             plan,
             TableSet::EMPTY,
             false,
+            None,
             &mut meter,
             &mut Vec::new(),
             &mut Vec::new(),

@@ -298,12 +298,12 @@ impl Projection {
     }
 
     /// The output relation of `len` tuples whose kept slots are `rows`.
-    pub(crate) fn finish(self, rows: Vec<u32>, len: usize) -> Relation {
+    pub(crate) fn finish(&self, rows: Vec<u32>, len: usize) -> Relation {
         debug_assert_eq!(rows.len(), len * self.slots.len());
         Relation {
             tables: self.tables,
             len,
-            slots: self.slots,
+            slots: self.slots.clone(),
             rows,
         }
     }

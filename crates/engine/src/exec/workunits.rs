@@ -116,23 +116,7 @@ impl CostParams {
     pub fn output_work(&self, out: f64, width: usize) -> f64 {
         out * self.output_tuple * width as f64
     }
-
-    /// Predicted wall-clock scaling of `work` units on `threads` workers
-    /// under Amdahl's law with serial fraction
-    /// [`PARALLEL_SERIAL_FRACTION`]. This is a *planning hook* for
-    /// latency-aware components choosing between serial and parallel
-    /// execution; the deterministic work-unit account itself is
-    /// mode-independent by construction.
-    pub fn parallel_work(&self, work: f64, threads: usize) -> f64 {
-        let t = threads.max(1) as f64;
-        work * (PARALLEL_SERIAL_FRACTION + (1.0 - PARALLEL_SERIAL_FRACTION) / t)
-    }
 }
-
-/// Fraction of operator work that does not parallelize (coordination,
-/// morsel dispatch, build-table merge, final concatenation). Used by
-/// [`CostParams::parallel_work`].
-pub const PARALLEL_SERIAL_FRACTION: f64 = 0.08;
 
 /// Issues a join's output-work charges in the serial cadence.
 ///
@@ -226,18 +210,6 @@ mod tests {
         assert_eq!(p.sort_work(0.0), 0.0);
         assert_eq!(p.sort_work(1.0), 0.0);
         assert!(p.sort_work(1024.0) > 0.0);
-    }
-
-    #[test]
-    fn parallel_work_amdahl_bounds() {
-        let p = CostParams::default();
-        assert_eq!(p.parallel_work(1000.0, 1), 1000.0);
-        let w4 = p.parallel_work(1000.0, 4);
-        let w8 = p.parallel_work(1000.0, 8);
-        // Monotone in threads, bounded below by the serial fraction.
-        assert!(w4 < 1000.0 && w8 < w4);
-        assert!(w8 > 1000.0 * PARALLEL_SERIAL_FRACTION);
-        assert_eq!(p.parallel_work(1000.0, 0), 1000.0);
     }
 
     #[test]

@@ -294,28 +294,19 @@ mod tests {
             ObsContext::disabled(),
         );
         let s = serial.execute(&q, &native, &native, card.as_ref()).unwrap();
-        let modes = [
-            ExecMode::Batched { batch_size: 64 },
-            ExecMode::BatchedParallel {
-                threads: 4,
-                batch_size: 64,
-            },
-        ];
-        for mode in modes {
-            let batched = RegressionGuard::new(
-                &catalog,
-                CostParams::default(),
-                RegressionGuardConfig::default(),
-                ObsContext::disabled(),
-            )
-            .with_exec_mode(mode);
-            let b = batched
-                .execute(&q, &native, &native, card.as_ref())
-                .unwrap();
-            assert_eq!(s.result.count, b.result.count, "{mode}");
-            assert_eq!(s.result.work.to_bits(), b.result.work.to_bits(), "{mode}");
-            assert_eq!(s.replanned, b.replanned, "{mode}");
-        }
+        let batched = RegressionGuard::new(
+            &catalog,
+            CostParams::default(),
+            RegressionGuardConfig::default(),
+            ObsContext::disabled(),
+        )
+        .with_exec_mode(ExecMode::Batched { batch_size: 64 });
+        let b = batched
+            .execute(&q, &native, &native, card.as_ref())
+            .unwrap();
+        assert_eq!(s.result.count, b.result.count);
+        assert_eq!(s.result.work.to_bits(), b.result.work.to_bits());
+        assert_eq!(s.replanned, b.replanned);
     }
 
     #[test]

@@ -629,8 +629,12 @@ mod tests {
         assert_eq!(old.events_dropped, 0);
     }
 
+    /// `name` inside a directory of its own: tests run in parallel, and
+    /// one test's leftover-temp scan must not see another's in-flight
+    /// temp file.
     fn scratch_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("lqo-obs-export-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("lqo-obs-export-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
@@ -642,7 +646,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "first\n");
         atomic_write(&path, "second\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -667,7 +671,7 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

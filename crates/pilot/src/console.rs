@@ -148,13 +148,10 @@ impl PilotConsole {
     }
 
     /// Select the execution mode for all queries routed through this
-    /// console (serial by default). The parallel, batched, and
-    /// batched-parallel paths are verified byte-identical to serial by
-    /// the differential harness, so results, work units, and driver
-    /// training feedback are unchanged — only wall clock differs. Can
-    /// also be driven by the `LQO_EXEC_MODE` environment variable (e.g.
-    /// `batched`, `batched:512`, `parallel:4`) via
-    /// [`ExecMode::from_env`].
+    /// console (serial by default). The parallel and batched paths are
+    /// verified byte-identical to serial by the differential harness, so
+    /// results, work units, and driver training feedback are unchanged —
+    /// only wall clock differs.
     pub fn with_exec_mode(self, mode: ExecMode) -> PilotConsole {
         self.interactor.set_exec_mode(mode);
         self
@@ -607,20 +604,11 @@ mod tests {
     fn batched_exec_mode_preserves_results_and_work() {
         let (mut serial, _) = console();
         let s = serial.execute_sql(SQL).unwrap();
-        let modes = [
-            ExecMode::Batched { batch_size: 64 },
-            ExecMode::BatchedParallel {
-                threads: 4,
-                batch_size: 64,
-            },
-        ];
-        for mode in modes {
-            let (batched, _) = console();
-            let mut batched = batched.with_exec_mode(mode);
-            let b = batched.execute_sql(SQL).unwrap();
-            assert_eq!(s.count, b.count, "{mode}");
-            assert_eq!(s.work.to_bits(), b.work.to_bits(), "{mode}");
-        }
+        let (batched, _) = console();
+        let mut batched = batched.with_exec_mode(ExecMode::Batched { batch_size: 64 });
+        let b = batched.execute_sql(SQL).unwrap();
+        assert_eq!(s.count, b.count);
+        assert_eq!(s.work.to_bits(), b.work.to_bits());
     }
 
     #[test]

@@ -764,10 +764,6 @@ mod tests {
         let modes = [
             ExecMode::Batched { batch_size: 1 },
             ExecMode::Batched { batch_size: 64 },
-            ExecMode::BatchedParallel {
-                threads: 2,
-                batch_size: 64,
-            },
         ];
         for mode in modes {
             let re = ReoptExecutor::new(

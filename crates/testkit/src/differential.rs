@@ -17,11 +17,9 @@ pub struct DiffConfig {
     /// deliberately tiny size maximizes scheduling nondeterminism — the
     /// hardest case for byte identity.
     pub morsel_rows: Vec<usize>,
-    /// Columnar batch sizes to sweep. Each runs as an
-    /// `ExecMode::Batched` cell, and each `(threads, batch)` combination
-    /// as an `ExecMode::BatchedParallel` cell (morsel sizes cycled across
-    /// those cells to keep the sweep bounded). Empty disables the batched
-    /// legs.
+    /// Columnar batch sizes to sweep, each as an `ExecMode::Batched`
+    /// cell. Empty disables the batched leg. (Parallel cells run the
+    /// batched kernels at the default batch size.)
     pub batch_sizes: Vec<usize>,
     /// Work budget applied identically to every mode (`None` = unlimited).
     pub max_work: Option<f64>,
@@ -90,8 +88,7 @@ pub struct DiffOutcome {
     pub serial: ExecResult,
     /// Order-sensitive digest of the serial output relation.
     pub digest: u64,
-    /// Number of non-serial cells compared (parallel, batched, and
-    /// batched-parallel).
+    /// Number of non-serial cells compared (parallel and batched).
     pub cells: usize,
 }
 
@@ -100,10 +97,7 @@ fn result_fingerprint(r: &ExecResult) -> (u64, u64, Vec<(lqo_engine::TableSet, u
 }
 
 /// The non-serial cells a [`DiffConfig`] expands to: every
-/// `(threads, morsel_rows)` parallel cell, every `batch` batched cell,
-/// and every `(threads, batch)` batched-parallel cell (with morsel sizes
-/// cycled across those so all three knobs vary without a full cubic
-/// product).
+/// `(threads, morsel_rows)` parallel cell and every `batch` batched cell.
 fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
     let mut cells = Vec::new();
     let base = ExecConfig {
@@ -134,36 +128,12 @@ fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
             },
         ));
     }
-    if !cfg.morsel_rows.is_empty() {
-        for (ti, &threads) in cfg.thread_counts.iter().enumerate() {
-            for (bi, &batch_size) in cfg.batch_sizes.iter().enumerate() {
-                let morsel_rows = cfg.morsel_rows[(ti + bi) % cfg.morsel_rows.len()];
-                cells.push((
-                    format!(
-                        "batched-parallel threads={threads} morsel_rows={morsel_rows} \
-                         batch={batch_size}"
-                    ),
-                    ExecConfig {
-                        mode: ExecMode::BatchedParallel {
-                            threads,
-                            batch_size,
-                        },
-                        parallel: ParallelConfig {
-                            morsel_rows,
-                            ..Default::default()
-                        },
-                        ..base.clone()
-                    },
-                ));
-            }
-        }
-    }
     cells
 }
 
-/// Execute `plan` serially and under every parallel, batched, and
-/// batched-parallel cell of `cfg`, requiring byte-identical output
-/// everywhere: equal counts, bit-identical work, equal intermediates,
+/// Execute `plan` serially and under every parallel and batched cell of
+/// `cfg`, requiring byte-identical output everywhere: equal counts,
+/// bit-identical work, equal intermediates,
 /// identical output relations (slots and row order), and — when the
 /// serial run errors (e.g. a work budget trip) — the *same* error from
 /// every cell. In every cell, serial included, the counting
@@ -338,8 +308,8 @@ mod tests {
             },
         )
         .unwrap();
-        // 3x2 parallel + 2 batched + 3x2 batched-parallel.
-        assert_eq!(out.cells, 14);
+        // 3x2 parallel + 2 batched.
+        assert_eq!(out.cells, 8);
         assert!(out.serial.work > 0.0);
     }
 

@@ -16,9 +16,9 @@
 //!
 //! Pieces:
 //!
-//! * [`differential`] — run a (query, plan) through serial, parallel,
-//!   batched, and batched-parallel modes at multiple thread counts,
-//!   morsel sizes, and batch sizes and compare everything
+//! * [`differential`] — run a (query, plan) through the serial, parallel
+//!   and batched modes at multiple thread counts, morsel sizes, and batch
+//!   sizes and compare everything
 //!   ([`differential::diff_plan`]), plus workload sweeps.
 //! * [`reopt_diff`] — the same standard for the checkpointed
 //!   re-optimizing executor: byte identity when no checkpoint triggers,

@@ -1,9 +1,9 @@
 //! Property tests for the vectorized (batched) execution path: random
 //! SPJ queries, random plan shapes, random batch sizes — batched must
 //! equal serial byte for byte, the result must not depend on the batch
-//! size, selection-vector boundaries must not leak rows, and composing
-//! batching with worker faults must still degrade to a byte-identical
-//! result.
+//! size, and selection-vector boundaries must not leak rows. Worker
+//! faults in the morsel pool, whose bodies are the batched kernels, are
+//! covered by `chaos.rs`.
 
 use std::sync::OnceLock;
 
@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lqo_engine::datagen::stats_like;
-use lqo_engine::{Catalog, ExecConfig, ExecMode, Executor, JoinAlgo, ParallelConfig, PhysNode};
+use lqo_engine::{Catalog, ExecConfig, ExecMode, Executor, JoinAlgo, PhysNode};
 use lqo_testkit::{diff_plan, random_plan, random_query, DiffConfig, RandomQueryConfig};
 
 fn catalog() -> &'static Catalog {
@@ -30,24 +30,14 @@ fn batched_exec(batch_size: usize) -> Executor<'static> {
     )
 }
 
-/// Run `f` with the panic hook silenced, so injected worker panics do
-/// not spam the test log. Restored afterwards.
-fn silenced<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     /// The core property: for ANY query, ANY plan shape, ANY batch size
     /// (including the degenerate 1 and sizes far beyond any table),
     /// batched output is byte-identical to serial — same rows in the
-    /// same order, bit-identical work. Also sweeps one batched-parallel
-    /// cell so the morsel-pool composition is covered per case.
+    /// same order, bit-identical work. Also sweeps one parallel cell,
+    /// whose morsel bodies run the batched kernels, per case.
     #[test]
     fn batched_equals_serial_for_random_plans(
         seed in 0u64..u64::MAX,
@@ -112,40 +102,6 @@ proptest! {
             max_work: None,
         };
         diff_plan(catalog(), &q, &plan, &cfg).unwrap_or_else(|msg| panic!("{msg}"));
-    }
-
-    /// Composed chaos: a worker panics mid-morsel while the executor is
-    /// in batched-parallel mode. The fallback re-runs on the
-    /// single-threaded batched path, which must still be byte-identical
-    /// to a clean serial run.
-    #[test]
-    fn batched_worker_panic_degrades_byte_identically(
-        seed in 0u64..u64::MAX,
-        panic_on in 0u64..64,
-        batch_size in 1usize..2048,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let q = random_query(catalog(), &mut rng, &RandomQueryConfig::default());
-        let plan = random_plan(&q, &mut rng);
-        let (serial, serial_rel) = Executor::with_defaults(catalog())
-            .execute_collect(&q, &plan)
-            .unwrap();
-        let ex = Executor::new(
-            catalog(),
-            ExecConfig {
-                mode: ExecMode::BatchedParallel { threads: 4, batch_size },
-                parallel: ParallelConfig {
-                    morsel_rows: 8,
-                    panic_on_morsel: Some(panic_on),
-                    fallback_serial: true,
-                },
-                ..Default::default()
-            },
-        );
-        let (degraded, degraded_rel) = silenced(|| ex.execute_collect(&q, &plan)).unwrap();
-        prop_assert_eq!(degraded.count, serial.count);
-        prop_assert_eq!(degraded.work.to_bits(), serial.work.to_bits());
-        prop_assert_eq!(degraded_rel.digest(), serial_rel.digest());
     }
 }
 

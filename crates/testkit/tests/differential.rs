@@ -1,7 +1,7 @@
 //! Differential sweep: every bench-workload query, optimizer-chosen
-//! plan, executed serially, in parallel, batched, and batched-parallel
-//! at every configured thread count, morsel size, and batch size,
-//! compared byte for byte.
+//! plan, executed serially, in parallel at every configured thread count
+//! and morsel size, and batched at every configured batch size, compared
+//! byte for byte.
 //!
 //! Thread counts come from `LQO_TEST_THREADS` (default `1,2,4,8`) and
 //! batch sizes from `LQO_TEST_BATCH_SIZES` (default `1,7,64,1024`); the

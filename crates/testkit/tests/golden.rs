@@ -56,20 +56,6 @@ fn ten_query_workload_snapshot() {
             ..Default::default()
         },
     );
-    let batched_parallel = Executor::new(
-        &catalog,
-        ExecConfig {
-            mode: ExecMode::BatchedParallel {
-                threads: 4,
-                batch_size: 64,
-            },
-            parallel: ParallelConfig {
-                morsel_rows: 16,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
 
     let mut out = String::from("# golden: stats_like(60, 7), 10 queries, seed 0x601DE001\n");
     for (i, q) in queries.iter().enumerate() {
@@ -78,11 +64,7 @@ fn ten_query_workload_snapshot() {
         // The snapshot is also a differential check: every other mode
         // must reproduce it before it is rendered — same committed
         // golden file, no mode-specific snapshots.
-        for (mode, ex) in [
-            ("parallel", &parallel),
-            ("batched", &batched),
-            ("batched-parallel", &batched_parallel),
-        ] {
+        for (mode, ex) in [("parallel", &parallel), ("batched", &batched)] {
             let (pr, prel) = ex.execute_collect(q, &plan).unwrap();
             assert_eq!(sr.count, pr.count, "query {i} ({mode})");
             assert_eq!(sr.work.to_bits(), pr.work.to_bits(), "query {i} ({mode})");
