@@ -32,6 +32,7 @@
 // the hand-rolled numeric kernels in this crate.
 #![allow(clippy::needless_range_loop)]
 
+mod adam;
 pub mod autoregressive;
 pub mod bayesnet;
 pub mod gbdt;

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::adam::Adam;
 use crate::linalg::{axpy, Matrix};
 
 /// Hidden-layer activation function.
@@ -77,18 +78,17 @@ impl MlpConfig {
     }
 }
 
-struct AdamState {
-    m_w: Vec<Matrix>,
-    v_w: Vec<Matrix>,
-    m_b: Vec<Vec<f64>>,
-    v_b: Vec<Vec<f64>>,
-    t: u64,
-}
-
 /// Forward-pass cache used by backprop.
 pub(crate) struct Cache {
     /// `acts\[0\]` is the input; `acts[l+1]` the activated output of layer l.
     pub(crate) acts: Vec<Vec<f64>>,
+}
+
+impl Cache {
+    /// The raw (linear) output of the pass.
+    pub(crate) fn output(&self) -> &[f64] {
+        self.acts.last().expect("non-empty activation stack")
+    }
 }
 
 /// Accumulated gradients over a batch.
@@ -103,7 +103,8 @@ pub struct Mlp {
     cfg: MlpConfig,
     weights: Vec<Matrix>,
     biases: Vec<Vec<f64>>,
-    adam: AdamState,
+    /// Moments in layer order, each layer's weights then its biases.
+    adam: Adam,
 }
 
 impl Mlp {
@@ -117,24 +118,12 @@ impl Mlp {
             weights.push(Matrix::xavier(w[1], w[0], &mut rng));
             biases.push(vec![0.0; w[1]]);
         }
-        let adam = AdamState {
-            m_w: weights
-                .iter()
-                .map(|w| Matrix::zeros(w.rows, w.cols))
-                .collect(),
-            v_w: weights
-                .iter()
-                .map(|w| Matrix::zeros(w.rows, w.cols))
-                .collect(),
-            m_b: biases.iter().map(|b| vec![0.0; b.len()]).collect(),
-            v_b: biases.iter().map(|b| vec![0.0; b.len()]).collect(),
-            t: 0,
-        };
+        let n = weights.iter().map(|w| w.data.len() + w.rows).sum();
         Mlp {
             cfg,
             weights,
             biases,
-            adam,
+            adam: Adam::new(n),
         }
     }
 
@@ -155,6 +144,18 @@ impl Mlp {
             .map(|w| w.data.len())
             .chain(self.biases.iter().map(|b| b.len()))
             .sum()
+    }
+
+    /// Every weight, bias and Adam moment, as flat slices (for audits of
+    /// the trained state, e.g. that no value is subnormal).
+    pub fn params_and_moments(&self) -> Vec<&[f64]> {
+        let mut out: Vec<&[f64]> = Vec::new();
+        for (w, b) in self.weights.iter().zip(&self.biases) {
+            out.push(&w.data);
+            out.push(b);
+        }
+        out.extend(self.adam.moments());
+        out
     }
 
     pub(crate) fn forward_cache(&self, x: &[f64]) -> Cache {
@@ -244,46 +245,27 @@ impl Mlp {
             return;
         }
         let scale = 1.0 / buf.count as f64;
-        let lr = self.cfg.learning_rate;
-        let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
-        self.adam.t += 1;
-        let t = self.adam.t as i32;
-        let corr1 = 1.0 - b1.powi(t);
-        let corr2 = 1.0 - b2.powi(t);
+        let l2 = self.cfg.l2;
+        let mut step = self.adam.step(self.cfg.learning_rate);
         for l in 0..self.weights.len() {
-            for i in 0..self.weights[l].data.len() {
-                let g = buf.dw[l].data[i] * scale + self.cfg.l2 * self.weights[l].data[i];
-                let m = &mut self.adam.m_w[l].data[i];
-                *m = b1 * *m + (1.0 - b1) * g;
-                let v = &mut self.adam.v_w[l].data[i];
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let mhat = *m / corr1;
-                let vhat = *v / corr2;
-                self.weights[l].data[i] -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            for i in 0..self.biases[l].len() {
-                let g = buf.db[l][i] * scale;
-                let m = &mut self.adam.m_b[l][i];
-                *m = b1 * *m + (1.0 - b1) * g;
-                let v = &mut self.adam.v_b[l][i];
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                self.biases[l][i] -= lr * (*m / corr1) / ((*v / corr2).sqrt() + eps);
-            }
+            let (dw, db) = (&buf.dw[l].data, &buf.db[l]);
+            step.update(&mut self.weights[l].data, |i, w| dw[i] * scale + l2 * w);
+            step.update(&mut self.biases[l], |i, _| db[i] * scale);
         }
     }
 
     /// One Adam step on a regression batch (squared error, vector targets).
     /// Returns the mean squared error of the batch before the update.
-    pub fn train_batch(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>]) -> f64 {
+    pub fn train_batch(&mut self, xs: &[impl AsRef<[f64]>], ys: &[impl AsRef<[f64]>]) -> f64 {
         assert_eq!(xs.len(), ys.len());
         let mut buf = self.zero_grads();
         let mut loss = 0.0;
         for (x, y) in xs.iter().zip(ys) {
-            let cache = self.forward_cache(x);
+            let cache = self.forward_cache(x.as_ref());
             let out = cache.acts.last().unwrap();
             let grad: Vec<f64> = out
                 .iter()
-                .zip(y)
+                .zip(y.as_ref())
                 .map(|(&o, &t)| {
                     loss += (o - t) * (o - t);
                     2.0 * (o - t)
@@ -298,8 +280,8 @@ impl Mlp {
     }
 
     /// Scalar-target convenience wrapper around [`Mlp::train_batch`].
-    pub fn train_scalar_batch(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
-        let targets: Vec<Vec<f64>> = ys.iter().map(|&y| vec![y]).collect();
+    pub fn train_scalar_batch(&mut self, xs: &[impl AsRef<[f64]>], ys: &[f64]) -> f64 {
+        let targets: Vec<[f64; 1]> = ys.iter().map(|&y| [y]).collect();
         self.train_batch(xs, &targets)
     }
 
@@ -367,7 +349,7 @@ impl Mlp {
             let mut total = 0.0;
             let mut batches = 0usize;
             for chunk in idx.chunks(batch_size.max(1)) {
-                let bx: Vec<Vec<f64>> = chunk.iter().map(|&i| xs[i].clone()).collect();
+                let bx: Vec<&[f64]> = chunk.iter().map(|&i| xs[i].as_slice()).collect();
                 let by: Vec<f64> = chunk.iter().map(|&i| ys[i]).collect();
                 total += self.train_scalar_batch(&bx, &by);
                 batches += 1;

@@ -3,7 +3,7 @@
 //! pooling within each set, concatenation, and a dense output head — the
 //! canonical deep query-driven cardinality estimator.
 
-use crate::mlp::{Activation, Mlp, MlpConfig};
+use crate::mlp::{Activation, Cache, Mlp, MlpConfig};
 
 /// MSCN hyper-parameters.
 #[derive(Debug, Clone)]
@@ -71,6 +71,17 @@ impl Mscn {
         }
     }
 
+    /// Every parameter and Adam moment of encoders and head, as flat
+    /// slices (for audits of the trained state, e.g. that no value is
+    /// subnormal).
+    pub fn params_and_moments(&self) -> Vec<&[f64]> {
+        let mut out = Vec::new();
+        for enc in self.encoders.iter().chain([&self.head]) {
+            out.extend(enc.params_and_moments());
+        }
+        out
+    }
+
     /// Number of set types.
     pub fn num_sets(&self) -> usize {
         self.encoders.len()
@@ -81,31 +92,34 @@ impl Mscn {
         self.encoders.iter().map(Mlp::num_params).sum::<usize>() + self.head.num_params()
     }
 
-    /// Pooled encoding of all sets, concatenated.
-    fn pool(&self, sets: &[Vec<Vec<f64>>]) -> Vec<f64> {
+    /// Pooled encoding of all sets, concatenated, and the encoder pass of
+    /// every item, per set, for back-propagation.
+    fn pool(&self, sets: &[Vec<Vec<f64>>]) -> (Vec<f64>, Vec<Vec<Cache>>) {
         assert_eq!(sets.len(), self.encoders.len());
         let mut pooled = Vec::with_capacity(self.encoders.len() * self.hidden);
+        let mut passes = Vec::with_capacity(sets.len());
         for (enc, set) in self.encoders.iter().zip(sets) {
+            let items: Vec<Cache> = set.iter().map(|item| enc.forward_cache(item)).collect();
             let mut avg = vec![0.0; self.hidden];
-            if !set.is_empty() {
-                for item in set {
-                    let h = enc.predict(item);
-                    for (a, &v) in avg.iter_mut().zip(&h) {
+            if !items.is_empty() {
+                for item in &items {
+                    for (a, &v) in avg.iter_mut().zip(item.output()) {
                         *a += v;
                     }
                 }
                 for a in &mut avg {
-                    *a /= set.len() as f64;
+                    *a /= items.len() as f64;
                 }
             }
             pooled.extend(avg);
+            passes.push(items);
         }
-        pooled
+        (pooled, passes)
     }
 
     /// Predicted scalar for one sample (a slice of sets, one per type).
     pub fn predict(&self, sets: &[Vec<Vec<f64>>]) -> f64 {
-        self.head.predict_scalar(&self.pool(sets))
+        self.head.predict_scalar(&self.pool(sets).0)
     }
 
     /// One Adam step of squared-error regression over a batch. Returns the
@@ -115,25 +129,24 @@ impl Mscn {
         let mut enc_bufs: Vec<_> = self.encoders.iter().map(Mlp::zero_grads).collect();
         let mut loss = 0.0;
         for (sets, y) in samples {
-            let pooled = self.pool(sets);
+            let (pooled, passes) = self.pool(sets);
             let cache = self.head.forward_cache(&pooled);
-            let pred = cache.acts.last().unwrap()[0];
+            let pred = cache.output()[0];
             loss += (pred - y) * (pred - y);
             let grad_pooled = self
                 .head
                 .backward(&cache, vec![2.0 * (pred - y)], &mut head_buf);
             Mlp::bump_count(&mut head_buf);
             // Distribute the pooled gradient back through each encoder.
-            for (k, (enc, set)) in self.encoders.iter().zip(sets.iter()).enumerate() {
-                if set.is_empty() {
+            for (k, (enc, items)) in self.encoders.iter().zip(&passes).enumerate() {
+                if items.is_empty() {
                     continue;
                 }
                 let g = &grad_pooled[k * self.hidden..(k + 1) * self.hidden];
-                let scale = 1.0 / set.len() as f64;
-                for item in set {
-                    let c = enc.forward_cache(item);
+                let scale = 1.0 / items.len() as f64;
+                for item in items {
                     let gi: Vec<f64> = g.iter().map(|&v| v * scale).collect();
-                    enc.backward(&c, gi, &mut enc_bufs[k]);
+                    enc.backward(item, gi, &mut enc_bufs[k]);
                     Mlp::bump_count(&mut enc_bufs[k]);
                 }
             }

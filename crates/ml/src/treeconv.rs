@@ -2,12 +2,31 @@
 //! plan-structured cost models: per-node convolution over (node, left
 //! child, right child) feature triples, stacked, followed by dynamic
 //! max+mean pooling and a dense head.
+//!
+//! `predict`, `train_batch` and `train_pairwise_batch` run one kernel,
+//! `TreeConvNet::forward`/`backward`, over flat per-layer buffers in a
+//! `Workspace` (one per `predict` call; two owned by the net for
+//! training). A node's convolution input `[node; left; right]` is kept as
+//! the list of its nonzero entries: plan features are mostly one-hot, a
+//! leaf has no child slots, and ReLU zeroes much of every hidden layer.
+//!
+//! **Numerics.** Every output and gradient sum adds its terms in ascending
+//! input index, one by one, exactly as the dense product did, so skipping
+//! zero inputs cannot change a bit for finite values: a skipped term is
+//! `w · 0 = ±0`, which leaves a nonzero partial sum unchanged; a zero
+//! conv-output sum can differ only in its sign, which `+ b` erases (a bias
+//! is never `-0.0`); and gradient accumulators start at `+0.0`, which adding
+//! `±0` keeps. The input gradient of layers above the first is formed only
+//! at nonzero inputs: the others are ReLU outputs that were zero, whose
+//! derivative discards the gradient anyway. `tests/training_bits.rs`
+//! pins the bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::adam::Adam;
 use crate::linalg::Matrix;
-use crate::mlp::{Activation, Mlp, MlpConfig};
+use crate::mlp::{Activation, Cache, GradBuf, Mlp, MlpConfig};
 
 /// A node of a featurized binary tree. Children are indices into the
 /// owning [`FeatTree`]'s node vector and must be smaller than the node's
@@ -95,13 +114,19 @@ impl TreeConvConfig {
     }
 }
 
+/// Weights of one convolution layer, or their gradient over a batch.
 struct ConvLayer {
     w: Matrix, // ch_out x 3*ch_in
     b: Vec<f64>,
-    m_w: Vec<f64>,
-    v_w: Vec<f64>,
-    m_b: Vec<f64>,
-    v_b: Vec<f64>,
+}
+
+impl ConvLayer {
+    fn zeros_like(&self) -> ConvLayer {
+        ConvLayer {
+            w: Matrix::zeros(self.w.rows, self.w.cols),
+            b: vec![0.0; self.b.len()],
+        }
+    }
 }
 
 /// A tree convolution network with a scalar dense head.
@@ -109,26 +134,55 @@ pub struct TreeConvNet {
     cfg: TreeConvConfig,
     convs: Vec<ConvLayer>,
     head: Mlp,
-    t: u64,
+    /// Moments of the conv layers, each layer's weights then its biases.
+    adam: Adam,
+    /// Training workspaces, one per tree of a pair, reused across batches.
+    ws: [Workspace; 2],
 }
 
-struct Forward {
-    /// `h[l][i]` = activation of node i after conv layer l (h\[0\] = inputs).
-    h: Vec<Vec<Vec<f64>>>,
+/// One tree's pass through the network. Every buffer is flat, grows to
+/// the largest tree seen and is reused from tree to tree.
+#[derive(Default)]
+struct Workspace {
+    /// Per conv layer.
+    layers: Vec<LayerBuf>,
+    /// `[max; mean]` over the nodes of the last layer.
     pooled: Vec<f64>,
-    /// Argmax node per channel of the max-pool half.
+    /// Node holding the maximum, per channel of the last layer.
     argmax: Vec<usize>,
+    /// dL/d activation of the layer being back-propagated, node-major.
+    gh: Vec<f64>,
+    /// The same for the layer below it.
+    gh_below: Vec<f64>,
+    /// One node's output gradient through the ReLU.
+    g: Vec<f64>,
+    /// One node's input gradient, per nonzero input.
+    dz: Vec<f64>,
 }
 
-fn adam_update(params: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64], t: u64, lr: f64) {
-    let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
-    let corr1 = 1.0 - b1.powi(t as i32);
-    let corr2 = 1.0 - b2.powi(t as i32);
-    for i in 0..params.len() {
-        let g = grads[i];
-        m[i] = b1 * m[i] + (1.0 - b1) * g;
-        v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-        params[i] -= lr * (m[i] / corr1) / ((v[i] / corr2).sqrt() + eps);
+/// One conv layer's inputs and outputs for every node.
+#[derive(Default)]
+struct LayerBuf {
+    /// Node `i`'s nonzero inputs are `idx[off[i]..off[i + 1]]` (column in
+    /// `[node; left; right]`, ascending) with values in `val`.
+    off: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+    /// ReLU outputs, `n × ch_out`, node-major.
+    act: Vec<f64>,
+}
+
+/// Conv input slice of node `j`: its features below the first layer, its
+/// activations in `below` otherwise.
+fn node_input<'a>(
+    tree: &'a FeatTree,
+    below: Option<&'a LayerBuf>,
+    ch: usize,
+    j: usize,
+) -> &'a [f64] {
+    match below {
+        None => &tree.nodes[j].feat,
+        Some(b) => &b.act[j * ch..(j + 1) * ch],
     }
 }
 
@@ -140,13 +194,8 @@ impl TreeConvNet {
         let mut convs = Vec::new();
         let mut ch_in = cfg.input_dim;
         for &ch_out in &cfg.channels {
-            let w = Matrix::xavier(ch_out, 3 * ch_in, &mut rng);
             convs.push(ConvLayer {
-                m_w: vec![0.0; w.data.len()],
-                v_w: vec![0.0; w.data.len()],
-                m_b: vec![0.0; ch_out],
-                v_b: vec![0.0; ch_out],
-                w,
+                w: Matrix::xavier(ch_out, 3 * ch_in, &mut rng),
                 b: vec![0.0; ch_out],
             });
             ch_in = ch_out;
@@ -160,11 +209,13 @@ impl TreeConvNet {
             activation: Activation::Relu,
             ..MlpConfig::new(head_layers)
         });
+        let adam = Adam::new(convs.iter().map(|c| c.w.data.len() + c.b.len()).sum());
         TreeConvNet {
             cfg,
             convs,
             head,
-            t: 0,
+            adam,
+            ws: Default::default(),
         }
     }
 
@@ -177,177 +228,201 @@ impl TreeConvNet {
             + self.head.num_params()
     }
 
-    fn forward(&self, tree: &FeatTree) -> Forward {
+    /// Every parameter and Adam moment of conv layers and head, as flat
+    /// slices (for audits of the trained state, e.g. that no value is
+    /// subnormal).
+    pub fn params_and_moments(&self) -> Vec<&[f64]> {
+        let mut out: Vec<&[f64]> = Vec::new();
+        for c in &self.convs {
+            out.push(&c.w.data);
+            out.push(&c.b);
+        }
+        out.extend(self.adam.moments());
+        out.extend(self.head.params_and_moments());
+        out
+    }
+
+    /// Conv layers and pooling of `tree` into `ws`, then the head on the
+    /// pooled vector.
+    fn forward(&self, tree: &FeatTree, ws: &mut Workspace) -> Cache {
         let n = tree.nodes.len();
         assert!(n > 0, "cannot evaluate an empty tree");
-        let mut h: Vec<Vec<Vec<f64>>> = Vec::with_capacity(self.convs.len() + 1);
-        h.push(tree.nodes.iter().map(|nd| nd.feat.clone()).collect());
+        ws.layers.resize_with(self.convs.len(), LayerBuf::default);
         for (l, conv) in self.convs.iter().enumerate() {
+            let (below, rest) = ws.layers.split_at_mut(l);
+            let below = below.last();
+            let LayerBuf { off, idx, val, act } = &mut rest[0];
             let ch_in = conv.w.cols / 3;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut z = vec![0.0; 3 * ch_in];
-                z[..ch_in].copy_from_slice(&h[l][i]);
-                if let Some(li) = tree.nodes[i].left {
-                    z[ch_in..2 * ch_in].copy_from_slice(&h[l][li]);
+            off.clear();
+            idx.clear();
+            val.clear();
+            off.push(0);
+            for (i, node) in tree.nodes.iter().enumerate() {
+                for (slot, j) in [Some(i), node.left, node.right].into_iter().enumerate() {
+                    let Some(j) = j else { continue };
+                    let x = node_input(tree, below, ch_in, j);
+                    assert_eq!(x.len(), ch_in, "node feature dimension");
+                    for (c, &v) in x.iter().enumerate() {
+                        if v != 0.0 {
+                            idx.push(slot * ch_in + c);
+                            val.push(v);
+                        }
+                    }
                 }
-                if let Some(ri) = tree.nodes[i].right {
-                    z[2 * ch_in..].copy_from_slice(&h[l][ri]);
-                }
-                let mut y = conv.w.matvec(&z);
-                for (yi, &bi) in y.iter_mut().zip(&conv.b) {
-                    *yi = (*yi + bi).max(0.0); // ReLU
-                }
-                out.push(y);
+                off.push(idx.len());
             }
-            h.push(out);
+            let ch_out = conv.w.rows;
+            act.clear();
+            act.resize(n * ch_out, 0.0);
+            for (i, out) in act.chunks_exact_mut(ch_out).enumerate() {
+                let (idx, val) = (&idx[off[i]..off[i + 1]], &val[off[i]..off[i + 1]]);
+                for (r, y) in out.iter_mut().enumerate() {
+                    let row = conv.w.row(r);
+                    let mut s = 0.0;
+                    for (&k, &x) in idx.iter().zip(val) {
+                        s += row[k] * x;
+                    }
+                    *y = (s + conv.b[r]).max(0.0);
+                }
+            }
         }
         // Dynamic pooling: concat(max, mean) over nodes of the last layer.
-        let last = h.last().unwrap();
-        let ch = last[0].len();
-        let mut maxv = vec![f64::NEG_INFINITY; ch];
-        let mut argmax = vec![0usize; ch];
-        let mut meanv = vec![0.0; ch];
-        for (i, node) in last.iter().enumerate() {
+        let ch = self.convs[self.convs.len() - 1].w.rows;
+        ws.pooled.clear();
+        ws.pooled.resize(ch, f64::NEG_INFINITY);
+        ws.pooled.resize(2 * ch, 0.0);
+        ws.argmax.clear();
+        ws.argmax.resize(ch, 0);
+        let (maxv, meanv) = ws.pooled.split_at_mut(ch);
+        for (i, node) in ws.layers[self.convs.len() - 1]
+            .act
+            .chunks_exact(ch)
+            .enumerate()
+        {
             for c in 0..ch {
                 if node[c] > maxv[c] {
                     maxv[c] = node[c];
-                    argmax[c] = i;
+                    ws.argmax[c] = i;
                 }
                 meanv[c] += node[c];
             }
         }
-        for m in &mut meanv {
+        for m in meanv.iter_mut() {
             *m /= n as f64;
         }
-        let mut pooled = maxv;
-        pooled.extend(meanv);
-        Forward { h, pooled, argmax }
+        self.head.forward_cache(&ws.pooled)
     }
 
     /// Predicted scalar value of a tree.
     pub fn predict(&self, tree: &FeatTree) -> f64 {
-        self.head.predict_scalar(&self.forward(tree).pooled)
+        self.forward(tree, &mut Workspace::default()).output()[0]
     }
 
-    /// Backprop `grad_out` (dL/d score) through head and conv layers,
-    /// accumulating conv-weight gradients into `dws`/`dbs` and head
+    /// Backprop `grad_out` (dL/d score) through the pass `forward` left in
+    /// `ws` and `head`, accumulating conv gradients into `grads` and head
     /// gradients into `head_buf`.
     fn backward(
         &self,
         tree: &FeatTree,
-        fwd: &Forward,
+        ws: &mut Workspace,
+        head: &Cache,
         grad_out: f64,
-        dws: &mut [Vec<f64>],
-        dbs: &mut [Vec<f64>],
-        head_buf: &mut crate::mlp::GradBuf,
+        grads: &mut [ConvLayer],
+        head_buf: &mut GradBuf,
     ) {
-        let head_cache = self.head.forward_cache(&fwd.pooled);
-        let grad_pooled = self.head.backward(&head_cache, vec![grad_out], head_buf);
+        let grad_pooled = self.head.backward(head, vec![grad_out], head_buf);
         Mlp::bump_count(head_buf);
 
         let n = tree.nodes.len();
-        let nlayers = self.convs.len();
-        let ch = fwd.h[nlayers][0].len();
-        // Gradient wrt the last conv layer's node activations.
-        let mut gh: Vec<Vec<f64>> = vec![vec![0.0; ch]; n];
+        let ch = self.convs[self.convs.len() - 1].w.rows;
+        ws.gh.clear();
+        ws.gh.resize(n * ch, 0.0);
         for c in 0..ch {
-            gh[fwd.argmax[c]][c] += grad_pooled[c]; // max half
+            ws.gh[ws.argmax[c] * ch + c] += grad_pooled[c]; // max half
         }
-        for node in gh.iter_mut() {
+        for node in ws.gh.chunks_exact_mut(ch) {
             for c in 0..ch {
                 node[c] += grad_pooled[ch + c] / n as f64; // mean half
             }
         }
-        // Conv layers, top down.
-        for l in (0..nlayers).rev() {
-            let conv = &self.convs[l];
-            let ch_in = conv.w.cols / 3;
-            let ch_out = conv.w.rows;
-            let mut gh_prev: Vec<Vec<f64>> = vec![vec![0.0; ch_in]; n];
+        // Conv layers, top down. Nothing reads the gradient of the
+        // features themselves, so layer 0 forms no input gradient.
+        for l in (0..self.convs.len()).rev() {
+            let (conv, grad, buf) = (&self.convs[l], &mut grads[l], &ws.layers[l]);
+            let (ch_in, ch_out) = (conv.w.cols / 3, conv.w.rows);
+            ws.g.resize(ch_out, 0.0);
+            ws.gh_below.clear();
+            if l > 0 {
+                ws.gh_below.resize(n * ch_in, 0.0);
+            }
             for i in 0..n {
-                // Through ReLU: activation > 0.
-                let g: Vec<f64> = fwd.h[l + 1][i]
-                    .iter()
-                    .zip(&gh[i])
-                    .map(|(&y, &gy)| if y > 0.0 { gy } else { 0.0 })
-                    .collect();
-                if g.iter().all(|&x| x == 0.0) {
+                let (act, gh) = (&buf.act[i * ch_out..], &ws.gh[i * ch_out..]);
+                let mut live = false;
+                for ((g, &y), &gy) in ws.g.iter_mut().zip(act).zip(gh) {
+                    *g = if y > 0.0 { gy } else { 0.0 }; // through ReLU
+                    live |= *g != 0.0;
+                }
+                if !live {
                     continue;
                 }
-                // Rebuild the input z of this node.
-                let mut z = vec![0.0; 3 * ch_in];
-                z[..ch_in].copy_from_slice(&fwd.h[l][i]);
-                if let Some(li) = tree.nodes[i].left {
-                    z[ch_in..2 * ch_in].copy_from_slice(&fwd.h[l][li]);
-                }
-                if let Some(ri) = tree.nodes[i].right {
-                    z[2 * ch_in..].copy_from_slice(&fwd.h[l][ri]);
-                }
-                // dW += g ⊗ z; db += g; dz = Wᵀ g.
-                for r in 0..ch_out {
-                    let gr = g[r];
+                let (idx, val) = (
+                    &buf.idx[buf.off[i]..buf.off[i + 1]],
+                    &buf.val[buf.off[i]..buf.off[i + 1]],
+                );
+                // dW += g ⊗ z; db += g.
+                for (r, &gr) in ws.g.iter().enumerate() {
                     if gr == 0.0 {
                         continue;
                     }
-                    dbs[l][r] += gr;
-                    let drow = &mut dws[l][r * conv.w.cols..(r + 1) * conv.w.cols];
-                    for k in 0..conv.w.cols {
-                        drow[k] += gr * z[k];
+                    grad.b[r] += gr;
+                    let drow = grad.w.row_mut(r);
+                    for (&k, &x) in idx.iter().zip(val) {
+                        drow[k] += gr * x;
                     }
                 }
-                // dz distribution to self / left / right in the layer below.
-                let mut dz = vec![0.0; 3 * ch_in];
-                for r in 0..ch_out {
-                    let gr = g[r];
+                if l == 0 {
+                    continue;
+                }
+                // dz = Wᵀ g, distributed to self / left / right below.
+                ws.dz.clear();
+                ws.dz.resize(idx.len(), 0.0);
+                for (r, &gr) in ws.g.iter().enumerate() {
                     if gr == 0.0 {
                         continue;
                     }
-                    let row = &conv.w.data[r * conv.w.cols..(r + 1) * conv.w.cols];
-                    for k in 0..3 * ch_in {
-                        dz[k] += gr * row[k];
+                    let row = conv.w.row(r);
+                    for (d, &k) in ws.dz.iter_mut().zip(idx) {
+                        *d += gr * row[k];
                     }
                 }
-                for c in 0..ch_in {
-                    gh_prev[i][c] += dz[c];
-                }
-                if let Some(li) = tree.nodes[i].left {
-                    for c in 0..ch_in {
-                        gh_prev[li][c] += dz[ch_in + c];
-                    }
-                }
-                if let Some(ri) = tree.nodes[i].right {
-                    for c in 0..ch_in {
-                        gh_prev[ri][c] += dz[2 * ch_in + c];
-                    }
+                let node = &tree.nodes[i];
+                let child = |c: Option<usize>| c.expect("a child slot has a child");
+                for (&d, &k) in ws.dz.iter().zip(idx) {
+                    let (j, c) = if k < ch_in {
+                        (i, k)
+                    } else if k < 2 * ch_in {
+                        (child(node.left), k - ch_in)
+                    } else {
+                        (child(node.right), k - 2 * ch_in)
+                    };
+                    ws.gh_below[j * ch_in + c] += d;
                 }
             }
-            gh = gh_prev;
+            std::mem::swap(&mut ws.gh, &mut ws.gh_below);
         }
     }
 
-    fn apply_grads(
-        &mut self,
-        dws: Vec<Vec<f64>>,
-        dbs: Vec<Vec<f64>>,
-        head_buf: crate::mlp::GradBuf,
-        batch: usize,
-    ) {
-        self.t += 1;
+    /// Zeroed conv gradients.
+    fn zero_grads(&self) -> Vec<ConvLayer> {
+        self.convs.iter().map(ConvLayer::zeros_like).collect()
+    }
+
+    fn apply_grads(&mut self, grads: &[ConvLayer], head_buf: GradBuf, batch: usize) {
         let scale = 1.0 / batch.max(1) as f64;
-        let lr = self.cfg.learning_rate;
-        for (l, conv) in self.convs.iter_mut().enumerate() {
-            let gw: Vec<f64> = dws[l].iter().map(|g| g * scale).collect();
-            adam_update(
-                &mut conv.w.data,
-                &gw,
-                &mut conv.m_w,
-                &mut conv.v_w,
-                self.t,
-                lr,
-            );
-            let gb: Vec<f64> = dbs[l].iter().map(|g| g * scale).collect();
-            adam_update(&mut conv.b, &gb, &mut conv.m_b, &mut conv.v_b, self.t, lr);
+        let mut step = self.adam.step(self.cfg.learning_rate);
+        for (conv, grad) in self.convs.iter_mut().zip(grads) {
+            step.update(&mut conv.w.data, |i, _| grad.w.data[i] * scale);
+            step.update(&mut conv.b, |i, _| grad.b[i] * scale);
         }
         self.head.step(head_buf);
     }
@@ -356,56 +431,42 @@ impl TreeConvNet {
     /// Returns the batch MSE before the update.
     pub fn train_batch(&mut self, trees: &[&FeatTree], ys: &[f64]) -> f64 {
         assert_eq!(trees.len(), ys.len());
-        let mut dws: Vec<Vec<f64>> = self
-            .convs
-            .iter()
-            .map(|c| vec![0.0; c.w.data.len()])
-            .collect();
-        let mut dbs: Vec<Vec<f64>> = self.convs.iter().map(|c| vec![0.0; c.b.len()]).collect();
+        let [mut ws, spare] = std::mem::take(&mut self.ws);
+        let mut grads = self.zero_grads();
         let mut head_buf = self.head.zero_grads();
         let mut loss = 0.0;
         for (tree, &y) in trees.iter().zip(ys) {
-            let fwd = self.forward(tree);
-            let pred = self.head.predict_scalar(&fwd.pooled);
+            let head = self.forward(tree, &mut ws);
+            let pred = head.output()[0];
             loss += (pred - y) * (pred - y);
-            self.backward(
-                tree,
-                &fwd,
-                2.0 * (pred - y),
-                &mut dws,
-                &mut dbs,
-                &mut head_buf,
-            );
+            let g = 2.0 * (pred - y);
+            self.backward(tree, &mut ws, &head, g, &mut grads, &mut head_buf);
         }
         let n = trees.len().max(1);
-        self.apply_grads(dws, dbs, head_buf, n);
+        self.apply_grads(&grads, head_buf, n);
+        self.ws = [ws, spare];
         loss / n as f64
     }
 
     /// One Adam step of pairwise logistic ranking: `y = +1` when `a`
     /// should score higher than `b`. Returns mean logistic loss.
     pub fn train_pairwise_batch(&mut self, pairs: &[(&FeatTree, &FeatTree, f64)]) -> f64 {
-        let mut dws: Vec<Vec<f64>> = self
-            .convs
-            .iter()
-            .map(|c| vec![0.0; c.w.data.len()])
-            .collect();
-        let mut dbs: Vec<Vec<f64>> = self.convs.iter().map(|c| vec![0.0; c.b.len()]).collect();
+        let [mut wa, mut wb] = std::mem::take(&mut self.ws);
+        let mut grads = self.zero_grads();
         let mut head_buf = self.head.zero_grads();
         let mut loss = 0.0;
         for (a, b, y) in pairs {
-            let fa = self.forward(a);
-            let fb = self.forward(b);
-            let sa = self.head.predict_scalar(&fa.pooled);
-            let sb = self.head.predict_scalar(&fb.pooled);
-            let margin = y * (sa - sb);
+            let ha = self.forward(a, &mut wa);
+            let hb = self.forward(b, &mut wb);
+            let margin = y * (ha.output()[0] - hb.output()[0]);
             loss += (1.0 + (-margin).exp()).ln();
             let g = -y / (1.0 + margin.exp());
-            self.backward(a, &fa, g, &mut dws, &mut dbs, &mut head_buf);
-            self.backward(b, &fb, -g, &mut dws, &mut dbs, &mut head_buf);
+            self.backward(a, &mut wa, &ha, g, &mut grads, &mut head_buf);
+            self.backward(b, &mut wb, &hb, -g, &mut grads, &mut head_buf);
         }
         let n = pairs.len().max(1);
-        self.apply_grads(dws, dbs, head_buf, 2 * n);
+        self.apply_grads(&grads, head_buf, 2 * n);
+        self.ws = [wa, wb];
         loss / n as f64
     }
 }

@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::adam::Adam;
 use crate::linalg::{dot, Matrix};
 use crate::treeconv::FeatTree;
 
@@ -44,10 +45,8 @@ pub struct TreeRnn {
     /// Scalar head on the root embedding.
     head_w: Vec<f64>,
     head_b: f64,
-    // Adam state.
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
+    /// Moments of `w`, `b`, `head_w`, `head_b`, in that order.
+    adam: Adam,
 }
 
 impl TreeRnn {
@@ -61,9 +60,7 @@ impl TreeRnn {
             b: vec![0.0; cfg.hidden],
             head_w,
             head_b: 0.0,
-            m: vec![0.0; nparams],
-            v: vec![0.0; nparams],
-            t: 0,
+            adam: Adam::new(nparams),
             w,
             cfg,
         }
@@ -72,6 +69,19 @@ impl TreeRnn {
     /// Number of trainable parameters.
     pub fn num_params(&self) -> usize {
         self.w.data.len() + self.b.len() + self.head_w.len() + 1
+    }
+
+    /// Every parameter and Adam moment, as flat slices (for audits of the
+    /// trained state, e.g. that no value is subnormal).
+    pub fn params_and_moments(&self) -> Vec<&[f64]> {
+        let mut out: Vec<&[f64]> = vec![
+            &self.w.data,
+            &self.b,
+            &self.head_w,
+            std::slice::from_ref(&self.head_b),
+        ];
+        out.extend(self.adam.moments());
+        out
     }
 
     /// Bottom-up embeddings of every node (children-first order assumed).
@@ -187,34 +197,12 @@ impl TreeRnn {
                 }
             }
         }
-        // Adam over the flattened parameter vector.
         let nb = trees.len().max(1) as f64;
-        self.t += 1;
-        let lr = self.cfg.learning_rate;
-        let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
-        let corr1 = 1.0 - b1.powi(self.t as i32);
-        let corr2 = 1.0 - b2.powi(self.t as i32);
-        let update = |idx: usize, param: &mut f64, grad: f64, m: &mut [f64], v: &mut [f64]| {
-            let g = grad / nb;
-            m[idx] = b1 * m[idx] + (1.0 - b1) * g;
-            v[idx] = b2 * v[idx] + (1.0 - b2) * g * g;
-            *param -= lr * (m[idx] / corr1) / ((v[idx] / corr2).sqrt() + eps);
-        };
-        let mut idx = 0usize;
-        let (m, v) = (&mut self.m, &mut self.v);
-        for (p, g) in self.w.data.iter_mut().zip(&dw) {
-            update(idx, p, *g, m, v);
-            idx += 1;
-        }
-        for (p, g) in self.b.iter_mut().zip(&db) {
-            update(idx, p, *g, m, v);
-            idx += 1;
-        }
-        for (p, g) in self.head_w.iter_mut().zip(&dhw) {
-            update(idx, p, *g, m, v);
-            idx += 1;
-        }
-        update(idx, &mut self.head_b, dhb, m, v);
+        let mut step = self.adam.step(self.cfg.learning_rate);
+        step.update(&mut self.w.data, |i, _| dw[i] / nb);
+        step.update(&mut self.b, |i, _| db[i] / nb);
+        step.update(&mut self.head_w, |i, _| dhw[i] / nb);
+        step.update(std::slice::from_mut(&mut self.head_b), |_, _| dhb / nb);
         loss / nb
     }
 }
