@@ -286,7 +286,7 @@ pub fn run(cfg: &Config) -> Output {
         for _round in 0..4 * cfg.passes {
             for q in &golden {
                 let key = plan_key(q, &hints.label(), &source);
-                let cost = match cache.plan_lookup(&key) {
+                let cost = match cache.plan_lookup(key) {
                     Some(hit) => hit.cost,
                     None => {
                         let opt_memo = OptMemo::new(memo.as_ref());

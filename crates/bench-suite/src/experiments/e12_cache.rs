@@ -181,7 +181,7 @@ fn run_mode(catalog: &Arc<Catalog>, queries: &[SpjQuery], cfg: &Config, mode: &M
                 }
                 Mode::PlanMemo => {
                     let key = plan_key(q, &hints.label(), &source);
-                    match cache.plan_lookup(&key) {
+                    match cache.plan_lookup(key) {
                         Some(hit) => hit.plan,
                         None => {
                             let memo = OptMemo::new(card.as_ref());

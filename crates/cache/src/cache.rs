@@ -4,12 +4,29 @@
 //!
 //! ## Keys and correctness
 //!
-//! Both caches key on *canonical* strings produced by
-//! [`lqo_engine::SpjQuery::canonical_key`], which are order-insensitive
-//! and alias-free — the same logical sub-query always maps to the same
-//! key, and two different sub-queries never share one. Raw `TableSet`
-//! bitmasks are **never** used as cross-query keys (table positions are
-//! not stable across queries); the per-optimization
+//! Every cache keys on a [`SubqueryKey`]: 128 bits computed by
+//! [`lqo_engine::SpjQuery::subquery_key`] without allocating. It hashes
+//! exactly the element texts [`lqo_engine::SpjQuery::canonical_key`]
+//! sorts and joins — `"{table} {alias}"` per table, each predicate's
+//! `Display`, and `a=b` per join with its sides in text order — each
+//! under a category tag, through two independent 64-bit lanes, and sums
+//! the element hashes lane-wise. A sum is order-insensitive, so the key
+//! has the same equivalence classes as the sorted canonical string: the
+//! same logical sub-query always maps to the same key, whatever the
+//! table positions, join order or join-side order. Two different
+//! sub-queries share a key only by a 128-bit collision, with probability
+//! about `m² / 2¹²⁹` for `m` distinct keys — under 10⁻²⁸ for the 10⁴–10⁵
+//! keys a workload holds (`plan_learned_wide` has 7 571). The combination
+//! is add, not xor: xor would cancel a repeated element (a predicate
+//! written twice), merging sub-queries whose canonical keys differ.
+//! `lqo-testkit`'s `subquery_key` test checks the equivalence on random
+//! and permuted queries and sweeps the E-experiment workloads for
+//! collisions. [`plan_key`] and [`residual_key`] extend the full-query
+//! key through the same hasher with the hint label, source name and
+//! leaf descriptors.
+//!
+//! Raw `TableSet` bitmasks are **never** used as cross-query keys (table
+//! positions are not stable across queries); the per-optimization
 //! [`crate::OptMemo`] is the only place set bits are used, and it lives
 //! and dies inside a single `optimize` call.
 //!
@@ -26,11 +43,12 @@
 //! estimator breaker newly opens.
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use lqo_engine::{PhysNode, ResidualNode};
+use lqo_engine::{PhysNode, ResidualNode, SpjQuery, SubqueryKey};
 use lqo_flight::{FlightContext, FlightEvent, Producer};
 use lqo_obs::trace::CacheEvent;
 use lqo_obs::ObsContext;
@@ -316,9 +334,9 @@ impl LqoCache {
         dropped_cards + dropped_plans + dropped_residuals
     }
 
-    /// Look up a cached cardinality by canonical sub-query key. Entries
-    /// from an older stats epoch are dropped and count as misses.
-    pub fn card_lookup(&self, key: &str) -> Option<f64> {
+    /// Look up a cached cardinality by sub-query key. Entries from an
+    /// older stats epoch are dropped and count as misses.
+    pub fn card_lookup(&self, key: SubqueryKey) -> Option<f64> {
         let epoch = self.stats_epoch();
         let mut cards = self.cards.lock();
         let hit = match cards.get(key) {
@@ -342,7 +360,7 @@ impl LqoCache {
         }
         if obs.is_enabled() {
             let event = if hit.is_some() { "hit" } else { "miss" };
-            self.event(&obs, "card", event, key.to_string());
+            self.event(&obs, "card", event, format!("{key:?}"));
             self.publish_hit_rates(&obs);
         }
         hit
@@ -350,7 +368,7 @@ impl LqoCache {
 
     /// Store a cardinality under the current stats epoch, tagged with the
     /// producing source's name.
-    pub fn card_store(&self, key: String, est: f64, source: &str) {
+    pub fn card_store(&self, key: SubqueryKey, est: f64, source: &str) {
         let entry = CardEntry {
             est,
             epoch: self.stats_epoch(),
@@ -364,8 +382,8 @@ impl LqoCache {
         }
     }
 
-    /// Look up a cached plan by its canonical fingerprint key.
-    pub fn plan_lookup(&self, key: &str) -> Option<PlannedQuery> {
+    /// Look up a cached plan by its [`plan_key`].
+    pub fn plan_lookup(&self, key: SubqueryKey) -> Option<PlannedQuery> {
         let epoch = self.stats_epoch();
         let mut plans = self.plans.lock();
         let hit = match plans.get(key) {
@@ -396,7 +414,7 @@ impl LqoCache {
 
     /// Store a plan under the current stats epoch, tagged with the name
     /// of the cardinality source it was optimized under.
-    pub fn plan_store(&self, key: String, planned: PlannedQuery, source: &str) {
+    pub fn plan_store(&self, key: SubqueryKey, planned: PlannedQuery, source: &str) {
         let entry = PlanEntry {
             planned,
             epoch: self.stats_epoch(),
@@ -414,7 +432,7 @@ impl LqoCache {
 
     /// Look up a cached residual sub-plan by its [`residual_key`].
     /// Entries from an older stats epoch are dropped and count as misses.
-    pub fn residual_lookup(&self, key: &str) -> Option<CachedResidual> {
+    pub fn residual_lookup(&self, key: SubqueryKey) -> Option<CachedResidual> {
         let epoch = self.stats_epoch();
         let mut residuals = self.residuals.lock();
         let hit = match residuals.get(key) {
@@ -444,7 +462,7 @@ impl LqoCache {
 
     /// Store a re-optimized residual sub-plan under the current stats
     /// epoch, tagged with the calibrated source's name.
-    pub fn residual_store(&self, key: String, cached: CachedResidual, source: &str) {
+    pub fn residual_store(&self, key: SubqueryKey, cached: CachedResidual, source: &str) {
         let entry = ResidualEntry {
             cached,
             epoch: self.stats_epoch(),
@@ -631,46 +649,50 @@ impl LqoCache {
     }
 }
 
-/// The plan-cache key of one (query, hints, estimator) combination:
-/// canonical query form, the hint label, and the estimator name. Two
-/// queries share a key exactly when the native optimizer is guaranteed
-/// to see identical inputs for both.
-pub fn plan_key(query: &lqo_engine::SpjQuery, hints_label: &str, source: &str) -> String {
-    format!(
-        "{}|hints={}|card={}",
-        query.canonical_key(query.all_tables()),
-        hints_label,
-        source
-    )
+/// The plan-cache key of one (query, hints, estimator) combination: the
+/// full query's [`SpjQuery::subquery_key`] extended with the hint label
+/// and the estimator name. Two queries share a key exactly when the
+/// native optimizer is guaranteed to see identical inputs for both.
+pub fn plan_key(query: &SpjQuery, hints_label: &str, source: &str) -> SubqueryKey {
+    let mut h = query.subquery_key(query.all_tables()).extend();
+    let _ = write!(h, "|hints={hints_label}|card={source}");
+    h.finish()
 }
 
 /// The residual-cache key of one mid-query re-optimization decision
-/// point: canonical query form plus a descriptor of every residual leaf
-/// *in leaf order* — its table-set bits and a log2 bucket of its row
-/// count — plus the calibrated source's name. Two checkpoints share a
-/// key exactly when the residual enumerator is guaranteed to see
+/// point: the full query's key extended with a descriptor of every
+/// residual leaf *in leaf order* — its table-set bits and a log2 bucket
+/// of its row count — plus the calibrated source's name. Two checkpoints
+/// share a key exactly when the residual enumerator is guaranteed to see
 /// equivalent inputs (same logical query, same leaf partition, row
 /// counts within a 2× bucket of each other, same estimator stack), which
 /// also makes the cached plan's leaf indices directly reusable.
 pub fn residual_key(
-    query: &lqo_engine::SpjQuery,
+    query: &SpjQuery,
     leaves: &[lqo_engine::ResidualLeaf],
     source: &str,
-) -> String {
-    use std::fmt::Write;
-    let mut key = query.canonical_key(query.all_tables());
+) -> SubqueryKey {
+    let mut h = query.subquery_key(query.all_tables()).extend();
     for leaf in leaves {
         let bucket = leaf.rows.max(1.0).log2().floor() as i64;
         let tag = if leaf.materialized { 'm' } else { 's' };
-        let _ = write!(key, "|{}:{:x}@{}", tag, leaf.set.0, bucket);
+        let _ = write!(h, "|{}:{:x}@{}", tag, leaf.set.0, bucket);
     }
-    let _ = write!(key, "|card={source}");
-    key
+    let _ = write!(h, "|card={source}");
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const A: SubqueryKey = SubqueryKey(0xa);
+    const B: SubqueryKey = SubqueryKey(0xb);
+    const K: SubqueryKey = SubqueryKey(0x4b);
+    const P: SubqueryKey = SubqueryKey(0x50);
+    const R: SubqueryKey = SubqueryKey(0x52);
+    const R1: SubqueryKey = SubqueryKey(0x521);
+    const R2: SubqueryKey = SubqueryKey(0x522);
 
     fn planned() -> PlannedQuery {
         PlannedQuery {
@@ -682,9 +704,9 @@ mod tests {
     #[test]
     fn card_cache_hits_and_misses() {
         let cache = LqoCache::default();
-        assert_eq!(cache.card_lookup("k"), None);
-        cache.card_store("k".into(), 17.5, "traditional");
-        assert_eq!(cache.card_lookup("k"), Some(17.5));
+        assert_eq!(cache.card_lookup(K), None);
+        cache.card_store(K, 17.5, "traditional");
+        assert_eq!(cache.card_lookup(K), Some(17.5));
         let s = cache.stats();
         assert_eq!((s.card_hits, s.card_misses), (1, 1));
         assert_eq!(s.saved_inference_calls(), 1);
@@ -694,43 +716,43 @@ mod tests {
     #[test]
     fn epoch_bump_invalidates_lazily_and_eagerly() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "traditional");
-        cache.plan_store("p".into(), planned(), "traditional");
+        cache.card_store(A, 1.0, "traditional");
+        cache.plan_store(P, planned(), "traditional");
         assert_eq!(cache.bump_stats_epoch(), 2);
         assert_eq!(cache.stats_epoch(), 1);
         assert_eq!(cache.card_len(), 0);
         assert_eq!(cache.plan_len(), 0);
-        assert_eq!(cache.card_lookup("a"), None);
+        assert_eq!(cache.card_lookup(A), None);
         assert_eq!(cache.stats().card_invalidations, 1);
         assert_eq!(cache.stats().plan_invalidations, 1);
         // Entries stored after the bump hit normally.
-        cache.card_store("a".into(), 2.0, "traditional");
-        assert_eq!(cache.card_lookup("a"), Some(2.0));
+        cache.card_store(A, 2.0, "traditional");
+        assert_eq!(cache.card_lookup(A), Some(2.0));
     }
 
     #[test]
     fn source_invalidation_is_targeted() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "traditional");
-        cache.card_store("b".into(), 2.0, "mscn");
-        cache.plan_store("p".into(), planned(), "mscn");
+        cache.card_store(A, 1.0, "traditional");
+        cache.card_store(B, 2.0, "mscn");
+        cache.plan_store(P, planned(), "mscn");
         assert_eq!(cache.invalidate_source("mscn"), 2);
-        assert_eq!(cache.card_lookup("a"), Some(1.0));
-        assert_eq!(cache.card_lookup("b"), None);
-        assert_eq!(cache.plan_lookup("p").map(|p| p.cost), None);
+        assert_eq!(cache.card_lookup(A), Some(1.0));
+        assert_eq!(cache.card_lookup(B), None);
+        assert_eq!(cache.plan_lookup(P).map(|p| p.cost), None);
     }
 
     #[test]
     fn drift_transition_invalidates_once() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "mscn");
-        cache.plan_store("p".into(), planned(), "mscn");
+        cache.card_store(A, 1.0, "mscn");
+        cache.plan_store(P, planned(), "mscn");
         // Healthy: nothing happens.
         assert_eq!(cache.note_health("card:mscn", false), 0);
         // Drift edge: estimator entries and plans go.
         assert!(cache.note_health("card:mscn", true) >= 2);
         // Still drifted: no repeat invalidation.
-        cache.card_store("a".into(), 1.0, "mscn");
+        cache.card_store(A, 1.0, "mscn");
         assert_eq!(cache.note_health("card:mscn", true), 0);
         // Recovery then re-drift fires again.
         assert_eq!(cache.note_health("card:mscn", false), 0);
@@ -740,7 +762,7 @@ mod tests {
     #[test]
     fn drift_with_unmatched_label_flushes_cards() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "traditional");
+        cache.card_store(A, 1.0, "traditional");
         // The monitor saw the decorated name, not the base tag.
         assert_eq!(cache.note_health("card:injected", true), 1);
         assert_eq!(cache.card_len(), 0);
@@ -749,8 +771,8 @@ mod tests {
     #[test]
     fn breaker_open_drops_plans() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "traditional");
-        cache.plan_store("p".into(), planned(), "traditional");
+        cache.card_store(A, 1.0, "traditional");
+        cache.plan_store(P, planned(), "traditional");
         assert_eq!(cache.on_breaker_open("driver:bao"), 1);
         assert_eq!(cache.plan_len(), 0);
         // Driver breakers do not touch cardinalities.
@@ -763,8 +785,8 @@ mod tests {
     #[test]
     fn flush_all_empties_both() {
         let cache = LqoCache::default();
-        cache.card_store("a".into(), 1.0, "t");
-        cache.plan_store("p".into(), planned(), "t");
+        cache.card_store(A, 1.0, "t");
+        cache.plan_store(P, planned(), "t");
         assert_eq!(cache.flush_all("test"), 2);
         assert!(cache.card_len() == 0 && cache.plan_len() == 0);
     }
@@ -783,9 +805,9 @@ mod tests {
     #[test]
     fn residual_cache_hits_and_misses() {
         let cache = LqoCache::default();
-        assert!(cache.residual_lookup("r").is_none());
-        cache.residual_store("r".into(), residual(), "reopt-calibrated");
-        let hit = cache.residual_lookup("r").unwrap();
+        assert!(cache.residual_lookup(R).is_none());
+        cache.residual_store(R, residual(), "reopt-calibrated");
+        let hit = cache.residual_lookup(R).unwrap();
         assert_eq!(hit.cost, 7.0);
         assert_eq!(hit.plan, residual().plan);
         let s = cache.stats();
@@ -795,20 +817,20 @@ mod tests {
     #[test]
     fn residual_entries_are_epoch_tagged() {
         let cache = LqoCache::default();
-        cache.residual_store("r".into(), residual(), "reopt-calibrated");
+        cache.residual_store(R, residual(), "reopt-calibrated");
         cache.bump_stats_epoch();
         assert_eq!(cache.residual_len(), 0);
-        assert!(cache.residual_lookup("r").is_none());
+        assert!(cache.residual_lookup(R).is_none());
         assert_eq!(cache.stats().residual_invalidations, 1);
     }
 
     #[test]
     fn residuals_die_with_plans_on_drift_and_breaker_open() {
         let cache = LqoCache::default();
-        cache.residual_store("r".into(), residual(), "reopt-calibrated");
+        cache.residual_store(R, residual(), "reopt-calibrated");
         assert!(cache.note_health("planner", true) >= 1);
         assert_eq!(cache.residual_len(), 0);
-        cache.residual_store("r".into(), residual(), "reopt-calibrated");
+        cache.residual_store(R, residual(), "reopt-calibrated");
         assert!(cache.on_breaker_open("driver:bao") >= 1);
         assert_eq!(cache.residual_len(), 0);
     }
@@ -816,20 +838,52 @@ mod tests {
     #[test]
     fn residual_source_invalidation_is_targeted() {
         let cache = LqoCache::default();
-        cache.residual_store("r1".into(), residual(), "reopt-calibrated");
-        cache.residual_store("r2".into(), residual(), "other");
+        cache.residual_store(R1, residual(), "reopt-calibrated");
+        cache.residual_store(R2, residual(), "other");
         assert_eq!(cache.invalidate_source("other"), 1);
-        assert!(cache.residual_lookup("r1").is_some());
-        assert!(cache.residual_lookup("r2").is_none());
+        assert!(cache.residual_lookup(R1).is_some());
+        assert!(cache.residual_lookup(R2).is_none());
+    }
+
+    #[test]
+    fn derived_keys_separate_hints_sources_and_leaves() {
+        use lqo_engine::{ColRef, JoinCond, ResidualLeaf, TableRef, TableSet};
+        let q = SpjQuery::new(
+            vec![TableRef::new("a", "x"), TableRef::new("b", "y")],
+            vec![JoinCond::new(
+                ColRef::new("x", "id"),
+                ColRef::new("y", "a_id"),
+            )],
+            vec![],
+        );
+        let mut permuted = q.clone();
+        permuted.tables.reverse();
+        let key = plan_key(&q, "hash+nl+merge", "mscn");
+        assert_eq!(key, plan_key(&permuted, "hash+nl+merge", "mscn"));
+        assert_ne!(key, plan_key(&q, "hash", "mscn"));
+        assert_ne!(key, plan_key(&q, "hash+nl+merge", "deepdb"));
+        assert_ne!(key, q.subquery_key(q.all_tables()));
+        let leaf = |set, rows| ResidualLeaf {
+            set: TableSet::singleton(set),
+            rows,
+            cost: 0.0,
+            materialized: true,
+        };
+        let r = residual_key(&q, &[leaf(0, 10.0), leaf(1, 100.0)], "c");
+        // Rows in the same 2× bucket share a key; leaf order matters.
+        assert_eq!(r, residual_key(&q, &[leaf(0, 11.0), leaf(1, 100.0)], "c"));
+        assert_ne!(r, residual_key(&q, &[leaf(1, 100.0), leaf(0, 10.0)], "c"));
+        assert_ne!(r, residual_key(&q, &[leaf(0, 10.0), leaf(1, 1e4)], "c"));
+        assert_ne!(r, residual_key(&q, &[leaf(0, 10.0), leaf(1, 100.0)], "d"));
     }
 
     #[test]
     fn obs_counters_flow() {
         let obs = ObsContext::enabled();
         let cache = LqoCache::default().with_obs(obs.clone());
-        cache.card_lookup("k");
-        cache.card_store("k".into(), 3.0, "t");
-        cache.card_lookup("k");
+        cache.card_lookup(K);
+        cache.card_store(K, 3.0, "t");
+        cache.card_lookup(K);
         cache.plan_bypass("steered");
         let snap = obs.metrics().unwrap().snapshot();
         assert_eq!(snap.counter("lqo.cache.card.hits"), Some(1));

@@ -8,11 +8,13 @@
 //!
 //! * [`MemoCardSource`] — cross-query memoization of any
 //!   [`lqo_engine::optimizer::CardSource`] through a bounded LRU keyed
-//!   by canonical sub-query form and tagged with a catalog-stats epoch;
+//!   by the 128-bit [`lqo_engine::SubqueryKey`] and tagged with a
+//!   catalog-stats epoch;
 //! * [`OptMemo`] — a per-optimization memo on raw table-set bits,
 //!   created fresh per `optimize` call;
 //! * a plan cache ([`LqoCache::plan_lookup`] / [`LqoCache::plan_store`])
-//!   keyed by canonical query fingerprint via [`plan_key`], returning
+//!   keyed by [`plan_key`] (the query's key extended with hints and
+//!   estimator), returning
 //!   the previously optimized [`PlannedQuery`] while the stats epoch is
 //!   unchanged;
 //! * invalidation wired to real signals: stats-epoch bumps

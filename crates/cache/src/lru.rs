@@ -1,11 +1,14 @@
-//! A small bounded LRU map keyed by `String`.
+//! A small bounded LRU map keyed by [`SubqueryKey`].
 //!
 //! Recency is a monotonic tick per entry plus a `BTreeMap` index from
 //! tick to key, so `get`/`insert` are `O(log n)` and eviction pops the
-//! smallest tick. No unsafe, no intrusive lists — capacities here are
-//! thousands of entries, not millions.
+//! smallest tick. Keys are `Copy`, so a touch moves the key between
+//! index slots without allocating. No unsafe, no intrusive lists —
+//! capacities here are thousands of entries, not millions.
 
 use std::collections::{BTreeMap, HashMap};
+
+use lqo_engine::SubqueryKey;
 
 struct Slot<V> {
     value: V,
@@ -17,8 +20,8 @@ struct Slot<V> {
 pub struct BoundedLru<V> {
     cap: usize,
     tick: u64,
-    map: HashMap<String, Slot<V>>,
-    order: BTreeMap<u64, String>,
+    map: HashMap<SubqueryKey, Slot<V>>,
+    order: BTreeMap<u64, SubqueryKey>,
 }
 
 impl<V> BoundedLru<V> {
@@ -53,25 +56,28 @@ impl<V> BoundedLru<V> {
     }
 
     /// Look up and touch an entry.
-    pub fn get(&mut self, key: &str) -> Option<&V> {
+    pub fn get(&mut self, key: SubqueryKey) -> Option<&V> {
         let tick = self.next_tick();
-        let slot = self.map.get_mut(key)?;
-        self.order.remove(&slot.tick);
+        let slot = self.map.get_mut(&key)?;
+        let key = self
+            .order
+            .remove(&slot.tick)
+            .expect("every held entry is in the recency index");
         slot.tick = tick;
-        self.order.insert(tick, key.to_string());
+        self.order.insert(tick, key);
         Some(&slot.value)
     }
 
     /// Look up without touching (no recency update).
-    pub fn peek(&self, key: &str) -> Option<&V> {
-        self.map.get(key).map(|s| &s.value)
+    pub fn peek(&self, key: SubqueryKey) -> Option<&V> {
+        self.map.get(&key).map(|s| &s.value)
     }
 
     /// Insert or replace an entry; returns how many entries were evicted
     /// to make room (0 or 1).
-    pub fn insert(&mut self, key: String, value: V) -> usize {
+    pub fn insert(&mut self, key: SubqueryKey, value: V) -> usize {
         let tick = self.next_tick();
-        if let Some(old) = self.map.insert(key.clone(), Slot { value, tick }) {
+        if let Some(old) = self.map.insert(key, Slot { value, tick }) {
             self.order.remove(&old.tick);
             self.order.insert(tick, key);
             return 0;
@@ -79,30 +85,28 @@ impl<V> BoundedLru<V> {
         self.order.insert(tick, key);
         let mut evicted = 0;
         while self.map.len() > self.cap {
-            let Some((&oldest, _)) = self.order.iter().next() else {
+            let Some((_, victim)) = self.order.pop_first() else {
                 break;
             };
-            if let Some(victim) = self.order.remove(&oldest) {
-                self.map.remove(&victim);
-                evicted += 1;
-            }
+            self.map.remove(&victim);
+            evicted += 1;
         }
         evicted
     }
 
     /// Remove one entry.
-    pub fn remove(&mut self, key: &str) -> Option<V> {
-        let slot = self.map.remove(key)?;
+    pub fn remove(&mut self, key: SubqueryKey) -> Option<V> {
+        let slot = self.map.remove(&key)?;
         self.order.remove(&slot.tick);
         Some(slot.value)
     }
 
     /// Keep only entries the predicate accepts; returns how many were
     /// removed.
-    pub fn retain(&mut self, mut keep: impl FnMut(&str, &V) -> bool) -> usize {
+    pub fn retain(&mut self, mut keep: impl FnMut(SubqueryKey, &V) -> bool) -> usize {
         let before = self.map.len();
         let order = &mut self.order;
-        self.map.retain(|k, slot| {
+        self.map.retain(|&k, slot| {
             let keep_it = keep(k, &slot.value);
             if !keep_it {
                 order.remove(&slot.tick);
@@ -125,46 +129,51 @@ impl<V> BoundedLru<V> {
 mod tests {
     use super::*;
 
+    const A: SubqueryKey = SubqueryKey(0xa);
+    const B: SubqueryKey = SubqueryKey(0xb);
+    const C: SubqueryKey = SubqueryKey(0xc);
+    const D: SubqueryKey = SubqueryKey(0xd);
+
     #[test]
     fn evicts_least_recently_used() {
         let mut lru = BoundedLru::new(2);
-        assert_eq!(lru.insert("a".into(), 1), 0);
-        assert_eq!(lru.insert("b".into(), 2), 0);
-        // Touch "a" so "b" is the LRU victim.
-        assert_eq!(lru.get("a"), Some(&1));
-        assert_eq!(lru.insert("c".into(), 3), 1);
+        assert_eq!(lru.insert(A, 1), 0);
+        assert_eq!(lru.insert(B, 2), 0);
+        // Touch A so B is the LRU victim.
+        assert_eq!(lru.get(A), Some(&1));
+        assert_eq!(lru.insert(C, 3), 1);
         assert_eq!(lru.len(), 2);
-        assert_eq!(lru.peek("b"), None);
-        assert_eq!(lru.peek("a"), Some(&1));
-        assert_eq!(lru.peek("c"), Some(&3));
+        assert_eq!(lru.peek(B), None);
+        assert_eq!(lru.peek(A), Some(&1));
+        assert_eq!(lru.peek(C), Some(&3));
     }
 
     #[test]
     fn replace_does_not_evict() {
         let mut lru = BoundedLru::new(2);
-        lru.insert("a".into(), 1);
-        lru.insert("b".into(), 2);
-        assert_eq!(lru.insert("a".into(), 10), 0);
+        lru.insert(A, 1);
+        lru.insert(B, 2);
+        assert_eq!(lru.insert(A, 10), 0);
         assert_eq!(lru.len(), 2);
-        assert_eq!(lru.peek("a"), Some(&10));
+        assert_eq!(lru.peek(A), Some(&10));
     }
 
     #[test]
     fn retain_and_clear_report_removals() {
         let mut lru = BoundedLru::new(8);
-        for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
-            lru.insert((*k).into(), i);
+        for (i, k) in [A, B, C, D].into_iter().enumerate() {
+            lru.insert(k, i);
         }
         assert_eq!(lru.retain(|_, &v| v % 2 == 0), 2);
         assert_eq!(lru.len(), 2);
         // Recency index stays consistent after retain: inserts beyond
         // capacity still evict exactly one entry.
         let mut small = BoundedLru::new(2);
-        small.insert("x".into(), 0);
-        small.insert("y".into(), 1);
-        small.retain(|k, _| k == "y");
-        small.insert("z".into(), 2);
-        assert_eq!(small.insert("w".into(), 3), 1);
+        small.insert(A, 0);
+        small.insert(B, 1);
+        small.retain(|k, _| k == B);
+        small.insert(C, 2);
+        assert_eq!(small.insert(D, 3), 1);
         assert_eq!(lru.clear(), 2);
         assert!(lru.is_empty());
     }
@@ -172,11 +181,11 @@ mod tests {
     #[test]
     fn remove_unindexes_recency() {
         let mut lru = BoundedLru::new(2);
-        lru.insert("a".into(), 1);
-        lru.insert("b".into(), 2);
-        assert_eq!(lru.remove("a"), Some(1));
-        assert_eq!(lru.remove("a"), None);
-        assert_eq!(lru.insert("c".into(), 3), 0);
+        lru.insert(A, 1);
+        lru.insert(B, 2);
+        assert_eq!(lru.remove(A), Some(1));
+        assert_eq!(lru.remove(A), None);
+        assert_eq!(lru.insert(C, 3), 0);
         assert_eq!(lru.len(), 2);
     }
 
@@ -184,8 +193,8 @@ mod tests {
     fn capacity_floors_at_one() {
         let mut lru = BoundedLru::new(0);
         assert_eq!(lru.capacity(), 1);
-        lru.insert("a".into(), 1);
-        assert_eq!(lru.insert("b".into(), 2), 1);
+        lru.insert(A, 1);
+        assert_eq!(lru.insert(B, 2), 1);
         assert_eq!(lru.len(), 1);
     }
 }

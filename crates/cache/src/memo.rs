@@ -1,17 +1,18 @@
 //! Memoizing [`CardSource`] wrappers.
 //!
 //! [`MemoCardSource`] is the cross-query layer: it consults the shared
-//! [`LqoCache`] inference cache under the sub-query's *canonical key*,
-//! which is stable and collision-free across queries. It must wrap the
-//! **base** estimator — below per-session injection/scaling decorators,
-//! whose answers vary per query under identical canonical keys.
+//! [`LqoCache`] inference cache under the sub-query's
+//! [`SpjQuery::subquery_key`], which is stable across queries and
+//! computed without allocating. It must wrap the **base** estimator —
+//! below per-session injection/scaling decorators, whose answers vary
+//! per query under identical keys.
 //!
 //! [`OptMemo`] is the per-optimization layer: it memoizes on raw
 //! `TableSet` bits, which is only sound while a single query is being
 //! optimized (table positions are not stable across queries), so one
 //! `OptMemo` is created per `optimize` call and dropped with it. This is
 //! what turns the greedy enumerator's repeated re-querying of the same
-//! subsets into `O(1)` lookups without string formatting on the hot path.
+//! subsets into `O(1)` lookups.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,8 +54,8 @@ impl MemoCardSource {
 
 impl CardSource for MemoCardSource {
     fn cardinality(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        let key = query.canonical_key(set);
-        if let Some(est) = self.cache.card_lookup(&key) {
+        let key = query.subquery_key(set);
+        if let Some(est) = self.cache.card_lookup(key) {
             return est;
         }
         let est = self.inner.cardinality(query, set);

@@ -11,10 +11,11 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use lqo_cache::{LqoCache, PlannedQuery};
-use lqo_engine::PhysNode;
+use lqo_engine::{PhysNode, SubqueryKey};
 
 const READERS: usize = 4;
 const ROUNDS: usize = 50;
+const Q: SubqueryKey = SubqueryKey(0x51);
 
 fn plan_of_round(round: usize) -> PlannedQuery {
     PlannedQuery {
@@ -37,7 +38,7 @@ fn run_race(cache: Arc<LqoCache>, invalidate: impl Fn(&LqoCache, usize) + Send +
             for round in 0..ROUNDS {
                 barrier.wait(); // entry of this round is stored
                 for _ in 0..64 {
-                    if let Some(p) = cache.plan_lookup("q") {
+                    if let Some(p) = cache.plan_lookup(Q) {
                         // A hit racing the invalidation must be THIS
                         // round's plan — an older round's entry would
                         // have survived a completed invalidation.
@@ -49,7 +50,7 @@ fn run_race(cache: Arc<LqoCache>, invalidate: impl Fn(&LqoCache, usize) + Send +
                 }
                 barrier.wait(); // invalidation has returned
                 assert!(
-                    cache.plan_lookup("q").is_none(),
+                    cache.plan_lookup(Q).is_none(),
                     "plan served after its invalidation completed (round {round})"
                 );
                 barrier.wait(); // round teardown
@@ -57,7 +58,7 @@ fn run_race(cache: Arc<LqoCache>, invalidate: impl Fn(&LqoCache, usize) + Send +
         }));
     }
     for round in 0..ROUNDS {
-        cache.plan_store("q".into(), plan_of_round(round), "mscn");
+        cache.plan_store(Q, plan_of_round(round), "mscn");
         barrier.wait();
         invalidate(&cache, round);
         barrier.wait();
@@ -108,8 +109,9 @@ fn concurrent_lookups_and_bumps_keep_counters_consistent() {
                 if t == 0 && i % 10 == 0 {
                     cache.bump_stats_epoch();
                 }
-                cache.card_store(format!("k{}", i % 7), i as f64, "traditional");
-                cache.card_lookup(&format!("k{}", i % 7));
+                let key = SubqueryKey(i % 7);
+                cache.card_store(key, i as f64, "traditional");
+                cache.card_lookup(key);
             }
         }));
     }
@@ -118,6 +120,7 @@ fn concurrent_lookups_and_bumps_keep_counters_consistent() {
     }
     let s = cache.stats();
     assert_eq!(s.card_hits + s.card_misses, (READERS * 200) as u64);
-    cache.card_store("final".into(), 1.0, "traditional");
-    assert_eq!(cache.card_lookup("final"), Some(1.0));
+    let last = SubqueryKey(u128::MAX);
+    cache.card_store(last, 1.0, "traditional");
+    assert_eq!(cache.card_lookup(last), Some(1.0));
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lqo_engine::{SpjQuery, TableSet};
+use lqo_engine::{SpjQuery, SubqueryKey, TableSet};
 use lqo_ml::gbdt::{Gbdt, GbdtConfig};
 use lqo_ml::linalg::{dot, solve, Matrix};
 use lqo_ml::mlp::{Mlp, MlpConfig};
@@ -336,7 +336,7 @@ impl CardEstimator for NngpEstimator {
 pub struct LpceEstimator {
     feat: Featurizer,
     initial: Gbdt,
-    refined: Mutex<HashMap<String, f64>>,
+    refined: Mutex<HashMap<SubqueryKey, f64>>,
 }
 
 impl LpceEstimator {
@@ -369,8 +369,7 @@ impl CardEstimator for LpceEstimator {
         "Query Re-Optimization"
     }
     fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        let key = query.canonical_key(set);
-        if let Some(&card) = self.refined.lock().get(&key) {
+        if let Some(&card) = self.refined.lock().get(&query.subquery_key(set)) {
             return card.max(1.0);
         }
         log_label::decode(self.initial.predict(&self.feat.featurize(query, set))).max(1.0)
@@ -378,7 +377,7 @@ impl CardEstimator for LpceEstimator {
     fn observe(&self, query: &SpjQuery, set: TableSet, true_card: f64) {
         self.refined
             .lock()
-            .insert(query.canonical_key(set), true_card);
+            .insert(query.subquery_key(set), true_card);
     }
     fn model_size(&self) -> usize {
         self.initial.num_nodes() + self.refined.lock().len()

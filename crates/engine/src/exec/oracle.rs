@@ -3,8 +3,8 @@
 //! Learned estimators need ground-truth cardinalities for training and
 //! evaluation; learned optimizers need true sub-plan sizes as labels. The
 //! oracle computes them by actually executing (sub-)queries, with a cache
-//! keyed by the canonical form of the induced sub-query so identical
-//! sub-plans across a workload are executed once.
+//! keyed by the induced sub-query's [`SpjQuery::subquery_key`] so
+//! identical sub-plans across a workload are executed once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,6 +16,7 @@ use crate::error::Result;
 use crate::exec::executor::{ExecConfig, Executor};
 use crate::plan::physical::{JoinAlgo, PhysNode};
 use crate::query::join_graph::JoinGraph;
+use crate::query::key::SubqueryKey;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
 
@@ -23,7 +24,7 @@ use crate::query::table_set::TableSet;
 #[derive(Debug)]
 pub struct TrueCardOracle {
     catalog: Arc<Catalog>,
-    cache: Mutex<HashMap<String, u64>>,
+    cache: Mutex<HashMap<SubqueryKey, u64>>,
 }
 
 impl TrueCardOracle {
@@ -55,7 +56,7 @@ impl TrueCardOracle {
         if set.is_empty() {
             return Ok(1);
         }
-        let key = query.canonical_key(set);
+        let key = query.subquery_key(set);
         if let Some(&hit) = self.cache.lock().get(&key) {
             return Ok(hit);
         }
@@ -78,7 +79,7 @@ impl TrueCardOracle {
     /// smallest-table-first left-deep hash-join plan over the induced
     /// sub-query.
     fn connected_card(&self, query: &SpjQuery, set: TableSet) -> Result<u64> {
-        let key = query.canonical_key(set);
+        let key = query.subquery_key(set);
         if let Some(&hit) = self.cache.lock().get(&key) {
             return Ok(hit);
         }
@@ -102,8 +103,8 @@ impl TrueCardOracle {
         // are exact cards of induced sub-queries of `sub`.
         for (inner_set, card) in &result.intermediates {
             // `inner_set` is in `sub` coordinates; map back is unnecessary
-            // because canonical keys are computed on `sub` directly.
-            cache.insert(sub.canonical_key(*inner_set), *card);
+            // because keys are computed on `sub` directly.
+            cache.insert(sub.subquery_key(*inner_set), *card);
         }
         cache.insert(key, result.count);
         Ok(result.count)

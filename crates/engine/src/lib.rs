@@ -49,7 +49,7 @@ pub use optimizer::{
     ResidualLeaf, ResidualNode, TraditionalCardSource, TrueCardSource,
 };
 pub use plan::{JoinAlgo, JoinTree, PhysNode};
-pub use query::{CmpOp, ColRef, JoinCond, Predicate, SpjQuery, TableRef, TableSet};
+pub use query::{CmpOp, ColRef, JoinCond, Predicate, SpjQuery, SubqueryKey, TableRef, TableSet};
 pub use stats::CatalogStats;
 pub use table::Table;
 pub use types::{DataType, Value};

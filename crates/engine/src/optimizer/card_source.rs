@@ -10,6 +10,7 @@ use parking_lot::Mutex;
 use crate::catalog::Catalog;
 use crate::exec::oracle::TrueCardOracle;
 use crate::query::join_graph::JoinGraph;
+use crate::query::key::SubqueryKey;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
 use crate::stats::table_stats::CatalogStats;
@@ -150,13 +151,13 @@ impl CardSource for TraditionalCardSource {
     }
 }
 
-/// A source that returns injected per-sub-query estimates (keyed by the
-/// canonical sub-query form) and falls back to an inner source otherwise.
+/// A source that returns injected per-sub-query estimates (keyed by
+/// [`SpjQuery::subquery_key`]) and falls back to an inner source otherwise.
 /// This is the batch-injection interface PilotScope's cardinality driver
 /// uses, and the hook through which learned estimators are evaluated
 /// end-to-end (E3).
 pub struct InjectedCardSource {
-    overrides: Mutex<HashMap<String, f64>>,
+    overrides: Mutex<HashMap<SubqueryKey, f64>>,
     fallback: Arc<dyn CardSource>,
 }
 
@@ -179,7 +180,7 @@ impl InjectedCardSource {
         }
         self.overrides
             .lock()
-            .insert(query.canonical_key(set), card.max(1.0));
+            .insert(query.subquery_key(set), card.max(1.0));
     }
 
     /// Inject estimates for every connected sub-query of `query` from a
@@ -214,8 +215,7 @@ impl InjectedCardSource {
 
 impl CardSource for InjectedCardSource {
     fn cardinality(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        let key = query.canonical_key(set);
-        if let Some(&c) = self.overrides.lock().get(&key) {
+        if let Some(&c) = self.overrides.lock().get(&query.subquery_key(set)) {
             return c;
         }
         self.fallback.cardinality(query, set)

@@ -1,7 +1,15 @@
 //! Plan enumeration: exhaustive DP over connected subsets and GOO-style
 //! greedy construction.
-
-use std::collections::HashMap;
+//!
+//! The DP keeps one slot per table-set mask in a dense `Vec` (at most
+//! 2¹² = 4 096 slots under the default `dp_table_limit`). A slot holds
+//! the best cost and output rows for its set plus a back-pointer — the
+//! left input's set and the join algorithm — never a plan tree, so
+//! improving an incumbent copies four words. The `PhysNode` is built
+//! once, from the back-pointers, after the full set is solved. Masks are
+//! visited in increasing order and splits in `proper_subsets` order, and
+//! a candidate replaces the incumbent only when strictly cheaper under
+//! `total_cmp`, so ties resolve to the first candidate seen.
 
 use lqo_obs::ObsContext;
 use lqo_prof::ProfContext;
@@ -97,9 +105,36 @@ impl LeadingConstraint {
     }
 }
 
+/// One DP table slot: the best plan found for a table set, as a
+/// back-pointer — the left input's set (the right one is the rest) and
+/// the join algorithm. Single-table scans have an empty `left`.
+#[derive(Clone, Copy)]
+struct Entry {
+    cost: f64,
+    rows: f64,
+    left: TableSet,
+    algo: JoinAlgo,
+}
+
+/// Materialize the plan for `set` from the DP table's back-pointers.
+fn build_plan(best: &[Option<Entry>], set: TableSet) -> PhysNode {
+    let e = best[set.0 as usize].expect("every back-pointer names a solved set");
+    if e.left.is_empty() {
+        return PhysNode::scan(set.first().expect("a scan covers one table"));
+    }
+    PhysNode::join(
+        e.algo,
+        build_plan(best, e.left),
+        build_plan(best, set.minus(e.left)),
+    )
+}
+
+/// Largest query the DP enumerates: its table has `2^n` slots.
+pub(crate) const DP_MAX_TABLES: usize = 20;
+
 /// Exhaustive dynamic programming over connected subsets (DPsub). Requires
-/// a connected join graph; errors otherwise so callers can fall back to
-/// greedy enumeration.
+/// a connected join graph of at most `DP_MAX_TABLES` (20) tables; errors
+/// otherwise so callers can fall back to greedy enumeration.
 pub fn dp_optimize(
     query: &SpjQuery,
     graph: &JoinGraph,
@@ -168,36 +203,32 @@ pub fn dp_optimize_obs(
         ));
     }
     let leading = LeadingConstraint::new(&hints.leading);
-
-    struct Entry {
-        plan: PhysNode,
-        cost: f64,
-        rows: f64,
+    if n > DP_MAX_TABLES {
+        return Err(EngineError::NoPlanFound(format!(
+            "{n} tables exceed the DP table's {DP_MAX_TABLES}; use greedy enumeration"
+        )));
     }
-    let mut best: HashMap<u64, Entry> = HashMap::new();
+
+    let full = query.all_tables();
+    // Dense back-pointer table indexed by set mask; `None` = no plan.
+    let mut best: Vec<Option<Entry>> = vec![None; full.0 as usize + 1];
 
     // Base case: single-table scans.
     for pos in 0..n {
         let table = catalog.table(&query.tables[pos].table)?;
         let npreds = query.predicates_on(pos).len();
         let set = TableSet::singleton(pos);
-        best.insert(
-            set.0,
-            Entry {
-                plan: PhysNode::scan(pos),
-                cost: params.scan_work(table.nrows() as f64, npreds),
-                rows: card.cardinality(query, set),
-            },
-        );
+        best[set.0 as usize] = Some(Entry {
+            cost: params.scan_work(table.nrows() as f64, npreds),
+            rows: card.cardinality(query, set),
+            left: TableSet::EMPTY,
+            algo: JoinAlgo::Hash,
+        });
     }
 
-    let full = query.all_tables();
     for mask in 1..=full.0 {
-        let set = TableSet(mask & full.0);
-        if set.0 != mask || set.len() < 2 {
-            continue;
-        }
-        if !graph.is_connected(set) || !leading.set_ok(set) {
+        let set = TableSet(mask);
+        if set.len() < 2 || !graph.is_connected(set) || !leading.set_ok(set) {
             continue;
         }
         subproblems += 1;
@@ -215,41 +246,35 @@ pub fn dp_optimize_obs(
             if !leading.partition_ok(left, right) {
                 continue;
             }
-            let (Some(le), Some(re)) = (best.get(&left.0), best.get(&right.0)) else {
+            let (Some(le), Some(re)) = (best[left.0 as usize], best[right.0 as usize]) else {
                 continue;
             };
             // `set` is connected and both halves are connected, so at
             // least one join edge crosses the cut.
             let base = le.cost + re.cost;
-            let (lrows, rrows) = (le.rows, re.rows);
             for &algo in &algos {
                 cost_evals += 1;
-                let op = join_op_cost(algo, params, lrows, rrows, out_rows, width, true);
+                let op = join_op_cost(algo, params, le.rows, re.rows, out_rows, width, true);
                 let total = base + op;
                 // total_cmp so a NaN cost (from a misbehaving estimator)
                 // sorts last instead of poisoning the incumbent.
-                if best_here
-                    .as_ref()
-                    .is_none_or(|b| total.total_cmp(&b.cost).is_lt())
-                {
+                if best_here.is_none_or(|b| total.total_cmp(&b.cost).is_lt()) {
                     best_here = Some(Entry {
-                        plan: PhysNode::join(algo, le.plan.clone(), re.plan.clone()),
                         cost: total,
                         rows: out_rows,
+                        left,
+                        algo,
                     });
                 }
             }
         }
         drop(_prof_cost);
-        if let Some(e) = best_here {
-            best.insert(set.0, e);
-        }
+        best[set.0 as usize] = best_here;
     }
 
-    let choice = best
-        .remove(&full.0)
+    let choice = best[full.0 as usize]
         .map(|e| PlanChoice {
-            plan: e.plan,
+            plan: build_plan(&best, full),
             cost: e.cost,
         })
         .ok_or_else(|| EngineError::NoPlanFound("DP produced no plan for the full query".into()))?;
@@ -813,6 +838,36 @@ mod tests {
             qp.counters[lqo_prof::CTR_ESTIMATOR_CALLS],
             prof2.estimator_calls()
         );
+    }
+
+    #[test]
+    fn dp_beyond_its_table_size_errors_and_optimizer_goes_greedy() {
+        let (c, _) = setup();
+        let n = DP_MAX_TABLES + 1;
+        let q = SpjQuery::new(
+            (0..n)
+                .map(|i| TableRef::new("a", format!("a{i}")))
+                .collect(),
+            (1..n)
+                .map(|i| {
+                    JoinCond::new(
+                        ColRef::new(format!("a{}", i - 1), "id"),
+                        ColRef::new(format!("a{i}"), "id"),
+                    )
+                })
+                .collect(),
+            vec![],
+        );
+        let (trad, _) = sources(&c);
+        let g = JoinGraph::new(&q);
+        let hints = HintSet {
+            dp_table_limit: 64,
+            ..HintSet::default()
+        };
+        assert!(dp_optimize(&q, &g, &c, &trad, &CostParams::default(), &hints).is_err());
+        let opt = crate::optimizer::Optimizer::with_defaults(&c);
+        let choice = opt.optimize(&q, &trad, &hints).unwrap();
+        assert_eq!(choice.plan.tables(), q.all_tables());
     }
 
     #[test]

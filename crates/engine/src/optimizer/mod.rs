@@ -118,7 +118,7 @@ impl<'a> Optimizer<'a> {
             );
         }
         let graph = JoinGraph::new(query);
-        let choice = if query.num_tables() <= hints.dp_table_limit
+        let choice = if query.num_tables() <= hints.dp_table_limit.min(enumerate::DP_MAX_TABLES)
             && graph.is_connected(query.all_tables())
         {
             dp_optimize_obs(

@@ -4,12 +4,13 @@
 //! count-star SPJ queries, which is exactly what cardinality estimation is
 //! defined over, so the engine's query model is specialized to them.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{EngineError, Result};
 use crate::query::expr::{ColRef, JoinCond, Predicate, TableRef};
+use crate::query::key::{self, KeyHasher, SubqueryKey};
 use crate::query::table_set::TableSet;
 use crate::types::DataType;
 use crate::Catalog;
@@ -120,8 +121,8 @@ impl SpjQuery {
     }
 
     /// A canonical string uniquely identifying the semantics of the
-    /// sub-query induced by `set`. Used as cache key by the true-cardinality
-    /// oracle so repeated sub-plans across the workload are executed once.
+    /// sub-query induced by `set`: the readable reference form of
+    /// [`SpjQuery::subquery_key`], which every cache keys on instead.
     pub fn canonical_key(&self, set: TableSet) -> String {
         let mut tables: Vec<String> = set
             .iter()
@@ -155,6 +156,49 @@ impl SpjQuery {
             joins.join(","),
             preds.join(",")
         )
+    }
+
+    /// The fixed-width key of the sub-query induced by `set`: equal for
+    /// two sub-queries exactly when their [`SpjQuery::canonical_key`]s
+    /// are (see [`crate::query::key`]). Hashes the same element texts
+    /// `canonical_key` builds, without allocating.
+    pub fn subquery_key(&self, set: TableSet) -> SubqueryKey {
+        fn element(tag: u8, text: fmt::Arguments<'_>) -> SubqueryKey {
+            let mut h = KeyHasher::new(tag);
+            // Writing into a hasher cannot fail.
+            let _ = h.write_fmt(text);
+            h.finish()
+        }
+        /// The bytes of `c`'s `Display` text, `alias.column`.
+        fn text(c: &ColRef) -> impl Iterator<Item = u8> + '_ {
+            let dot = std::iter::once(b'.');
+            c.alias.bytes().chain(dot).chain(c.column.bytes())
+        }
+        let mut key = SubqueryKey(0);
+        for p in set.iter() {
+            let t = &self.tables[p];
+            key = key::add(key, element(b'F', format_args!("{} {}", t.table, t.alias)));
+            for pred in self.predicates.iter().filter(|q| q.col.alias == t.alias) {
+                key = key::add(key, element(b'P', format_args!("{pred}")));
+            }
+        }
+        for j in &self.joins {
+            let (Ok(l), Ok(r)) = (self.col_pos(&j.left), self.col_pos(&j.right)) else {
+                continue;
+            };
+            if !(set.contains(l) && set.contains(r)) {
+                continue;
+            }
+            // The two sides in the order of their texts, as canonical_key
+            // orders them.
+            let (a, b) = if text(&j.left).le(text(&j.right)) {
+                (&j.left, &j.right)
+            } else {
+                (&j.right, &j.left)
+            };
+            key = key::add(key, element(b'J', format_args!("{a}={b}")));
+        }
+        key
     }
 
     /// Validate the query against a catalog: every table, alias and column
@@ -297,6 +341,35 @@ mod tests {
             q.canonical_key(q.all_tables()),
             q2.canonical_key(q2.all_tables())
         );
+        assert_eq!(
+            q.subquery_key(q.all_tables()),
+            q2.subquery_key(q2.all_tables())
+        );
+    }
+
+    #[test]
+    fn subquery_key_tells_apart_what_canonical_key_does() {
+        let q = two_table_query();
+        let full = q.subquery_key(q.all_tables());
+        // Join sides swapped: same sub-query.
+        let mut swapped = q.clone();
+        let j = &mut swapped.joins[0];
+        std::mem::swap(&mut j.left, &mut j.right);
+        assert_eq!(swapped.subquery_key(swapped.all_tables()), full);
+        // A duplicated predicate is a different canonical key, and so a
+        // different subquery key (an xor combination would cancel it).
+        let mut dup = q.clone();
+        dup.predicates.push(dup.predicates[0].clone());
+        dup.predicates.push(dup.predicates[0].clone());
+        assert_ne!(
+            dup.canonical_key(dup.all_tables()),
+            q.canonical_key(q.all_tables())
+        );
+        assert_ne!(dup.subquery_key(dup.all_tables()), full);
+        // Subsets differ from the whole and from each other.
+        let (x, y) = (TableSet::singleton(0), TableSet::singleton(1));
+        assert_ne!(q.subquery_key(x), full);
+        assert_ne!(q.subquery_key(x), q.subquery_key(y));
     }
 
     #[test]

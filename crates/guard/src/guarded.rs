@@ -180,6 +180,8 @@ impl PlanBudget {
 struct Rung {
     name: String,
     source: Arc<dyn CardSource>,
+    /// Gauge name of this rung's breaker state, built once.
+    breaker_gauge: String,
 }
 
 /// A [`CardSource`] that walks a degradation ladder of sources — most
@@ -190,6 +192,8 @@ struct Rung {
 /// histogram → native" ladder from the survey's containment story.
 pub struct GuardedCardSource {
     component: String,
+    /// Gauge name of the answering rung's index, built once.
+    rung_gauge: String,
     rungs: Vec<Rung>,
     breakers: Vec<CircuitBreaker>,
     cfg: GuardConfig,
@@ -206,6 +210,7 @@ impl GuardedCardSource {
     pub fn new(component: &str, cfg: GuardConfig, obs: ObsContext) -> GuardedCardSource {
         GuardedCardSource {
             component: component.to_string(),
+            rung_gauge: format!("lqo.guard.{component}.rung"),
             rungs: Vec::new(),
             breakers: Vec::new(),
             cfg,
@@ -230,6 +235,7 @@ impl GuardedCardSource {
         self.rungs.push(Rung {
             name: name.to_string(),
             source,
+            breaker_gauge: format!("lqo.guard.{}.{name}.breaker", self.component),
         });
         self.breakers
             .push(CircuitBreaker::new(self.cfg.breaker.clone()));
@@ -285,11 +291,18 @@ impl GuardedCardSource {
     }
 
     fn publish_breaker_state(&self, i: usize) {
-        let name = format!(
-            "lqo.guard.{}.{}.breaker",
-            self.component, self.rungs[i].name
-        );
-        self.obs.gauge(&name, self.breakers[i].state().code());
+        if self.obs.is_enabled() {
+            let state = self.breakers[i].state().code();
+            self.obs.gauge(&self.rungs[i].breaker_gauge, state);
+        }
+    }
+
+    /// Record that rung `i` answered.
+    fn answered(&self, i: usize) {
+        self.last_rung.store(i, Ordering::Relaxed);
+        if self.obs.is_enabled() {
+            self.obs.gauge(&self.rung_gauge, i as f64);
+        }
     }
 }
 
@@ -319,9 +332,7 @@ impl CardSource for GuardedCardSource {
                 Ok(v) => {
                     self.breakers[i].record_success();
                     self.publish_breaker_state(i);
-                    self.last_rung.store(i, Ordering::Relaxed);
-                    self.obs
-                        .gauge(&format!("lqo.guard.{}.rung", self.component), i as f64);
+                    self.answered(i);
                     return v;
                 }
                 Err(fault) => {
@@ -345,9 +356,7 @@ impl CardSource for GuardedCardSource {
             }
         }
         // The trusted rung: called directly, no guard.
-        self.last_rung.store(last, Ordering::Relaxed);
-        self.obs
-            .gauge(&format!("lqo.guard.{}.rung", self.component), last as f64);
+        self.answered(last);
         self.rungs[last].source.cardinality(query, set)
     }
 

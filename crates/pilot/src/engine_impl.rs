@@ -168,7 +168,7 @@ impl EngineInteractor {
         }
         let source = self.base_card.name().to_string();
         let key = plan_key(query, &hints.label(), &source);
-        if let Some(hit) = cache.plan_lookup(&key) {
+        if let Some(hit) = cache.plan_lookup(key) {
             prof.bump("plan_cache_hits", 1);
             return Ok((hit.plan, hit.cost));
         }

@@ -552,7 +552,7 @@ impl<'a> ReoptExecutor<'a> {
             let choice = match self
                 .cache
                 .as_ref()
-                .and_then(|c| c.residual_lookup(key.as_deref().expect("key built with cache")))
+                .and_then(|c| c.residual_lookup(key.expect("key built with cache")))
             {
                 Some(cached) => {
                     let cost = residual_cost(
