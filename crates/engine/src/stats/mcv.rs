@@ -23,11 +23,7 @@ impl Mcv {
         for &v in values {
             *counts.entry(v).or_insert(0) += 1;
         }
-        Self::from_counts(
-            counts.into_iter().map(|(v, c)| (Value::Int(v), c)),
-            values.len(),
-            k,
-        )
+        Self::from_counts(counts, values.len(), k, Value::Int)
     }
 
     /// Build the top-`k` list over text data (by dictionary code, decoded).
@@ -36,23 +32,27 @@ impl Mcv {
         for &c in codes {
             *counts.entry(c).or_insert(0) += 1;
         }
-        Self::from_counts(
-            counts
-                .into_iter()
-                .map(|(c, n)| (Value::Text(dict[c as usize].clone()), n)),
-            codes.len(),
-            k,
-        )
+        Self::from_counts(counts, codes.len(), k, |c| {
+            Value::Text(dict[c as usize].clone())
+        })
     }
 
-    fn from_counts(counts: impl Iterator<Item = (Value, usize)>, total: usize, k: usize) -> Mcv {
-        let mut pairs: Vec<(Value, usize)> = counts.collect();
-        pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    /// Most frequent first; equal counts in ascending key order, so the
+    /// list (and every plan costed from it) does not depend on the
+    /// per-process iteration order of `counts`.
+    fn from_counts<K: Ord>(
+        counts: HashMap<K, usize>,
+        total: usize,
+        k: usize,
+        value: impl Fn(K) -> Value,
+    ) -> Mcv {
+        let mut pairs: Vec<(K, usize)> = counts.into_iter().collect();
+        pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs.truncate(k);
         let total = total.max(1) as f64;
         let entries: Vec<(Value, f64)> = pairs
             .into_iter()
-            .map(|(v, c)| (v, c as f64 / total))
+            .map(|(key, c)| (value(key), c as f64 / total))
             .collect();
         let mass = entries.iter().map(|(_, f)| f).sum();
         Mcv { entries, mass }
@@ -106,6 +106,18 @@ mod tests {
         let codes = vec![0, 0, 0, 1];
         let mcv = Mcv::build_text(&dict, &codes, 1);
         assert_eq!(mcv.frequency(&Value::Text("a".into())), Some(0.75));
+    }
+
+    #[test]
+    fn ties_break_by_ascending_key() {
+        // Every value occurs twice; the list keeps the smallest keys.
+        let vals: Vec<i64> = (0..64).rev().flat_map(|v| [v, v]).collect();
+        let mcv = Mcv::build_i64(&vals, 3);
+        let kept: Vec<&Value> = mcv.entries().iter().map(|(v, _)| v).collect();
+        assert_eq!(kept, [&Value::Int(0), &Value::Int(1), &Value::Int(2)]);
+        let dict: Vec<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
+        let mcv = Mcv::build_text(&dict, &[2, 1, 2, 1, 0], 1);
+        assert_eq!(mcv.entries()[0].0, Value::Text("y".into()));
     }
 
     #[test]
