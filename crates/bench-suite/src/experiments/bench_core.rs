@@ -44,7 +44,7 @@ use lqo_engine::datagen::stats_like;
 use lqo_engine::exec::batch::DEFAULT_BATCH_SIZE;
 use lqo_engine::optimizer::CardSource;
 use lqo_engine::{
-    Catalog, CatalogStats, ExecConfig, ExecMode, Executor, HintSet, Optimizer,
+    Catalog, CatalogStats, ExecConfig, ExecMode, Executor, HintSet, Optimizer, Telemetry,
     TraditionalCardSource,
 };
 use lqo_prof::ProfContext;
@@ -166,7 +166,7 @@ fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
 fn run_scenario(
     name: &str,
     cfg: &Config,
-    prof: &ProfContext,
+    telemetry: &Telemetry,
     mut iter: impl FnMut() -> f64,
 ) -> ScenarioResult {
     for _ in 0..cfg.warmup {
@@ -176,13 +176,13 @@ fn run_scenario(
     let mut work_units = None;
     let mut est_calls = None;
     for _ in 0..cfg.iterations {
-        prof.begin_query(name);
-        let est_before = prof.estimator_calls();
+        let scope = telemetry.begin_query(name);
+        let est_before = telemetry.prof.estimator_calls();
         let start = Instant::now();
         let units = iter();
         walls.push(start.elapsed().as_nanos() as u64);
-        let calls = prof.estimator_calls() - est_before;
-        prof.end_query();
+        let calls = telemetry.prof.estimator_calls() - est_before;
+        scope.finish(|_| {});
         match (work_units, est_calls) {
             (None, None) => {
                 work_units = Some(units);
@@ -247,12 +247,12 @@ pub fn run(cfg: &Config) -> Output {
         "enumeration workload generated no queries"
     );
 
-    let prof = ProfContext::sampling(PROF_STRIDE);
+    let telemetry = Telemetry::from(ProfContext::sampling(PROF_STRIDE));
     let hints = HintSet::default();
 
-    let golden10 = run_scenario("golden10", cfg, &prof, || {
-        let optimizer = Optimizer::with_defaults(&catalog).with_prof(prof.clone());
-        let executor = Executor::with_defaults(&catalog).with_prof(prof.clone());
+    let golden10 = run_scenario("golden10", cfg, &telemetry, || {
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
+        let executor = Executor::with_defaults(&catalog).with_telemetry(telemetry.clone());
         let mut units = 0.0;
         for _pass in 0..cfg.passes {
             for q in &golden {
@@ -262,8 +262,8 @@ pub fn run(cfg: &Config) -> Output {
         }
         units
     });
-    let enum_heavy = run_scenario("enum_heavy", cfg, &prof, || {
-        let optimizer = Optimizer::with_defaults(&catalog).with_prof(prof.clone());
+    let enum_heavy = run_scenario("enum_heavy", cfg, &telemetry, || {
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
         let mut units = 0.0;
         for _pass in 0..cfg.passes {
             for q in &wide {
@@ -275,12 +275,12 @@ pub fn run(cfg: &Config) -> Output {
         }
         units
     });
-    let cache_heavy = run_scenario("cache_heavy", cfg, &prof, || {
+    let cache_heavy = run_scenario("cache_heavy", cfg, &telemetry, || {
         // A fresh cache every iteration keeps the scenario deterministic:
         // round 0 populates, rounds 1+ are served from plan cache.
         let cache = Arc::new(LqoCache::default());
         let memo: Arc<dyn CardSource> = Arc::new(MemoCardSource::new(card.clone(), cache.clone()));
-        let optimizer = Optimizer::with_defaults(&catalog).with_prof(prof.clone());
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
         let source = card.name().to_string();
         let mut units = 0.0;
         for _round in 0..4 * cfg.passes {
@@ -308,8 +308,8 @@ pub fn run(cfg: &Config) -> Output {
         units
     });
 
-    let batch_heavy = run_scenario("batch_heavy", cfg, &prof, || {
-        let optimizer = Optimizer::with_defaults(&catalog).with_prof(prof.clone());
+    let batch_heavy = run_scenario("batch_heavy", cfg, &telemetry, || {
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
         let executor = Executor::new(
             &catalog,
             ExecConfig {
@@ -319,7 +319,7 @@ pub fn run(cfg: &Config) -> Output {
                 ..Default::default()
             },
         )
-        .with_prof(prof.clone());
+        .with_telemetry(telemetry.clone());
         let mut units = 0.0;
         for _pass in 0..cfg.passes {
             for q in &golden {
@@ -355,7 +355,7 @@ pub fn run(cfg: &Config) -> Output {
             s.estimator_calls.to_string(),
         ]);
     }
-    let total = prof.total();
+    let total = telemetry.prof.total();
     Output {
         report,
         table,

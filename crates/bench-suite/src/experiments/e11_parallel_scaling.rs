@@ -163,7 +163,7 @@ fn run_mode(
                 ..Default::default()
             },
         )
-        .with_obs(obs.clone());
+        .with_telemetry(obs.clone());
         total_count = 0;
         digest = 0;
         work_bits.clear();

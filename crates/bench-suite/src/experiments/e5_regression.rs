@@ -67,7 +67,7 @@ pub fn run(cfg: &Config) -> TextTable {
 pub fn run_traced(cfg: &Config) -> (TextTable, ObsContext) {
     let obs = ObsContext::enabled();
     let catalog = Arc::new(imdb_like(cfg.scale.max(40), cfg.seed).unwrap());
-    let ctx = OptContext::new(catalog.clone()).with_obs(obs.clone());
+    let ctx = OptContext::new(catalog.clone()).with_telemetry(obs.clone());
     let train_w = generate_workload(
         &catalog,
         &WorkloadConfig {
@@ -91,10 +91,10 @@ pub fn run_traced(cfg: &Config) -> (TextTable, ObsContext) {
     );
     let train = TrainingLoop::new(ctx.clone(), train_w)
         .unwrap()
-        .with_obs(obs.clone());
+        .with_telemetry(obs.clone());
     let eval = TrainingLoop::new(ctx.clone(), eval_w)
         .unwrap()
-        .with_obs(obs.clone());
+        .with_telemetry(obs.clone());
     let native_total = eval.native_total();
 
     let mut table = TextTable::new(

@@ -94,7 +94,7 @@ pub fn run_traced(cfg: &Config) -> (TextTable, ObsContext) {
 
     // Console without a driver: pure middleware overhead.
     let interactor = Arc::new(EngineInteractor::new(catalog.clone()));
-    let mut console = PilotConsole::new(interactor).with_obs(obs.clone());
+    let mut console = PilotConsole::new(interactor).with_telemetry(obs.clone());
     let t0 = Instant::now();
     let mut console_work = 0.0;
     for sql in &sqls {

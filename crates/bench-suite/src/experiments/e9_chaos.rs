@@ -338,7 +338,7 @@ pub fn run_worker_chaos(cfg: &Config) -> (TextTable, ObsContext) {
                 ..Default::default()
             },
         )
-        .with_obs(obs.clone());
+        .with_telemetry(obs.clone());
         let mut guard_events = 0usize;
         for ((q, p), (count, work_bits)) in queries.iter().zip(&plans).zip(&baseline) {
             obs.begin_query(&q.to_string());
@@ -467,7 +467,7 @@ pub fn run_reopt_chaos(cfg: &Config) -> (TextTable, ObsContext) {
                     ..Default::default()
                 },
             )
-            .with_obs(obs.clone());
+            .with_telemetry(obs.clone());
             let (mut checkpoints, mut triggers, mut switches, mut degraded) = (0, 0, 0, 0);
             for ((q, p), (count, raw, normalized)) in queries.iter().zip(&plans).zip(&baseline) {
                 obs.begin_query(&q.to_string());
@@ -522,9 +522,20 @@ pub fn run_reopt_chaos(cfg: &Config) -> (TextTable, ObsContext) {
 /// JSONL artifact.
 pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentBundle>) {
     use lqo_engine::optimizer::InjectedCardSource;
-    use lqo_engine::{ExecConfig, ExecMode, ParallelConfig, TableSet};
+    use lqo_engine::{ExecConfig, ExecMode, ParallelConfig, TableSet, Telemetry};
     use lqo_flight::{FlightConfig, FlightContext};
     use lqo_reopt::{ReoptConfig, ReoptExecutor};
+
+    /// Obs plus a flight recorder flushing its metrics into it.
+    fn recorder() -> Telemetry {
+        let obs = ObsContext::enabled();
+        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
+        Telemetry {
+            obs,
+            flight,
+            ..Telemetry::default()
+        }
+    }
 
     let catalog = Arc::new(stats_like(cfg.scale.max(40), cfg.seed).unwrap());
     let fit = FitContext::new(catalog.clone());
@@ -656,13 +667,12 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
 
     // -- class 1: card fault → breaker-open bundle ------------------------
     {
-        let obs = ObsContext::enabled();
-        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
-        let clean = GuardedCardSource::new("card", GuardConfig::default(), obs.clone())
+        let telemetry = recorder();
+        let flight = &telemetry.flight;
+        let clean = GuardedCardSource::new("card", GuardConfig::default(), telemetry.clone())
             .rung("learned", learned.clone())
             .rung("hybrid", hybrid.clone())
-            .rung("native", native.clone())
-            .with_flight(flight.clone());
+            .rung("native", native.clone());
         // Rate-1.0 panics: every learned-rung call fails, so the breaker's
         // consecutive-failure threshold is crossed inside the designated
         // query (a join's enumeration makes well over three guarded calls).
@@ -672,7 +682,7 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
             kinds: vec![FaultKind::Panic],
             stall: std::time::Duration::from_micros(cfg.stall_us),
         }));
-        let faulty = GuardedCardSource::new("card", GuardConfig::default(), obs.clone())
+        let faulty = GuardedCardSource::new("card", GuardConfig::default(), telemetry.clone())
             .rung(
                 "learned",
                 Arc::new(FaultyCardSource::new(learned.clone(), fault_plan.clone()))
@@ -682,19 +692,13 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                 "hybrid",
                 Arc::new(FaultyCardSource::new(hybrid.clone(), fault_plan.clone())),
             )
-            .rung("native", native.clone())
-            .with_flight(flight.clone());
-        let optimizer = Optimizer::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
-        let executor = Executor::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
+            .rung("native", native.clone());
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
+        let executor = Executor::with_defaults(&catalog).with_telemetry(telemetry.clone());
         let designated = first_join;
         for (i, q) in queries.iter().enumerate() {
             let guarded = if i == designated { &faulty } else { &clean };
-            obs.begin_query(&q.to_string());
-            flight.begin_query(&q.to_string());
+            let scope = telemetry.begin_query(q);
             guarded.begin_query();
             let choice = optimizer
                 .optimize_default(q, guarded)
@@ -703,10 +707,10 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                 .execute(q, &choice.plan)
                 .expect("execution never fails");
             assert_eq!(r.count, baseline[i].0, "card fault changed a result");
-            let trace = obs.end_query();
-            flight.end_query(trace.as_ref(), None);
+            scope.finish(|_| {});
         }
-        let opens = obs
+        let opens = telemetry
+            .obs
             .metrics()
             .unwrap()
             .snapshot()
@@ -717,15 +721,15 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
             &mut table,
             "card-fault",
             Some(designated),
-            &flight,
+            flight,
             Some("breaker-open:card"),
         ));
     }
 
     // -- class 2: worker panic → worker-fault bundle ----------------------
     {
-        let obs = ObsContext::enabled();
-        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
+        let telemetry = recorder();
+        let flight = &telemetry.flight;
         let parallel_cfg = || ExecConfig {
             mode: ExecMode::Parallel { threads: 4 },
             parallel: ParallelConfig {
@@ -740,7 +744,8 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
         let designated = (0..queries.len())
             .find(|&i| {
                 let probe_obs = ObsContext::enabled();
-                let probe = Executor::new(&catalog, parallel_cfg()).with_obs(probe_obs.clone());
+                let probe =
+                    Executor::new(&catalog, parallel_cfg()).with_telemetry(probe_obs.clone());
                 probe
                     .execute(&queries[i], &plans[i])
                     .expect("degradation, not failure");
@@ -753,37 +758,31 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                     > 0
             })
             .expect("some query must exercise the parallel executor");
-        let faulty = Executor::new(&catalog, parallel_cfg())
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
-        let clean = Executor::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
+        let faulty = Executor::new(&catalog, parallel_cfg()).with_telemetry(telemetry.clone());
+        let clean = Executor::with_defaults(&catalog).with_telemetry(telemetry.clone());
         for (i, q) in queries.iter().enumerate() {
             let executor = if i == designated { &faulty } else { &clean };
-            obs.begin_query(&q.to_string());
-            flight.begin_query(&q.to_string());
+            let scope = telemetry.begin_query(q);
             let r = executor
                 .execute(q, &plans[i])
                 .expect("degradation, not failure");
             assert_eq!(r.count, baseline[i].0, "worker fault changed a result");
             assert_eq!(r.work.to_bits(), baseline[i].1, "worker fault changed work");
-            let trace = obs.end_query();
-            flight.end_query(trace.as_ref(), None);
+            scope.finish(|_| {});
         }
         all_bundles.extend(finish(
             &mut table,
             "worker-panic",
             Some(designated),
-            &flight,
+            flight,
             Some("worker-fault:"),
         ));
     }
 
     // -- class 3: reopt fault → reopt-switch / reopt-degrade bundle -------
     {
-        let obs = ObsContext::enabled();
-        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
+        let telemetry = recorder();
+        let flight = &telemetry.flight;
         // Poisoned base-table estimates make checkpoints trip; panics at
         // 50% fault some of the re-planning lookups. Probe (same seeds,
         // fresh fault plan per candidate, so the real pass replays the
@@ -830,14 +829,10 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
             make_faulty(designated),
             reopt_cfg,
         )
-        .with_obs(obs.clone())
-        .with_flight(flight.clone());
-        let clean = Executor::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
+        .with_telemetry(telemetry.clone());
+        let clean = Executor::with_defaults(&catalog).with_telemetry(telemetry.clone());
         for (i, q) in queries.iter().enumerate() {
-            obs.begin_query(&q.to_string());
-            flight.begin_query(&q.to_string());
+            let scope = telemetry.begin_query(q);
             if i == designated {
                 let (r, rel, report) = faulty
                     .execute_collect(q, &plans[i])
@@ -856,36 +851,29 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                 let r = clean.execute(q, &plans[i]).expect("execution never fails");
                 assert_eq!(r.count, baseline[i].0, "clean query changed a result");
             }
-            let trace = obs.end_query();
-            flight.end_query(trace.as_ref(), None);
+            scope.finish(|_| {});
         }
         all_bundles.extend(finish(
             &mut table,
             "reopt-fault",
             Some(designated),
-            &flight,
+            flight,
             Some("reopt-"),
         ));
     }
 
     // -- control: no faults → zero bundles --------------------------------
     {
-        let obs = ObsContext::enabled();
-        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
-        let guarded = GuardedCardSource::new("card", GuardConfig::default(), obs.clone())
+        let telemetry = recorder();
+        let flight = &telemetry.flight;
+        let guarded = GuardedCardSource::new("card", GuardConfig::default(), telemetry.clone())
             .rung("learned", learned.clone())
             .rung("hybrid", hybrid.clone())
-            .rung("native", native.clone())
-            .with_flight(flight.clone());
-        let optimizer = Optimizer::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
-        let executor = Executor::with_defaults(&catalog)
-            .with_obs(obs.clone())
-            .with_flight(flight.clone());
+            .rung("native", native.clone());
+        let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(telemetry.clone());
+        let executor = Executor::with_defaults(&catalog).with_telemetry(telemetry.clone());
         for (i, q) in queries.iter().enumerate() {
-            obs.begin_query(&q.to_string());
-            flight.begin_query(&q.to_string());
+            let scope = telemetry.begin_query(q);
             guarded.begin_query();
             let choice = optimizer
                 .optimize_default(q, &guarded)
@@ -894,14 +882,13 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                 .execute(q, &choice.plan)
                 .expect("execution never fails");
             assert_eq!(r.count, baseline[i].0, "control run changed a result");
-            let trace = obs.end_query();
-            flight.end_query(trace.as_ref(), None);
+            scope.finish(|_| {});
         }
         assert!(
             flight.events_published() > 0,
             "control still records span events"
         );
-        all_bundles.extend(finish(&mut table, "control", None, &flight, None));
+        all_bundles.extend(finish(&mut table, "control", None, flight, None));
     }
     (table, all_bundles)
 }

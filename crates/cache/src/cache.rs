@@ -48,8 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use lqo_engine::{PhysNode, ResidualNode, SpjQuery, SubqueryKey};
-use lqo_flight::{FlightContext, FlightEvent, Producer};
+use lqo_engine::{PhysNode, ResidualNode, SpjQuery, SubqueryKey, Telemetry};
+use lqo_flight::{FlightEvent, Producer};
 use lqo_obs::trace::CacheEvent;
 use lqo_obs::ObsContext;
 
@@ -183,10 +183,9 @@ pub struct LqoCache {
     residuals: Mutex<BoundedLru<ResidualEntry>>,
     /// Components currently in the drifted state (for edge detection).
     drifted: Mutex<HashSet<String>>,
-    obs: Mutex<ObsContext>,
-    /// Flight recorder handle; behind its own lock because the cache is
-    /// shared via `Arc` and the recorder is attached after construction.
-    flight: Mutex<FlightContext>,
+    /// Behind a lock because the cache is shared via `Arc` by the time
+    /// telemetry is attached.
+    telemetry: Mutex<Telemetry>,
     card_hits: AtomicU64,
     card_misses: AtomicU64,
     card_evictions: AtomicU64,
@@ -216,8 +215,7 @@ impl LqoCache {
             plans: Mutex::new(BoundedLru::new(cfg.plan_capacity)),
             residuals: Mutex::new(BoundedLru::new(cfg.residual_capacity)),
             drifted: Mutex::new(HashSet::new()),
-            obs: Mutex::new(ObsContext::disabled()),
-            flight: Mutex::new(FlightContext::disabled()),
+            telemetry: Mutex::new(Telemetry::default()),
             card_hits: AtomicU64::new(0),
             card_misses: AtomicU64::new(0),
             card_evictions: AtomicU64::new(0),
@@ -233,32 +231,22 @@ impl LqoCache {
         }
     }
 
-    /// Builder form of [`LqoCache::attach_obs`].
-    pub fn with_obs(self, obs: ObsContext) -> LqoCache {
-        self.attach_obs(&obs);
-        self
-    }
-
-    /// Report metrics and trace events to `obs` from now on.
-    pub fn attach_obs(&self, obs: &ObsContext) {
-        *self.obs.lock() = obs.clone();
-    }
-
-    /// Publish cache events and stats-epoch bumps onto the black-box
-    /// flight ring from now on. Takes `&self` because the cache is
-    /// typically shared via `Arc` by the time the recorder exists.
-    pub fn attach_flight(&self, flight: &FlightContext) {
-        *self.flight.lock() = flight.clone();
+    /// Report metrics and trace events to the telemetry's obs context,
+    /// and publish cache events and stats-epoch bumps onto its flight
+    /// ring, from now on. Takes `&self` because the cache is typically
+    /// shared via `Arc` by the time telemetry exists.
+    pub fn attach_telemetry(&self, telemetry: &Telemetry) {
+        *self.telemetry.lock() = telemetry.clone();
     }
 
     fn obs(&self) -> ObsContext {
-        self.obs.lock().clone()
+        self.telemetry.lock().obs.clone()
     }
 
     fn event(&self, obs: &ObsContext, cache: &str, event: &str, detail: String) {
-        let flight = self.flight.lock();
-        if flight.is_enabled() {
-            flight.publish(
+        let tel = self.telemetry.lock();
+        if tel.flight.is_enabled() {
+            tel.flight.publish(
                 Producer::Cache,
                 FlightEvent::Cache {
                     cache: cache.to_string(),
@@ -267,7 +255,7 @@ impl LqoCache {
                 },
             );
         }
-        drop(flight);
+        drop(tel);
         obs.with_query(|t| {
             t.push_cache(CacheEvent {
                 cache: cache.to_string(),
@@ -308,9 +296,9 @@ impl LqoCache {
         obs.count("lqo.cache.residual.invalidations", dropped_residuals as u64);
         obs.count("lqo.cache.epoch_bumps", 1);
         {
-            let flight = self.flight.lock();
-            if flight.is_enabled() {
-                flight.publish(
+            let tel = self.telemetry.lock();
+            if tel.flight.is_enabled() {
+                tel.flight.publish(
                     Producer::Cache,
                     FlightEvent::EpochBump {
                         epoch,
@@ -880,7 +868,8 @@ mod tests {
     #[test]
     fn obs_counters_flow() {
         let obs = ObsContext::enabled();
-        let cache = LqoCache::default().with_obs(obs.clone());
+        let cache = LqoCache::default();
+        cache.attach_telemetry(&obs.clone().into());
         cache.card_lookup(K);
         cache.card_store(K, 3.0, "t");
         cache.card_lookup(K);

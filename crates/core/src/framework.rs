@@ -5,8 +5,9 @@ use std::sync::Arc;
 use lqo_engine::exec::workunits::CostParams;
 use lqo_engine::optimizer::CardSource;
 use lqo_engine::stats::table_stats::CatalogStats;
-use lqo_engine::{Catalog, Optimizer, PhysNode, Result, SpjQuery, TraditionalCardSource};
-use lqo_obs::ObsContext;
+use lqo_engine::{
+    Catalog, Optimizer, PhysNode, Result, SpjQuery, Telemetry, TraditionalCardSource,
+};
 
 /// Shared context for plan exploration: the database, its statistics, the
 /// native cardinality source and cost constants.
@@ -20,9 +21,9 @@ pub struct OptContext {
     pub card: Arc<dyn CardSource>,
     /// Cost constants.
     pub params: CostParams,
-    /// Observability context; disabled by default. Risk models report
-    /// guard-relevant events (e.g. native-cost failures) through it.
-    pub obs: ObsContext,
+    /// Telemetry; disabled by default. Risk models report guard-relevant
+    /// events (e.g. native-cost failures) through it.
+    pub telemetry: Telemetry,
 }
 
 impl OptContext {
@@ -37,14 +38,14 @@ impl OptContext {
             stats,
             card,
             params: CostParams::default(),
-            obs: ObsContext::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
-    /// Attach an observability context (threaded into risk models and the
-    /// optimizers built from this context).
-    pub fn with_obs(mut self, obs: ObsContext) -> OptContext {
-        self.obs = obs;
+    /// Attach telemetry (threaded into risk models, the optimizers built
+    /// from this context, and a cache attached afterwards).
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> OptContext {
+        self.telemetry = telemetry.into();
         self
     }
 
@@ -54,14 +55,14 @@ impl OptContext {
     /// Observationally transparent — cached estimates are bit-identical
     /// to fresh ones, so exploration and risk training are unchanged.
     pub fn with_cache(mut self, cache: Arc<lqo_cache::LqoCache>) -> OptContext {
-        cache.attach_obs(&self.obs);
+        cache.attach_telemetry(&self.telemetry);
         self.card = Arc::new(lqo_cache::MemoCardSource::new(self.card, cache));
         self
     }
 
     /// A native optimizer over this context.
     pub fn optimizer(&self) -> Optimizer<'_> {
-        Optimizer::new(&self.catalog, self.params.clone()).with_obs(self.obs.clone())
+        Optimizer::new(&self.catalog, self.params.clone()).with_telemetry(self.telemetry.clone())
     }
 }
 

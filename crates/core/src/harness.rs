@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use lqo_engine::{EngineError, ExecConfig, ExecMode, Executor, PhysNode, Result, SpjQuery};
-use lqo_flight::{FlightContext, FlightEvent, Producer};
+use lqo_engine::{
+    EngineError, ExecConfig, ExecMode, Executor, PhysNode, Result, SpjQuery, Telemetry,
+};
+use lqo_flight::Producer;
 use lqo_obs::trace::QueryOutcome;
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
 use lqo_watch::ModelHealthMonitor;
 use serde::Serialize;
 
@@ -66,9 +66,7 @@ pub struct TrainingLoop {
     native_work: Vec<f64>,
     native_plans: Vec<PhysNode>,
     queries: Vec<SpjQuery>,
-    obs: ObsContext,
-    prof: ProfContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
     watch: Option<Arc<ModelHealthMonitor>>,
     exec_mode: ExecMode,
 }
@@ -92,9 +90,7 @@ impl TrainingLoop {
             native_work,
             native_plans,
             queries,
-            obs: ObsContext::disabled(),
-            prof: ProfContext::disabled(),
-            flight: FlightContext::disabled(),
+            telemetry: Telemetry::default(),
             watch: None,
             exec_mode: ExecMode::Serial,
         })
@@ -110,30 +106,16 @@ impl TrainingLoop {
         self
     }
 
-    /// Attach an observability context: every executed query in every
-    /// epoch becomes one trace, attributed to the optimizer under
-    /// training, and epoch metrics land in the registry.
-    pub fn with_obs(mut self, obs: ObsContext) -> TrainingLoop {
-        self.obs = obs;
-        self
-    }
-
-    /// Attach a profiling context: every executed query in every epoch
-    /// becomes one query profile (plan/execute phase timings down to
-    /// per-operator attribution plus work-unit charges), so learned-
-    /// optimizer planning overhead is separable from execution cost
-    /// across training epochs.
-    pub fn with_prof(mut self, prof: ProfContext) -> TrainingLoop {
-        self.prof = prof;
-        self
-    }
-
-    /// Attach a flight recorder: every executed query in every epoch
-    /// becomes one flight-query window, contained planning failures are
-    /// published as guard events, and any severity trigger snapshots an
-    /// incident bundle finalized with the query's trace and profile.
-    pub fn with_flight(mut self, flight: FlightContext) -> TrainingLoop {
-        self.flight = flight;
+    /// Attach telemetry: every executed query in every epoch becomes one
+    /// query window — a trace attributed to the optimizer under training
+    /// (epoch metrics land in the registry), a query profile (plan/execute
+    /// phase timings down to per-operator attribution plus work-unit
+    /// charges, so learned-optimizer planning overhead is separable from
+    /// execution cost), and a flight window in which contained planning
+    /// failures are published as guard events and any severity trigger
+    /// snapshots an incident bundle.
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> TrainingLoop {
+        self.telemetry = telemetry.into();
         self
     }
 
@@ -183,52 +165,45 @@ impl TrainingLoop {
                     ..Default::default()
                 },
             )
-            .with_obs(self.obs.clone())
-            .with_prof(self.prof.clone())
-            .with_flight(self.flight.clone());
-            if self.obs.is_enabled() {
-                self.obs.begin_query(&q.to_string());
+            .with_telemetry(self.telemetry.clone());
+            let obs = &self.telemetry.obs;
+            let scope = self.telemetry.begin_query(q);
+            if obs.is_enabled() {
                 let name = opt.name().to_string();
-                self.obs.with_query(|t| t.driver = Some(name));
-            }
-            if self.prof.is_enabled() {
-                self.prof.begin_query(&q.to_string());
-            }
-            if self.flight.is_enabled() {
-                self.flight.begin_query(&q.to_string());
+                obs.with_query(|t| t.driver = Some(name));
             }
             // A learned optimizer that panics or errors while planning
             // must not take the epoch down with it: contain the failure,
             // note it on the trace, and run the stored native plan.
             let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _prof_plan = self.prof.phase("plan");
-                self.obs.phase("plan", || opt.plan(q))
+                let _prof_plan = self.telemetry.prof.phase("plan");
+                obs.phase("plan", || opt.plan(q))
             }));
             let (plan, fell_back) = match planned {
                 Ok(Ok(plan)) => (plan, false),
                 Ok(Err(e)) => {
-                    self.record_plan_fallback(e.to_string());
+                    self.record_plan_fallback(&e.to_string());
                     (self.native_plans[i].clone(), true)
                 }
                 Err(_) => {
-                    self.record_plan_fallback("panic".to_string());
+                    self.record_plan_fallback("panic");
                     (self.native_plans[i].clone(), true)
                 }
             };
-            let work = match self.obs.phase("execute", || executor.execute(q, &plan)) {
+            let work = match obs.phase("execute", || executor.execute(q, &plan)) {
                 Ok(r) => {
                     // No feedback on fallback: the native plan was not the
                     // optimizer's choice, so it must not train on it.
                     if learn && !fell_back {
                         opt.observe(q, &plan, r.work);
                     }
-                    if self.obs.is_enabled() {
+                    if obs.is_enabled() {
                         let outcome = QueryOutcome {
                             count: r.count,
                             work: r.work,
                             wall_ns: r.wall.as_nanos() as u64,
                         };
-                        self.obs.with_query(|t| t.outcome = Some(outcome));
+                        obs.with_query(|t| t.outcome = Some(outcome));
                     }
                     r.work
                 }
@@ -243,16 +218,12 @@ impl TrainingLoop {
                 }
                 Err(_) => budget,
             };
-            self.obs.with_query(|t| t.join_estimates());
-            let trace = self.obs.end_query();
-            if let (Some(watch), Some(trace)) = (&self.watch, &trace) {
-                watch.ingest_trace(trace, Some(self.native_work[i]));
-            }
-            let profile = self.prof.end_query();
-            if self.flight.is_enabled() {
-                let folded = profile.as_ref().map(|p| p.profile.to_folded());
-                self.flight.end_query(trace.as_ref(), folded);
-            }
+            obs.with_query(|t| t.join_estimates());
+            scope.finish(|trace| {
+                if let Some(watch) = &self.watch {
+                    watch.ingest_trace(trace, Some(self.native_work[i]));
+                }
+            });
             let ratio = work / self.native_work[i];
             if ratio > 1.1 {
                 regressions += 1;
@@ -270,37 +241,27 @@ impl TrainingLoop {
             max_regression,
             timeouts,
         };
-        if self.obs.is_enabled() {
-            self.obs.count("lqo.train.epochs", 1);
-            self.obs.count("lqo.train.timeouts", stats.timeouts as u64);
-            self.obs
-                .count("lqo.train.regressions", stats.regressions as u64);
-            self.obs.observe("lqo.train.epoch_work", stats.total_work);
+        let obs = &self.telemetry.obs;
+        if obs.is_enabled() {
+            obs.count("lqo.train.epochs", 1);
+            obs.count("lqo.train.timeouts", stats.timeouts as u64);
+            obs.count("lqo.train.regressions", stats.regressions as u64);
+            obs.observe("lqo.train.epoch_work", stats.total_work);
         }
         stats
     }
 
     /// Note a contained planning failure: metric + trace guard event.
-    fn record_plan_fallback(&self, fault: String) {
-        self.obs.count("lqo.guard.fallbacks", 1);
-        self.obs.count("lqo.guard.train_plan_failures", 1);
-        if self.flight.is_enabled() {
-            self.flight.publish(
-                Producer::Train,
-                FlightEvent::Guard {
-                    component: "train:optimizer".to_string(),
-                    fault: fault.clone(),
-                    action: "fallback:native-plan".to_string(),
-                },
-            );
-        }
-        self.obs.with_query(|t| {
-            t.push_guard(lqo_obs::trace::GuardEvent {
-                component: "train:optimizer".to_string(),
-                fault,
-                action: "fallback:native-plan".to_string(),
-            });
-        });
+    fn record_plan_fallback(&self, fault: &str) {
+        let obs = &self.telemetry.obs;
+        obs.count("lqo.guard.fallbacks", 1);
+        obs.count("lqo.guard.train_plan_failures", 1);
+        self.telemetry.guard_event(
+            Producer::Train,
+            "train:optimizer",
+            fault,
+            "fallback:native-plan",
+        );
     }
 
     /// Run `epochs` learning epochs, returning per-epoch statistics.
@@ -319,6 +280,8 @@ mod tests {
     use super::*;
     use crate::framework::test_support::fixture;
     use crate::systems::bao;
+    use lqo_obs::ObsContext;
+    use lqo_prof::ProfContext;
 
     #[test]
     fn native_baseline_matches_loop_baseline() {
@@ -357,7 +320,7 @@ mod tests {
         let obs = ObsContext::enabled();
         let training = TrainingLoop::new(ctx, queries)
             .unwrap()
-            .with_obs(obs.clone());
+            .with_telemetry(obs.clone());
         let mut hostile = Hostile { calls: 0 };
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence expected panics
@@ -384,11 +347,11 @@ mod tests {
         let obs = ObsContext::enabled();
         // The planner records card lookups through the context's obs, so
         // the traces carry estimate/truth pairs for the monitor.
-        let ctx = ctx.with_obs(obs.clone());
+        let ctx = ctx.with_telemetry(obs.clone());
         let watch = Arc::new(ModelHealthMonitor::new(WatchConfig::default()));
         let training = TrainingLoop::new(ctx.clone(), queries)
             .unwrap()
-            .with_obs(obs)
+            .with_telemetry(obs)
             .with_watch(watch.clone());
         let mut native = NativeBaseline::new(ctx);
         training.run_epoch(&mut native, false);
@@ -450,7 +413,7 @@ mod tests {
         let prof = ProfContext::enabled();
         let training = TrainingLoop::new(ctx.clone(), queries)
             .unwrap()
-            .with_prof(prof.clone());
+            .with_telemetry(prof.clone());
         let mut native = NativeBaseline::new(ctx);
         training.run_epoch(&mut native, false);
         // One profile per executed query; planning and execution are

@@ -14,22 +14,20 @@ use crate::framework::{CandidatePlan, ExecutionSample, OptContext, RiskModel};
 /// until its model has seen enough executions).
 ///
 /// A `plan_cost` failure is *surfaced*, not swallowed: the error lands on
-/// the current query trace as a guard event and in the
-/// `lqo.guard.native_cost_errors` counter before the plan is scored ∞
+/// the current query trace (and the flight ring) as a guard event and in
+/// the `lqo.guard.native_cost_errors` counter before the plan is scored ∞
 /// (so it still loses every comparison, but now visibly).
 pub(crate) fn native_cost(ctx: &OptContext, query: &SpjQuery, plan: &PhysNode) -> f64 {
     match plan_cost(plan, query, &ctx.catalog, ctx.card.as_ref(), &ctx.params) {
         Ok(cost) => cost,
         Err(e) => {
-            ctx.obs.count("lqo.guard.native_cost_errors", 1);
-            let detail = e.to_string();
-            ctx.obs.with_query(|t| {
-                t.push_guard(lqo_obs::trace::GuardEvent {
-                    component: "risk:native-cost".to_string(),
-                    fault: detail.clone(),
-                    action: "score:infinity".to_string(),
-                });
-            });
+            ctx.telemetry.obs.count("lqo.guard.native_cost_errors", 1);
+            ctx.telemetry.guard_event(
+                lqo_flight::Producer::Guard,
+                "risk:native-cost",
+                &e.to_string(),
+                "score:infinity",
+            );
             f64::INFINITY
         }
     }

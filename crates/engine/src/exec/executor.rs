@@ -62,10 +62,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use lqo_flight::{FlightContext, FlightEvent, Producer};
+use lqo_flight::{FlightEvent, Producer};
 use lqo_obs::trace::{GuardEvent, OperatorEvent};
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
 use serde::Serialize;
 
 use crate::catalog::Catalog;
@@ -79,6 +77,7 @@ use crate::plan::physical::{JoinAlgo, PhysNode};
 use crate::query::expr::JoinCond;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
+use crate::telemetry::Telemetry;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Default)]
@@ -158,21 +157,11 @@ impl WorkMeter {
     }
 }
 
-pub(crate) fn join_label(algo: JoinAlgo) -> &'static str {
-    match algo {
-        JoinAlgo::Hash => "HashJoin",
-        JoinAlgo::NestedLoop => "NestedLoopJoin",
-        JoinAlgo::Merge => "MergeJoin",
-    }
-}
-
 /// The plan executor. Stateless across queries; cheap to construct.
 pub struct Executor<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) config: ExecConfig,
-    pub(crate) obs: ObsContext,
-    pub(crate) prof: ProfContext,
-    pub(crate) flight: FlightContext,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl<'a> Executor<'a> {
@@ -181,9 +170,7 @@ impl<'a> Executor<'a> {
         Executor {
             catalog,
             config,
-            obs: ObsContext::disabled(),
-            prof: ProfContext::disabled(),
-            flight: FlightContext::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
@@ -192,29 +179,17 @@ impl<'a> Executor<'a> {
         Executor::new(catalog, ExecConfig::default())
     }
 
-    /// Attach an observability context; per-operator events (true rows,
-    /// work units) and execution metrics are recorded on the context's
-    /// current query trace.
-    pub fn with_obs(mut self, obs: ObsContext) -> Executor<'a> {
-        self.obs = obs;
-        self
-    }
-
-    /// Attach a profiling context: execution runs under an `execute`
-    /// phase with one nested phase per operator (mirroring the plan
-    /// tree) carrying exact wall clock and work-unit charges, and the
-    /// parallel path attributes per-morsel and per-worker busy/idle
-    /// time under the operator that dispatched them.
-    pub fn with_prof(mut self, prof: ProfContext) -> Executor<'a> {
-        self.prof = prof;
-        self
-    }
-
-    /// Attach a flight recorder; execution span boundaries, work-budget
-    /// trips, and contained worker-fault degrades are published onto the
-    /// black-box ring.
-    pub fn with_flight(mut self, flight: FlightContext) -> Executor<'a> {
-        self.flight = flight;
+    /// Attach telemetry: per-operator events (true rows, work units)
+    /// and execution metrics land on the obs context's current query
+    /// trace; execution runs under a profiler `execute` phase with one
+    /// nested phase per operator (mirroring the plan tree) carrying exact
+    /// wall clock and work-unit charges, the parallel path attributing
+    /// per-morsel and per-worker busy/idle time under the operator that
+    /// dispatched them; and execution span boundaries, work-budget trips
+    /// and contained worker-fault degrades are published onto the flight
+    /// ring.
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> Executor<'a> {
+        self.telemetry = telemetry.into();
         self
     }
 
@@ -273,10 +248,10 @@ impl<'a> Executor<'a> {
                 query.num_tables()
             )));
         }
-        let _span = self.obs.span("exec.query");
-        let _prof_exec = self.prof.phase("execute");
-        if self.flight.is_enabled() {
-            self.flight.publish(
+        let _span = self.telemetry.obs.span("exec.query");
+        let _prof_exec = self.telemetry.prof.phase("execute");
+        if self.telemetry.flight.is_enabled() {
+            self.telemetry.flight.publish(
                 Producer::Exec,
                 FlightEvent::Span {
                     name: "exec.query".to_string(),
@@ -288,7 +263,7 @@ impl<'a> Executor<'a> {
         // opened on sampled queries (weighted by the stride), keeping
         // sampling-mode overhead flat. Work charges stay exact either
         // way — on unsampled queries they attribute to `execute`.
-        let detail = self.prof.sample_detail();
+        let detail = self.telemetry.prof.sample_detail();
         let start = Instant::now();
         let mut meter = WorkMeter::new(self.config.max_work);
         let mut intermediates = Vec::new();
@@ -305,9 +280,9 @@ impl<'a> Executor<'a> {
                 &mut events,
             )
         });
-        if self.flight.is_enabled() {
+        if self.telemetry.flight.is_enabled() {
             if let Err(EngineError::WorkLimitExceeded { limit }) = &attempt {
-                self.flight.publish(
+                self.telemetry.flight.publish(
                     Producer::Exec,
                     FlightEvent::BudgetTrip {
                         component: "exec".to_string(),
@@ -315,7 +290,7 @@ impl<'a> Executor<'a> {
                     },
                 );
             }
-            self.flight.publish(
+            self.telemetry.flight.publish(
                 Producer::Exec,
                 FlightEvent::Span {
                     name: "exec.query".to_string(),
@@ -325,10 +300,14 @@ impl<'a> Executor<'a> {
         }
         match attempt {
             Ok(rel) => {
-                if self.obs.is_enabled() {
-                    self.obs.count("lqo.exec.queries", 1);
-                    self.obs.observe("lqo.exec.work_units", meter.work);
-                    self.obs.with_query(|t| t.exec.operators.extend(events));
+                if self.telemetry.obs.is_enabled() {
+                    self.telemetry.obs.count("lqo.exec.queries", 1);
+                    self.telemetry
+                        .obs
+                        .observe("lqo.exec.work_units", meter.work);
+                    self.telemetry
+                        .obs
+                        .with_query(|t| t.exec.operators.extend(events));
                 }
                 let result = ExecResult {
                     count: rel.len() as u64,
@@ -339,15 +318,15 @@ impl<'a> Executor<'a> {
                 Ok((result, rel))
             }
             Err(e) => {
-                if self.obs.is_enabled() {
+                if self.telemetry.obs.is_enabled() {
                     if matches!(e, EngineError::WorkLimitExceeded { .. }) {
-                        self.obs.count("lqo.exec.timeouts", 1);
-                        self.obs.with_query(|t| {
+                        self.telemetry.obs.count("lqo.exec.timeouts", 1);
+                        self.telemetry.obs.with_query(|t| {
                             t.exec.timeout = true;
                             t.exec.operators.extend(events);
                         });
                     }
-                    self.obs.count("lqo.exec.errors", 1);
+                    self.telemetry.obs.count("lqo.exec.errors", 1);
                 }
                 Err(e)
             }
@@ -434,8 +413,8 @@ impl<'a> Executor<'a> {
 
     /// Note a contained parallel worker fault and the serial retry.
     fn record_degrade(&self, op: &str) {
-        if self.flight.is_enabled() {
-            self.flight.publish(
+        if self.telemetry.flight.is_enabled() {
+            self.telemetry.flight.publish(
                 Producer::Exec,
                 FlightEvent::WorkerFault {
                     op: op.to_string(),
@@ -443,12 +422,12 @@ impl<'a> Executor<'a> {
                 },
             );
         }
-        if !self.obs.is_enabled() {
+        if !self.telemetry.obs.is_enabled() {
             return;
         }
-        self.obs.count("lqo.exec.parallel.degraded", 1);
+        self.telemetry.obs.count("lqo.exec.parallel.degraded", 1);
         let op = op.to_string();
-        self.obs.with_query(|t| {
+        self.telemetry.obs.with_query(|t| {
             t.push_guard(GuardEvent {
                 component: "exec:parallel".to_string(),
                 fault: format!("worker-panic:{op}"),
@@ -478,9 +457,9 @@ impl<'a> Executor<'a> {
         // opens before recursing, so the phase tree mirrors the plan
         // tree (`execute;HashJoin;Scan`).
         let _prof_op = detail.then(|| {
-            self.prof.phase_sampled(match node {
+            self.telemetry.prof.phase_sampled(match node {
                 PhysNode::Scan { .. } => "Scan",
-                PhysNode::Join { algo, .. } => join_label(*algo),
+                PhysNode::Join { algo, .. } => algo.label(),
             })
         });
         let (rel, op, own_work) = match node {
@@ -514,12 +493,12 @@ impl<'a> Executor<'a> {
                 )?;
                 let before = meter.work;
                 let rel = self.join_op(query, *algo, l, r, keep, par, meter)?;
-                (rel, join_label(*algo), meter.work - before)
+                (rel, algo.label(), meter.work - before)
             }
         };
         intermediates.push((rel.tables(), rel.len() as u64));
-        self.prof.charge(own_work);
-        if self.obs.is_enabled() {
+        self.telemetry.prof.charge(own_work);
+        if self.telemetry.obs.is_enabled() {
             events.push(OperatorEvent {
                 op: op.to_string(),
                 tables: rel.tables().0,
@@ -920,6 +899,8 @@ mod tests {
     use crate::query::expr::{CmpOp, ColRef, Predicate, TableRef};
     use crate::table::TableBuilder;
     use crate::types::Value;
+    use lqo_obs::ObsContext;
+    use lqo_prof::ProfContext;
 
     /// Two tables: `a(id)` with ids 0..10, `b(id, a_id)` where each a-row
     /// has 2 matching b-rows, plus one dangling b-row.
@@ -1185,11 +1166,11 @@ mod tests {
         let plan = join_plan(JoinAlgo::Hash);
         // Serial: operator phases mirror the plan tree, units match the
         // per-operator work the meter accounted.
-        let sprof = ProfContext::enabled();
-        let serial = Executor::with_defaults(&c).with_prof(sprof.clone());
-        sprof.begin_query("prof-serial");
+        let stel = Telemetry::from(ProfContext::enabled());
+        let serial = Executor::with_defaults(&c).with_telemetry(stel.clone());
+        let scope = stel.begin_query("prof-serial");
         let (sr, _) = serial.execute_collect(&q, &plan).unwrap();
-        let sq = sprof.end_query().unwrap();
+        let sq = scope.finish(|_| {}).1.unwrap();
         let sf = &sq.profile.frames;
         assert!(sf.contains_key("execute"));
         assert_eq!(sf["execute;HashJoin"].calls, 1);
@@ -1203,7 +1184,7 @@ mod tests {
 
         // Parallel: same operator tree, plus morsel and per-worker
         // busy/idle attribution under the dispatching operator.
-        let pprof = ProfContext::enabled();
+        let ptel = Telemetry::from(ProfContext::enabled());
         let par = Executor::new(
             &c,
             ExecConfig {
@@ -1215,10 +1196,10 @@ mod tests {
                 ..Default::default()
             },
         )
-        .with_prof(pprof.clone());
-        pprof.begin_query("prof-parallel");
+        .with_telemetry(ptel.clone());
+        let scope = ptel.begin_query("prof-parallel");
         let (pr, _) = par.execute_collect(&q, &plan).unwrap();
-        let pq = pprof.end_query().unwrap();
+        let pq = scope.finish(|_| {}).1.unwrap();
         let pf = &pq.profile.frames;
         assert!(pf.contains_key("execute;HashJoin;Scan"));
         assert!(pf.keys().any(|k| k.ends_with(";morsel")), "{pf:?}");
@@ -1259,7 +1240,7 @@ mod tests {
                     ..Default::default()
                 },
             )
-            .with_obs(obs.clone());
+            .with_telemetry(obs.clone());
             obs.begin_query("fault-sweep");
             let (pr, prel) = ex.execute_collect(&q, &plan).unwrap();
             let trace = obs.end_query().unwrap();

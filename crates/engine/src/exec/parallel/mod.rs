@@ -211,24 +211,26 @@ impl<'a> ParRun<'a> {
         self.busy_ns.set(self.busy_ns.get() + stats.busy_ns);
         self.capacity_ns
             .set(self.capacity_ns.get() + stats.workers as u64 * stats.elapsed_ns);
-        if self.ex.obs.is_enabled() {
+        if self.ex.telemetry.obs.is_enabled() {
             self.ex
+                .telemetry
                 .obs
                 .count("lqo.exec.parallel.morsels", stats.morsel_ns.len() as u64);
             for &ns in &stats.morsel_ns {
                 self.ex
+                    .telemetry
                     .obs
                     .observe("lqo.exec.parallel.morsel_ns", ns as f64);
             }
         }
-        if self.ex.prof.is_enabled() && self.detail {
+        if self.ex.telemetry.prof.is_enabled() && self.detail {
             // Per-morsel and per-worker attribution under the operator
             // phase that dispatched this pool run (detail-sampled along
             // with the per-operator phases). Derived from the same
             // PoolStats that feed the E11 utilization gauge, so the
             // profiler's busy/idle split and the scaling experiment's
             // utilization numbers cannot drift apart.
-            self.ex.prof.record_child(
+            self.ex.telemetry.prof.record_child(
                 "morsel",
                 stats.morsel_ns.len() as u64,
                 stats.morsel_ns.iter().sum(),
@@ -237,9 +239,11 @@ impl<'a> ParRun<'a> {
             for (i, &busy) in stats.worker_busy_ns.iter().enumerate() {
                 let idle = stats.elapsed_ns.saturating_sub(busy);
                 self.ex
+                    .telemetry
                     .prof
                     .record_child(&format!("worker{i}_busy"), 1, busy, 0.0);
                 self.ex
+                    .telemetry
                     .prof
                     .record_child(&format!("worker{i}_idle"), 1, idle, 0.0);
             }
@@ -249,16 +253,16 @@ impl<'a> ParRun<'a> {
     /// Record run-level pool metrics: total busy time and utilization
     /// (busy / (spawned workers × parallel-section wall time)).
     pub(crate) fn finish(&self) {
-        if !self.ex.obs.is_enabled() || self.morsels_run.get() == 0 {
+        if !self.ex.telemetry.obs.is_enabled() || self.morsels_run.get() == 0 {
             return;
         }
-        self.ex.obs.observe(
+        self.ex.telemetry.obs.observe(
             "lqo.exec.parallel.worker_busy_ns",
             self.busy_ns.get() as f64,
         );
         let denom = self.capacity_ns.get() as f64;
         if denom > 0.0 {
-            self.ex.obs.gauge(
+            self.ex.telemetry.obs.gauge(
                 "lqo.exec.parallel.utilization",
                 self.busy_ns.get() as f64 / denom,
             );

@@ -37,6 +37,7 @@ pub mod query;
 pub mod schema;
 pub mod stats;
 pub mod table;
+pub mod telemetry;
 pub mod types;
 
 pub use catalog::Catalog;
@@ -52,4 +53,5 @@ pub use plan::{JoinAlgo, JoinTree, PhysNode};
 pub use query::{CmpOp, ColRef, JoinCond, Predicate, SpjQuery, SubqueryKey, TableRef, TableSet};
 pub use stats::CatalogStats;
 pub use table::Table;
+pub use telemetry::{QueryScope, Telemetry};
 pub use types::{DataType, Value};

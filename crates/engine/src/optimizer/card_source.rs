@@ -14,6 +14,7 @@ use crate::query::key::SubqueryKey;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
 use crate::stats::table_stats::CatalogStats;
+use crate::telemetry::Telemetry;
 
 /// Supplies (estimated) cardinalities of sub-queries to the cost model.
 pub trait CardSource: Send + Sync {
@@ -32,7 +33,7 @@ pub trait CardSource: Send + Sync {
 pub struct TrueCardSource {
     oracle: Arc<TrueCardOracle>,
     misses: AtomicU64,
-    obs: lqo_obs::ObsContext,
+    telemetry: Telemetry,
 }
 
 impl TrueCardSource {
@@ -41,13 +42,14 @@ impl TrueCardSource {
         TrueCardSource {
             oracle,
             misses: AtomicU64::new(0),
-            obs: lqo_obs::ObsContext::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
-    /// Report oracle misses to `obs` (counter `lqo.card.true.misses`).
-    pub fn with_obs(mut self, obs: lqo_obs::ObsContext) -> TrueCardSource {
-        self.obs = obs;
+    /// Report oracle misses to the telemetry's obs context (counter
+    /// `lqo.card.true.misses`).
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> TrueCardSource {
+        self.telemetry = telemetry.into();
         self
     }
 
@@ -68,7 +70,7 @@ impl CardSource for TrueCardSource {
                 // An oracle miss silently degrades the TrueCard baseline;
                 // make it observable instead of papering over it.
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs.count("lqo.card.true.misses", 1);
+                self.telemetry.obs.count("lqo.card.true.misses", 1);
                 1.0
             }
         }

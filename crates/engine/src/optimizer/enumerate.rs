@@ -818,7 +818,7 @@ mod tests {
         let (c, q) = setup();
         let (trad, _) = sources(&c);
         let prof = ProfContext::enabled();
-        let opt = crate::optimizer::Optimizer::with_defaults(&c).with_prof(prof.clone());
+        let opt = crate::optimizer::Optimizer::with_defaults(&c).with_telemetry(prof.clone());
         let choice = opt.optimize(&q, &trad, &HintSet::default()).unwrap();
         assert!(choice.cost.is_finite());
         let total = prof.total();
@@ -830,10 +830,11 @@ mod tests {
         assert!(total.frames["enumerate;cost"].units > 0.0);
         // Per-query estimator-call delta is exposed on the profile.
         let prof2 = ProfContext::enabled();
-        let opt2 = crate::optimizer::Optimizer::with_defaults(&c).with_prof(prof2.clone());
-        prof2.begin_query("q");
+        let tel2 = crate::Telemetry::from(prof2.clone());
+        let opt2 = crate::optimizer::Optimizer::with_defaults(&c).with_telemetry(tel2.clone());
+        let scope = tel2.begin_query("q");
         opt2.optimize(&q, &trad, &HintSet::default()).unwrap();
-        let qp = prof2.end_query().unwrap();
+        let qp = scope.finish(|_| {}).1.unwrap();
         assert_eq!(
             qp.counters[lqo_prof::CTR_ESTIMATOR_CALLS],
             prof2.estimator_calls()

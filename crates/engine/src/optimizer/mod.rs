@@ -13,9 +13,7 @@ pub mod enumerate;
 pub mod hints;
 pub mod residual;
 
-use lqo_flight::{FlightContext, FlightEvent, Producer};
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
+use lqo_flight::{FlightEvent, Producer};
 
 use crate::catalog::Catalog;
 use crate::error::Result;
@@ -23,6 +21,7 @@ use crate::exec::workunits::CostParams;
 use crate::plan::physical::PhysNode;
 use crate::query::join_graph::JoinGraph;
 use crate::query::spj::SpjQuery;
+use crate::telemetry::Telemetry;
 
 pub use card_source::{
     CardSource, InjectedCardSource, ProfCardSource, ScaledCardSource, TracingCardSource,
@@ -39,9 +38,7 @@ pub use residual::{enumerate_residual, residual_cost, ResidualChoice, ResidualLe
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     params: CostParams,
-    obs: ObsContext,
-    prof: ProfContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
 }
 
 impl<'a> Optimizer<'a> {
@@ -50,9 +47,7 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             catalog,
             params,
-            obs: ObsContext::disabled(),
-            prof: ProfContext::disabled(),
-            flight: FlightContext::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
@@ -61,29 +56,15 @@ impl<'a> Optimizer<'a> {
         Optimizer::new(catalog, CostParams::default())
     }
 
-    /// Attach an observability context; planner provenance (enumeration
-    /// counters, cardinality lookups, hints, chosen cost) is recorded on
-    /// the context's current query trace.
-    pub fn with_obs(mut self, obs: ObsContext) -> Optimizer<'a> {
-        self.obs = obs;
-        self
-    }
-
-    /// Attach a profiling context; enumeration runs under an
-    /// `enumerate` phase with nested `estimate` (per card lookup,
-    /// sampled) and `cost` (per subproblem, sampled) hot phases, and
-    /// every lookup reaching the cardinality source bumps the exact
-    /// estimator-call counter.
-    pub fn with_prof(mut self, prof: ProfContext) -> Optimizer<'a> {
-        self.prof = prof;
-        self
-    }
-
-    /// Attach a flight recorder; plan-enumeration span boundaries are
-    /// published onto the black-box ring so incident bundles can show
-    /// where in the query lifecycle a fault fired.
-    pub fn with_flight(mut self, flight: FlightContext) -> Optimizer<'a> {
-        self.flight = flight;
+    /// Attach telemetry: planner provenance (enumeration counters,
+    /// cardinality lookups, hints, chosen cost) lands on the obs context's
+    /// current query trace; enumeration runs under a profiler `enumerate`
+    /// phase with nested `estimate` (per card lookup, sampled) and `cost`
+    /// (per subproblem, sampled) hot phases, every lookup reaching the
+    /// cardinality source bumps the exact estimator-call counter; and the
+    /// `plan.optimize` span boundaries are published onto the flight ring.
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> Optimizer<'a> {
+        self.telemetry = telemetry.into();
         self
     }
 
@@ -100,16 +81,16 @@ impl<'a> Optimizer<'a> {
         card: &dyn CardSource,
         hints: &HintSet,
     ) -> Result<PlanChoice> {
-        if self.obs.is_enabled() {
+        if self.telemetry.obs.is_enabled() {
             let name = card.name().to_string();
             let label = hints.label();
-            self.obs.with_query(|t| {
+            self.telemetry.obs.with_query(|t| {
                 t.planner.card_source = Some(name);
                 t.planner.hints = Some(label);
             });
         }
-        if self.flight.is_enabled() {
-            self.flight.publish(
+        if self.telemetry.flight.is_enabled() {
+            self.telemetry.flight.publish(
                 Producer::Optimizer,
                 FlightEvent::Span {
                     name: "plan.optimize".to_string(),
@@ -128,8 +109,8 @@ impl<'a> Optimizer<'a> {
                 card,
                 &self.params,
                 hints,
-                &self.obs,
-                &self.prof,
+                &self.telemetry.obs,
+                &self.telemetry.prof,
             )
         } else {
             greedy_optimize_obs(
@@ -139,12 +120,12 @@ impl<'a> Optimizer<'a> {
                 card,
                 &self.params,
                 hints,
-                &self.obs,
-                &self.prof,
+                &self.telemetry.obs,
+                &self.telemetry.prof,
             )
         };
-        if self.flight.is_enabled() {
-            self.flight.publish(
+        if self.telemetry.flight.is_enabled() {
+            self.telemetry.flight.publish(
                 Producer::Optimizer,
                 FlightEvent::Span {
                     name: "plan.optimize".to_string(),
@@ -175,8 +156,8 @@ impl<'a> Optimizer<'a> {
             card,
             &self.params,
             hints,
-            &self.obs,
-            &self.prof,
+            &self.telemetry.obs,
+            &self.telemetry.prof,
         )
     }
 

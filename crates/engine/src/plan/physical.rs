@@ -26,16 +26,21 @@ impl JoinAlgo {
     pub fn index(self) -> usize {
         JoinAlgo::ALL.iter().position(|&a| a == self).unwrap()
     }
+
+    /// The operator label used by `Display`, `EXPLAIN`, profiler phases
+    /// and per-operator trace events.
+    pub fn label(self) -> &'static str {
+        match self {
+            JoinAlgo::Hash => "HashJoin",
+            JoinAlgo::NestedLoop => "NestedLoopJoin",
+            JoinAlgo::Merge => "MergeJoin",
+        }
+    }
 }
 
 impl std::fmt::Display for JoinAlgo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            JoinAlgo::Hash => "HashJoin",
-            JoinAlgo::NestedLoop => "NestedLoopJoin",
-            JoinAlgo::Merge => "MergeJoin",
-        };
-        write!(f, "{s}")
+        f.write_str(self.label())
     }
 }
 

@@ -13,10 +13,9 @@ use lqo_engine::exec::workunits::CostParams;
 use lqo_engine::optimizer::{plan_cost, CardSource};
 use lqo_engine::{
     Catalog, EngineError, ExecConfig, ExecMode, ExecResult, Executor, PhysNode, Result, SpjQuery,
+    Telemetry,
 };
-use lqo_flight::{FlightContext, FlightEvent, Producer};
-use lqo_obs::trace::GuardEvent;
-use lqo_obs::ObsContext;
+use lqo_flight::{FlightEvent, Producer};
 
 /// Regression-guard tuning.
 #[derive(Debug, Clone)]
@@ -56,35 +55,28 @@ pub struct RegressionGuard<'a> {
     catalog: &'a Catalog,
     params: CostParams,
     cfg: RegressionGuardConfig,
-    obs: ObsContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
     mode: ExecMode,
 }
 
 impl<'a> RegressionGuard<'a> {
-    /// A guard over a catalog.
+    /// A guard over a catalog. Replans report to `telemetry`: a counter
+    /// and a guard event on its obs context (the guarded executions'
+    /// operator events land there too), and the budget trip plus the
+    /// regression cancel — an incident trigger — on its flight ring.
     pub fn new(
         catalog: &'a Catalog,
         params: CostParams,
         cfg: RegressionGuardConfig,
-        obs: ObsContext,
+        telemetry: impl Into<Telemetry>,
     ) -> RegressionGuard<'a> {
         RegressionGuard {
             catalog,
             params,
             cfg,
-            obs,
-            flight: FlightContext::disabled(),
+            telemetry: telemetry.into(),
             mode: ExecMode::Serial,
         }
-    }
-
-    /// Attach a flight recorder; budget trips and regression cancels are
-    /// published onto the black-box ring (a cancel is an incident
-    /// trigger).
-    pub fn with_flight(mut self, flight: FlightContext) -> RegressionGuard<'a> {
-        self.flight = flight;
-        self
     }
 
     /// Execute guarded plans in the given mode. Budget semantics are
@@ -147,7 +139,7 @@ impl<'a> RegressionGuard<'a> {
                 ..Default::default()
             },
         )
-        .with_obs(self.obs.clone());
+        .with_telemetry(self.telemetry.obs.clone());
         match executor.execute(query, chosen) {
             Ok(result) => Ok(GuardedExecution {
                 result,
@@ -155,42 +147,33 @@ impl<'a> RegressionGuard<'a> {
                 budget,
             }),
             Err(EngineError::WorkLimitExceeded { .. }) => {
-                self.obs.count("lqo.guard.replans", 1);
-                if self.flight.is_enabled() {
-                    self.flight.publish(
+                self.telemetry.obs.count("lqo.guard.replans", 1);
+                if self.telemetry.flight.is_enabled() {
+                    self.telemetry.flight.publish(
                         Producer::Guard,
                         FlightEvent::BudgetTrip {
                             component: "exec".to_string(),
                             budget,
                         },
                     );
-                    self.flight.publish(
-                        Producer::Guard,
-                        FlightEvent::Guard {
-                            component: "exec".to_string(),
-                            fault: "work-regression".to_string(),
-                            action: "replan:native".to_string(),
-                        },
-                    );
                 }
                 // The cancelled plan burned at least `budget` work units,
                 // i.e. at least `ratio ×` the native plan's prediction —
-                // record the ratio so recovery tables can attribute how
-                // far off the rails the chosen plan was before cancel.
+                // the trace records the ratio so recovery tables can
+                // attribute how far off the rails the chosen plan was
+                // before cancel.
                 let ratio = if predicted > 0.0 {
                     budget / predicted
                 } else {
                     f64::INFINITY
                 };
-                self.obs.with_query(|t| {
-                    t.push_guard(GuardEvent {
-                        component: "exec".to_string(),
-                        fault: format!(
-                            "work-regression:predicted={predicted:.0}:budget={budget:.0}:ratio={ratio:.2}"
-                        ),
-                        action: "replan:native".to_string(),
-                    });
-                });
+                self.telemetry.guard_event_with_detail(
+                    Producer::Guard,
+                    "exec",
+                    "work-regression",
+                    &format!("predicted={predicted:.0}:budget={budget:.0}:ratio={ratio:.2}"),
+                    "replan:native",
+                );
                 let native_exec = Executor::new(
                     self.catalog,
                     ExecConfig {
@@ -198,7 +181,7 @@ impl<'a> RegressionGuard<'a> {
                         ..Default::default()
                     },
                 )
-                .with_obs(self.obs.clone());
+                .with_telemetry(self.telemetry.obs.clone());
                 let result = native_exec.execute(query, native)?;
                 Ok(GuardedExecution {
                     result,
@@ -218,6 +201,7 @@ mod tests {
     use lqo_engine::query::parse_query;
     use lqo_engine::stats::table_stats::CatalogStats;
     use lqo_engine::{Optimizer, TraditionalCardSource};
+    use lqo_obs::ObsContext;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Catalog>, Arc<dyn CardSource>, SpjQuery) {

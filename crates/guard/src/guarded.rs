@@ -19,10 +19,8 @@ use std::time::{Duration, Instant};
 
 use lqo_card::estimator::{CardEstimator, Category};
 use lqo_engine::optimizer::CardSource;
-use lqo_engine::{EngineError, PhysNode, SpjQuery, TableSet};
-use lqo_flight::{FlightContext, FlightEvent, Producer};
-use lqo_obs::trace::GuardEvent;
-use lqo_obs::ObsContext;
+use lqo_engine::{EngineError, PhysNode, SpjQuery, TableSet, Telemetry};
+use lqo_flight::{FlightEvent, Producer};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 
@@ -198,16 +196,22 @@ pub struct GuardedCardSource {
     breakers: Vec<CircuitBreaker>,
     cfg: GuardConfig,
     budget: PlanBudget,
-    obs: ObsContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
     last_rung: AtomicUsize,
 }
 
 impl GuardedCardSource {
     /// An empty ladder for a named component (e.g. `"card"`). Add rungs
     /// with [`GuardedCardSource::rung`]; at least one is required before
-    /// use.
-    pub fn new(component: &str, cfg: GuardConfig, obs: ObsContext) -> GuardedCardSource {
+    /// use. Faults, fallbacks and breaker opens report to `telemetry`
+    /// (metrics and trace events on its obs context; guard faults and
+    /// breaker-open transitions — an incident trigger — on its flight
+    /// ring).
+    pub fn new(
+        component: &str,
+        cfg: GuardConfig,
+        telemetry: impl Into<Telemetry>,
+    ) -> GuardedCardSource {
         GuardedCardSource {
             component: component.to_string(),
             rung_gauge: format!("lqo.guard.{component}.rung"),
@@ -215,18 +219,9 @@ impl GuardedCardSource {
             breakers: Vec::new(),
             cfg,
             budget: PlanBudget::default(),
-            obs,
-            flight: FlightContext::disabled(),
+            telemetry: telemetry.into(),
             last_rung: AtomicUsize::new(0),
         }
-    }
-
-    /// Attach a flight recorder; guard faults and breaker-open
-    /// transitions are published onto the black-box ring (a breaker open
-    /// is an incident trigger).
-    pub fn with_flight(mut self, flight: FlightContext) -> GuardedCardSource {
-        self.flight = flight;
-        self
     }
 
     /// Append a rung. Order matters: first added is tried first; the last
@@ -265,43 +260,33 @@ impl GuardedCardSource {
     }
 
     fn record_fault(&self, rung: &str, fault: GuardFault, next: &str) {
-        self.obs.count("lqo.guard.faults", 1);
-        self.obs
+        self.telemetry.obs.count("lqo.guard.faults", 1);
+        self.telemetry
+            .obs
             .count(&format!("lqo.guard.faults.{}", fault.label()), 1);
-        self.obs.count("lqo.guard.fallbacks", 1);
-        let component = format!("{}:{}", self.component, rung);
-        let action = format!("fallback:{next}");
-        if self.flight.is_enabled() {
-            self.flight.publish(
-                Producer::Guard,
-                FlightEvent::Guard {
-                    component: component.clone(),
-                    fault: fault.label().to_string(),
-                    action: action.clone(),
-                },
-            );
-        }
-        self.obs.with_query(|t| {
-            t.push_guard(GuardEvent {
-                component: component.clone(),
-                fault: fault.label().to_string(),
-                action: action.clone(),
-            });
-        });
+        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
+        self.telemetry.guard_event(
+            Producer::Guard,
+            &format!("{}:{}", self.component, rung),
+            fault.label(),
+            &format!("fallback:{next}"),
+        );
     }
 
     fn publish_breaker_state(&self, i: usize) {
-        if self.obs.is_enabled() {
+        if self.telemetry.obs.is_enabled() {
             let state = self.breakers[i].state().code();
-            self.obs.gauge(&self.rungs[i].breaker_gauge, state);
+            self.telemetry
+                .obs
+                .gauge(&self.rungs[i].breaker_gauge, state);
         }
     }
 
     /// Record that rung `i` answered.
     fn answered(&self, i: usize) {
         self.last_rung.store(i, Ordering::Relaxed);
-        if self.obs.is_enabled() {
-            self.obs.gauge(&self.rung_gauge, i as f64);
+        if self.telemetry.obs.is_enabled() {
+            self.telemetry.obs.gauge(&self.rung_gauge, i as f64);
         }
     }
 }
@@ -318,13 +303,14 @@ impl CardSource for GuardedCardSource {
                 continue;
             }
             if !self.breakers[i].allow() {
-                self.obs.count("lqo.guard.skips", 1);
+                self.telemetry.obs.count("lqo.guard.skips", 1);
                 continue;
             }
             let outcome = invoke_guarded(self.cfg.deadline, || rung.source.cardinality(query, set))
                 .and_then(|(v, elapsed)| {
                     self.budget.charge(elapsed);
-                    self.obs
+                    self.telemetry
+                        .obs
                         .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
                     validate_estimate(v, &self.cfg)
                 });
@@ -339,9 +325,9 @@ impl CardSource for GuardedCardSource {
                     let opens_before = self.breakers[i].opens();
                     self.breakers[i].record_failure();
                     if self.breakers[i].opens() > opens_before {
-                        self.obs.count("lqo.guard.breaker_opens", 1);
-                        if self.flight.is_enabled() {
-                            self.flight.publish(
+                        self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
+                        if self.telemetry.flight.is_enabled() {
+                            self.telemetry.flight.publish(
                                 Producer::Guard,
                                 FlightEvent::Breaker {
                                     component: format!("{}:{}", self.component, rung.name),
@@ -375,18 +361,18 @@ pub struct GuardedEstimator {
     fallback: Arc<dyn CardEstimator>,
     breaker: CircuitBreaker,
     cfg: GuardConfig,
-    obs: ObsContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
 }
 
 impl GuardedEstimator {
-    /// Guard `primary`, degrading to `fallback`.
+    /// Guard `primary`, degrading to `fallback`; reports to `telemetry`
+    /// like [`GuardedCardSource::new`].
     pub fn new(
         component: &str,
         primary: Arc<dyn CardEstimator>,
         fallback: Arc<dyn CardEstimator>,
         cfg: GuardConfig,
-        obs: ObsContext,
+        telemetry: impl Into<Telemetry>,
     ) -> GuardedEstimator {
         let breaker = CircuitBreaker::new(cfg.breaker.clone());
         GuardedEstimator {
@@ -395,15 +381,8 @@ impl GuardedEstimator {
             fallback,
             breaker,
             cfg,
-            obs,
-            flight: FlightContext::disabled(),
+            telemetry: telemetry.into(),
         }
-    }
-
-    /// Attach a flight recorder (see [`GuardedCardSource::with_flight`]).
-    pub fn with_flight(mut self, flight: FlightContext) -> GuardedEstimator {
-        self.flight = flight;
-        self
     }
 
     /// The breaker guarding the primary estimator.
@@ -415,9 +394,9 @@ impl GuardedEstimator {
         let opens_before = self.breaker.opens();
         self.breaker.record_failure();
         if self.breaker.opens() > opens_before {
-            self.obs.count("lqo.guard.breaker_opens", 1);
-            if self.flight.is_enabled() {
-                self.flight.publish(
+            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
+            if self.telemetry.flight.is_enabled() {
+                self.telemetry.flight.publish(
                     Producer::Guard,
                     FlightEvent::Breaker {
                         component: self.component.clone(),
@@ -426,29 +405,17 @@ impl GuardedEstimator {
                 );
             }
         }
-        if self.flight.is_enabled() {
-            self.flight.publish(
-                Producer::Guard,
-                FlightEvent::Guard {
-                    component: self.component.clone(),
-                    fault: fault.label().to_string(),
-                    action: "fallback:estimator".to_string(),
-                },
-            );
-        }
-        self.obs.count("lqo.guard.faults", 1);
-        self.obs
+        self.telemetry.guard_event(
+            Producer::Guard,
+            &self.component,
+            fault.label(),
+            "fallback:estimator",
+        );
+        self.telemetry.obs.count("lqo.guard.faults", 1);
+        self.telemetry
+            .obs
             .count(&format!("lqo.guard.faults.{}", fault.label()), 1);
-        self.obs.count("lqo.guard.fallbacks", 1);
-        let component = self.component.clone();
-        let fault_label = fault.label().to_string();
-        self.obs.with_query(|t| {
-            t.push_guard(GuardEvent {
-                component,
-                fault: fault_label,
-                action: "fallback:estimator".to_string(),
-            });
-        });
+        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
         self.fallback.estimate(query, set)
     }
 }
@@ -468,12 +435,13 @@ impl CardEstimator for GuardedEstimator {
 
     fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
         if !self.breaker.allow() {
-            self.obs.count("lqo.guard.skips", 1);
+            self.telemetry.obs.count("lqo.guard.skips", 1);
             return self.fallback.estimate(query, set);
         }
         let outcome = invoke_guarded(self.cfg.deadline, || self.primary.estimate(query, set))
             .and_then(|(v, elapsed)| {
-                self.obs
+                self.telemetry
+                    .obs
                     .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
                 validate_estimate(v, &self.cfg)
             });
@@ -498,8 +466,8 @@ impl CardEstimator for GuardedEstimator {
         }))
         .is_err()
         {
-            self.obs.count("lqo.guard.faults", 1);
-            self.obs.count("lqo.guard.faults.panic", 1);
+            self.telemetry.obs.count("lqo.guard.faults", 1);
+            self.telemetry.obs.count("lqo.guard.faults.panic", 1);
         }
     }
 }
@@ -513,17 +481,18 @@ pub struct GuardedRiskModel {
     fallback: Box<dyn learned_qo::framework::RiskModel>,
     breaker: CircuitBreaker,
     cfg: GuardConfig,
-    obs: ObsContext,
+    telemetry: Telemetry,
 }
 
 impl GuardedRiskModel {
-    /// Guard `inner`, degrading to `fallback`.
+    /// Guard `inner`, degrading to `fallback`; reports to `telemetry`
+    /// like [`GuardedCardSource::new`].
     pub fn new(
         component: &str,
         inner: Box<dyn learned_qo::framework::RiskModel>,
         fallback: Box<dyn learned_qo::framework::RiskModel>,
         cfg: GuardConfig,
-        obs: ObsContext,
+        telemetry: impl Into<Telemetry>,
     ) -> GuardedRiskModel {
         let breaker = CircuitBreaker::new(cfg.breaker.clone());
         GuardedRiskModel {
@@ -532,7 +501,7 @@ impl GuardedRiskModel {
             fallback,
             breaker,
             cfg,
-            obs,
+            telemetry: telemetry.into(),
         }
     }
 
@@ -545,21 +514,19 @@ impl GuardedRiskModel {
         let opens_before = self.breaker.opens();
         self.breaker.record_failure();
         if self.breaker.opens() > opens_before {
-            self.obs.count("lqo.guard.breaker_opens", 1);
+            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
         }
-        self.obs.count("lqo.guard.faults", 1);
-        self.obs
+        self.telemetry.obs.count("lqo.guard.faults", 1);
+        self.telemetry
+            .obs
             .count(&format!("lqo.guard.faults.{}", fault.label()), 1);
-        self.obs.count("lqo.guard.fallbacks", 1);
-        let component = self.component.clone();
-        let fault_label = fault.label().to_string();
-        self.obs.with_query(|t| {
-            t.push_guard(GuardEvent {
-                component,
-                fault: fault_label,
-                action: "fallback:risk".to_string(),
-            });
-        });
+        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
+        self.telemetry.guard_event(
+            Producer::Guard,
+            &self.component,
+            fault.label(),
+            "fallback:risk",
+        );
     }
 }
 
@@ -570,12 +537,13 @@ impl learned_qo::framework::RiskModel for GuardedRiskModel {
 
     fn score(&self, query: &SpjQuery, plan: &PhysNode) -> f64 {
         if !self.breaker.allow() {
-            self.obs.count("lqo.guard.skips", 1);
+            self.telemetry.obs.count("lqo.guard.skips", 1);
             return self.fallback.score(query, plan);
         }
         let outcome = invoke_guarded(self.cfg.deadline, || self.inner.score(query, plan)).and_then(
             |(v, elapsed)| {
-                self.obs
+                self.telemetry
+                    .obs
                     .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
                 validate_score(v)
             },

@@ -8,13 +8,10 @@ use std::time::{Duration, Instant};
 
 use lqo_cache::LqoCache;
 use lqo_engine::query::parse_query;
-use lqo_engine::{EngineError, ExecMode, Result};
-use lqo_flight::{FlightContext, FlightEvent, Producer};
+use lqo_engine::{EngineError, ExecMode, QueryScope, Result, Telemetry};
+use lqo_flight::{FlightEvent, Producer};
 use lqo_guard::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-use lqo_obs::trace::GuardEvent;
 use lqo_obs::trace::QueryOutcome;
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
 use lqo_watch::ModelHealthMonitor;
 use serde::Serialize;
 
@@ -44,9 +41,7 @@ pub struct PilotConsole {
     active: Option<String>,
     session: SessionId,
     executed: usize,
-    obs: ObsContext,
-    prof: ProfContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
     /// One circuit breaker per driver; a driver whose `algo` keeps
     /// panicking, erroring, or blowing the deadline is cut off and its
     /// queries delegate to the plain database until a probe succeeds.
@@ -73,9 +68,7 @@ impl PilotConsole {
             active: None,
             session,
             executed: 0,
-            obs: ObsContext::disabled(),
-            prof: ProfContext::disabled(),
-            flight: FlightContext::disabled(),
+            telemetry: Telemetry::default(),
             breakers: HashMap::new(),
             breaker_cfg: BreakerConfig::default(),
             decision_deadline: Some(Duration::from_millis(250)),
@@ -112,10 +105,8 @@ impl PilotConsole {
     /// accuracy, cost calibration, SLO latencies, guard events), and
     /// breaker state changes are reported per `driver:<name>` component.
     pub fn with_watch(mut self, watch: Arc<ModelHealthMonitor>) -> PilotConsole {
-        if self.flight.is_enabled() {
-            watch.attach_flight(&self.flight);
-        }
         self.watch = Some(watch);
+        self.wire();
         self
     }
 
@@ -134,11 +125,8 @@ impl PilotConsole {
     /// registering drivers or pushing steering state.
     pub fn with_cache(mut self, cache: Arc<LqoCache>) -> PilotConsole {
         self.interactor.attach_cache(&cache);
-        cache.attach_obs(&self.obs);
-        if self.flight.is_enabled() {
-            cache.attach_flight(&self.flight);
-        }
         self.cache = Some(cache);
+        self.wire();
         self
     }
 
@@ -169,60 +157,42 @@ impl PilotConsole {
         self
     }
 
-    /// Attach an observability context: each `execute_sql` call becomes
-    /// one query trace (parse/plan/execute/feedback phases, driver
-    /// attribution, planner and operator provenance), and the context is
-    /// propagated down to the interactor's optimizer and executor.
-    pub fn with_obs(self, obs: ObsContext) -> PilotConsole {
-        self.interactor.attach_obs(&obs);
+    /// Attach telemetry: each `execute_sql` call becomes one query window
+    /// — a trace (parse/plan/execute/feedback phases, driver attribution,
+    /// planner and operator provenance), a query profile (parse/decide/
+    /// plan/execute phase timings with per-operator and per-morsel
+    /// attribution, work-unit charges, plan-cache and guard counters) and
+    /// a flight window (span boundaries, guard faults, breaker
+    /// transitions, cache and re-opt events on the black-box ring; a
+    /// severity trigger mid-query snapshots an incident bundle finalized
+    /// with the trace and profile when the query ends). The telemetry
+    /// reaches the interactor's optimizer and executor, the cache and the
+    /// watch monitor, whichever order the builders are called in.
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> PilotConsole {
+        self.telemetry = telemetry.into();
+        self.wire();
+        self
+    }
+
+    /// The console's telemetry.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Attach the console's telemetry to the interactor, the cache and
+    /// the watch monitor (whose flight recorder is left alone while the
+    /// console has none). Every builder that adds one of them calls this,
+    /// so the wiring does not depend on builder order.
+    fn wire(&self) {
+        self.interactor.attach_telemetry(&self.telemetry);
         if let Some(cache) = &self.cache {
-            cache.attach_obs(&obs);
+            cache.attach_telemetry(&self.telemetry);
         }
-        PilotConsole { obs, ..self }
-    }
-
-    /// The console's observability context.
-    pub fn obs(&self) -> &ObsContext {
-        &self.obs
-    }
-
-    /// Attach a flight recorder: every `execute_sql` call becomes one
-    /// flight-query window (span boundaries, guard faults, breaker
-    /// transitions, cache and re-opt events stream onto the black-box
-    /// ring), and a severity trigger mid-query snapshots an incident
-    /// bundle that is finalized with the finished trace and profile when
-    /// the query ends. The recorder is propagated to the interactor's
-    /// optimizer/executor and to any already-attached watch monitor and
-    /// cache.
-    pub fn with_flight(self, flight: FlightContext) -> PilotConsole {
-        self.interactor.attach_flight(&flight);
         if let Some(watch) = &self.watch {
-            watch.attach_flight(&flight);
+            if self.telemetry.flight.is_enabled() {
+                watch.attach_flight(&self.telemetry.flight);
+            }
         }
-        if let Some(cache) = &self.cache {
-            cache.attach_flight(&flight);
-        }
-        PilotConsole { flight, ..self }
-    }
-
-    /// The console's flight recorder.
-    pub fn flight(&self) -> &FlightContext {
-        &self.flight
-    }
-
-    /// Attach a profiling context: each `execute_sql` call becomes one
-    /// query profile (parse/decide/plan/execute phase timings with
-    /// per-operator and per-morsel attribution, work-unit charges, and
-    /// plan-cache / guard counters), propagated down to the interactor's
-    /// optimizer and executor like [`PilotConsole::with_obs`].
-    pub fn with_prof(self, prof: ProfContext) -> PilotConsole {
-        self.interactor.attach_prof(&prof);
-        PilotConsole { prof, ..self }
-    }
-
-    /// The console's profiling context.
-    pub fn prof(&self) -> &ProfContext {
-        &self.prof
     }
 
     /// Register a driver under its own name, calling its `init`.
@@ -256,65 +226,54 @@ impl PilotConsole {
     /// Execute a SQL string. The active driver (if any) steers planning;
     /// execution feedback is delivered back to it for training.
     pub fn execute_sql(&mut self, sql: &str) -> Result<ExecOutcome> {
-        self.obs.begin_query(sql);
-        self.prof.begin_query(sql);
-        self.flight.begin_query(sql);
+        let scope = self.telemetry.begin_query(sql);
+        let outcome = self.run_sql(sql);
+        self.finish_query(scope);
+        outcome
+    }
+
+    /// The body of [`PilotConsole::execute_sql`], inside its query window.
+    fn run_sql(&mut self, sql: &str) -> Result<ExecOutcome> {
         let query = {
-            let _prof_parse = self.prof.phase("parse");
-            self.obs.phase("parse", || parse_query(sql))
-        };
-        let query = match query {
-            Ok(q) => q,
-            Err(e) => {
-                self.finish_query();
-                return Err(e);
-            }
-        };
+            let _prof_parse = self.telemetry.prof.phase("parse");
+            self.telemetry.obs.phase("parse", || parse_query(sql))
+        }?;
         let mut decision_latency = None;
         let decision = match self.active.clone() {
             Some(name) => {
                 // The driver's decision is where learned-model inference
                 // happens: a separate phase keeps its cost apart from
                 // plan/execute time in the profile.
-                let _prof_decide = self.prof.phase("decide");
+                let _prof_decide = self.telemetry.prof.phase("decide");
                 self.guarded_decision(&name, &query, &mut decision_latency)
             }
             None => DriverDecision::Delegate,
         };
-        if self.obs.is_enabled() {
+        let obs = &self.telemetry.obs;
+        if obs.is_enabled() {
             let driver = self.active.clone();
             let decision_ns = decision_latency.map(|d| d.as_nanos() as u64);
-            self.obs.with_query(|t| {
+            obs.with_query(|t| {
                 t.driver = driver;
                 t.decision_ns = decision_ns;
             });
             if let Some(ns) = decision_ns {
-                self.obs.observe("lqo.pilot.decision_ns", ns as f64);
-                self.obs
-                    .observe("lqo.pilot.decision_us", ns as f64 / 1_000.0);
+                obs.observe("lqo.pilot.decision_ns", ns as f64);
+                obs.observe("lqo.pilot.decision_us", ns as f64 / 1_000.0);
             }
         }
         let request = match decision {
             DriverDecision::Plan(plan) => PullRequest::ExecutePlan(query.clone(), plan),
             DriverDecision::Delegate => PullRequest::Execute(query.clone()),
         };
-        let reply = self
-            .obs
-            .phase("execute", || self.interactor.pull(self.session, request));
+        let reply = obs.phase("execute", || self.interactor.pull(self.session, request))?;
         let PullReply::Execution {
             count,
             work,
             wall,
             plan,
-        } = (match reply {
-            Ok(r) => r,
-            Err(e) => {
-                self.finish_query();
-                return Err(e);
-            }
-        })
+        } = reply
         else {
-            self.finish_query();
             return Err(EngineError::InvalidPlan("expected execution reply".into()));
         };
         self.executed += 1;
@@ -329,26 +288,26 @@ impl PilotConsole {
                 };
                 // A panicking feedback hook loses that driver its training
                 // sample, never the query's result.
-                let obs = &self.obs;
+                let obs = &self.telemetry.obs;
                 let contained = obs.phase("feedback", || {
                     catch_unwind(AssertUnwindSafe(|| driver.collect(&feedback)))
                 });
                 if contained.is_err() {
                     obs.count("lqo.guard.faults", 1);
                     obs.count("lqo.guard.faults.panic", 1);
-                    obs.with_query(|t| {
-                        t.push_guard(GuardEvent {
-                            component: format!("driver:{name}"),
-                            fault: "panic".to_string(),
-                            action: "drop-feedback".to_string(),
-                        });
-                    });
+                    self.telemetry.guard_event(
+                        Producer::Pilot,
+                        &format!("driver:{name}"),
+                        "panic",
+                        "drop-feedback",
+                    );
                 }
             }
         }
-        if self.obs.is_enabled() {
-            self.obs.count("lqo.pilot.queries", 1);
-            self.obs.with_query(|t| {
+        let obs = &self.telemetry.obs;
+        if obs.is_enabled() {
+            obs.count("lqo.pilot.queries", 1);
+            obs.with_query(|t| {
                 t.outcome = Some(QueryOutcome {
                     count,
                     work,
@@ -357,7 +316,6 @@ impl PilotConsole {
                 t.join_estimates();
             });
         }
-        self.finish_query();
         Ok(ExecOutcome {
             count,
             work,
@@ -367,23 +325,21 @@ impl PilotConsole {
         })
     }
 
-    /// Finalize the in-flight trace and profile, feed the trace to the
-    /// health monitor, and relay confirmed drift verdicts to the cache.
-    fn finish_query(&self) {
-        let profile = self.prof.end_query();
-        let trace = self.obs.end_query();
-        if let (Some(watch), Some(trace)) = (&self.watch, &trace) {
-            watch.ingest_trace(trace, None);
-            if let Some(cache) = &self.cache {
-                let component = lqo_watch::component_of(trace);
-                let drifted = watch.health(&component) == Some(lqo_watch::HealthState::Drifted);
-                cache.note_health(&component, drifted);
+    /// Close the query window; the finished trace feeds the health
+    /// monitor, and confirmed drift verdicts are relayed to the cache —
+    /// both before the flight window closes, so an alarm or invalidation
+    /// they publish belongs to this query.
+    fn finish_query(&self, scope: QueryScope) {
+        scope.finish(|trace| {
+            if let Some(watch) = &self.watch {
+                watch.ingest_trace(trace, None);
+                if let Some(cache) = &self.cache {
+                    let component = lqo_watch::component_of(trace);
+                    let drifted = watch.health(&component) == Some(lqo_watch::HealthState::Drifted);
+                    cache.note_health(&component, drifted);
+                }
             }
-        }
-        if self.flight.is_enabled() {
-            let folded = profile.as_ref().map(|p| p.profile.to_folded());
-            self.flight.end_query(trace.as_ref(), folded);
-        }
+        });
     }
 
     /// Run the active driver's `algo` under the guard: breaker gate,
@@ -399,7 +355,7 @@ impl PilotConsole {
         let Some(driver) = self.drivers.get_mut(name) else {
             // start_driver validates names, but a missing driver must
             // degrade to plain execution, never panic mid-query.
-            self.obs.count("lqo.guard.fallbacks", 1);
+            self.telemetry.obs.count("lqo.guard.fallbacks", 1);
             return DriverDecision::Delegate;
         };
         let breaker = self
@@ -411,25 +367,14 @@ impl PilotConsole {
                 let s = breaker.stats();
                 watch.record_breaker(&format!("driver:{name}"), s.state.code(), s.opens);
             }
-            self.obs.count("lqo.guard.skips", 1);
-            self.prof.bump("guard_breaker_skips", 1);
-            if self.flight.is_enabled() {
-                self.flight.publish(
-                    Producer::Pilot,
-                    FlightEvent::Guard {
-                        component: format!("driver:{name}"),
-                        fault: "breaker-open".to_string(),
-                        action: "delegate".to_string(),
-                    },
-                );
-            }
-            self.obs.with_query(|t| {
-                t.push_guard(GuardEvent {
-                    component: format!("driver:{name}"),
-                    fault: "breaker-open".to_string(),
-                    action: "delegate".to_string(),
-                });
-            });
+            self.telemetry.obs.count("lqo.guard.skips", 1);
+            self.telemetry.prof.bump("guard_breaker_skips", 1);
+            self.telemetry.guard_event(
+                Producer::Pilot,
+                &format!("driver:{name}"),
+                "breaker-open",
+                "delegate",
+            );
             return DriverDecision::Delegate;
         }
         let interactor = self.interactor.clone();
@@ -439,7 +384,8 @@ impl PilotConsole {
             driver.algo(interactor.as_ref(), session, query)
         }));
         let elapsed = start.elapsed();
-        self.obs
+        self.telemetry
+            .obs
             .observe("lqo.guard.decision_ns", elapsed.as_nanos() as f64);
         let fault = match outcome {
             Ok(Ok(decision)) => {
@@ -449,25 +395,26 @@ impl PilotConsole {
                         let s = breaker.stats();
                         watch.record_breaker(&format!("driver:{name}"), s.state.code(), s.opens);
                     }
-                    self.obs
+                    self.telemetry
+                        .obs
                         .gauge(&format!("lqo.guard.driver.{name}.breaker"), 0.0);
                     *latency = Some(elapsed);
                     return decision;
                 }
-                self.prof.bump("guard_deadlines", 1);
+                self.telemetry.prof.bump("guard_deadlines", 1);
                 "deadline".to_string()
             }
             Ok(Err(e)) => e.to_string(),
             Err(_) => "panic".to_string(),
         };
-        self.prof.bump("guard_faults", 1);
+        self.telemetry.prof.bump("guard_faults", 1);
         let was_open = breaker.state() == BreakerState::Open;
         breaker.record_failure();
         let state = breaker.state();
         if state == BreakerState::Open && !was_open {
-            self.obs.count("lqo.guard.breaker_opens", 1);
-            if self.flight.is_enabled() {
-                self.flight.publish(
+            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
+            if self.telemetry.flight.is_enabled() {
+                self.telemetry.flight.publish(
                     Producer::Pilot,
                     FlightEvent::Breaker {
                         component: format!("driver:{name}"),
@@ -482,27 +429,17 @@ impl PilotConsole {
         if let Some(watch) = &self.watch {
             watch.record_breaker(&format!("driver:{name}"), state.code(), breaker.opens());
         }
-        self.obs
+        self.telemetry
+            .obs
             .gauge(&format!("lqo.guard.driver.{name}.breaker"), state.code());
-        self.obs.count("lqo.guard.faults", 1);
-        self.obs.count("lqo.guard.fallbacks", 1);
-        if self.flight.is_enabled() {
-            self.flight.publish(
-                Producer::Pilot,
-                FlightEvent::Guard {
-                    component: format!("driver:{name}"),
-                    fault: fault.clone(),
-                    action: "delegate".to_string(),
-                },
-            );
-        }
-        self.obs.with_query(|t| {
-            t.push_guard(GuardEvent {
-                component: format!("driver:{name}"),
-                fault,
-                action: "delegate".to_string(),
-            });
-        });
+        self.telemetry.obs.count("lqo.guard.faults", 1);
+        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
+        self.telemetry.guard_event(
+            Producer::Pilot,
+            &format!("driver:{name}"),
+            &fault,
+            "delegate",
+        );
         DriverDecision::Delegate
     }
 
@@ -524,6 +461,9 @@ mod tests {
     use lqo_card::estimator::FitContext;
     use lqo_card::traditional::SamplingEstimator;
     use lqo_engine::datagen::stats_like;
+    use lqo_flight::{FlightConfig, FlightContext, FlightRecord};
+    use lqo_obs::ObsContext;
+    use lqo_prof::ProfContext;
 
     fn console() -> (PilotConsole, OptContext) {
         let catalog = Arc::new(stats_like(80, 23).unwrap());
@@ -665,7 +605,7 @@ mod tests {
         };
         let (guarded, _) = console();
         let obs = ObsContext::enabled();
-        let mut guarded = guarded.with_obs(obs.clone()).with_driver_guard(
+        let mut guarded = guarded.with_telemetry(obs.clone()).with_driver_guard(
             Some(Duration::from_millis(250)),
             BreakerConfig {
                 failure_threshold: 2,
@@ -710,10 +650,13 @@ mod tests {
     fn flight_recorder_captures_breaker_incident_bundle() {
         let (console_, _) = console();
         let obs = ObsContext::enabled();
-        let flight = FlightContext::new(lqo_flight::FlightConfig::default(), obs.clone());
+        let flight = FlightContext::new(FlightConfig::default(), obs.clone());
         let mut console_ = console_
-            .with_obs(obs.clone())
-            .with_flight(flight.clone())
+            .with_telemetry(Telemetry {
+                obs: obs.clone(),
+                flight,
+                ..Telemetry::default()
+            })
             .with_driver_guard(
                 Some(Duration::from_millis(250)),
                 BreakerConfig {
@@ -732,7 +675,7 @@ mod tests {
         std::panic::set_hook(prev);
         // Query 2 opened the breaker: exactly one bundle, finalized with
         // the finished trace and populated with the query's ring events.
-        let bundles = console_.flight().take_bundles();
+        let bundles = console_.telemetry().flight.take_bundles();
         assert_eq!(bundles.len(), 1);
         let b = &bundles[0];
         assert!(b.is_well_formed(), "{b:?}");
@@ -767,7 +710,7 @@ mod tests {
         let obs = ObsContext::enabled();
         let watch = Arc::new(ModelHealthMonitor::new(WatchConfig::default()).with_obs(obs.clone()));
         let mut console_ = console_
-            .with_obs(obs.clone())
+            .with_telemetry(obs.clone())
             .with_watch(watch.clone())
             .with_driver_guard(
                 Some(Duration::from_millis(250)),
@@ -858,7 +801,7 @@ mod tests {
         let watch = Arc::new(ModelHealthMonitor::new(lqo_watch::WatchConfig::default()));
         let cache = Arc::new(LqoCache::default());
         let mut console_ = console_
-            .with_obs(obs.clone())
+            .with_telemetry(obs.clone())
             .with_watch(watch.clone())
             .with_cache(cache.clone());
         for _ in 0..4 {
@@ -880,7 +823,7 @@ mod tests {
         let obs = ObsContext::enabled();
         let cache = Arc::new(LqoCache::default());
         let mut console_ = console_
-            .with_obs(obs.clone())
+            .with_telemetry(obs.clone())
             .with_cache(cache.clone())
             .with_driver_guard(
                 Some(Duration::from_millis(250)),
@@ -914,7 +857,7 @@ mod tests {
         let (console_, _) = console();
         let prof = ProfContext::enabled();
         let cache = Arc::new(LqoCache::default());
-        let mut console_ = console_.with_cache(cache).with_prof(prof.clone());
+        let mut console_ = console_.with_cache(cache).with_telemetry(prof.clone());
         for _ in 0..3 {
             console_.execute_sql(SQL).unwrap();
         }
@@ -997,5 +940,142 @@ mod tests {
         let out = console.execute_sql(SQL).unwrap(); // successful probe
         assert!(out.decision.is_some());
         assert_eq!(console.breaker_state("flaky"), Some(BreakerState::Closed));
+    }
+
+    /// What one console run leaves behind, minus wall-clock figures.
+    #[derive(Debug, PartialEq)]
+    struct WiringRun {
+        traces: Vec<String>,
+        ring: Vec<FlightRecord>,
+        cache_counters: Vec<(String, u64)>,
+        cache_stats: lqo_cache::CacheStats,
+    }
+
+    /// Run the same SQL (plain, then through a panicking driver) on a
+    /// console given its telemetry before or after its cache and watch.
+    fn wiring_run(telemetry_first: bool) -> WiringRun {
+        let (console_, _) = console();
+        let obs = ObsContext::enabled();
+        let telemetry = Telemetry {
+            obs: obs.clone(),
+            prof: ProfContext::enabled(),
+            flight: FlightContext::new(FlightConfig::default(), obs.clone()),
+        };
+        let cache = Arc::new(LqoCache::default());
+        let watch = Arc::new(ModelHealthMonitor::new(lqo_watch::WatchConfig::default()));
+        let console_ = if telemetry_first {
+            console_
+                .with_telemetry(telemetry.clone())
+                .with_cache(cache.clone())
+                .with_watch(watch)
+        } else {
+            console_
+                .with_cache(cache.clone())
+                .with_watch(watch)
+                .with_telemetry(telemetry.clone())
+        };
+        let mut console_ = console_.with_driver_guard(
+            Some(Duration::from_secs(60)),
+            BreakerConfig {
+                failure_threshold: 2,
+                cooldown_calls: 3,
+                max_backoff_level: 2,
+            },
+        );
+        console_.register_driver(Box::new(HostileDriver)).unwrap();
+        for _ in 0..2 {
+            console_.execute_sql(SQL).unwrap();
+        }
+        console_.start_driver(Some("hostile")).unwrap();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for _ in 0..3 {
+            console_.execute_sql(SQL).unwrap();
+        }
+        std::panic::set_hook(prev);
+        let traces = obs
+            .finished_traces()
+            .iter()
+            .map(|t| {
+                let phases: Vec<&str> = t.phases.iter().map(|p| p.name.as_str()).collect();
+                let outcome = t.outcome.as_ref().map(|o| (o.count, o.work.to_bits()));
+                format!(
+                    "{} {:?} {phases:?} {:?} {:?} {:?} {:?} {:?} {outcome:?}",
+                    t.query, t.driver, t.planner, t.exec, t.guard, t.cache, t.reopt
+                )
+            })
+            .collect();
+        let cache_counters = obs
+            .metrics()
+            .unwrap()
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("lqo.cache."))
+            .collect();
+        WiringRun {
+            traces,
+            ring: telemetry.flight.ring_snapshot(),
+            cache_counters,
+            cache_stats: cache.stats(),
+        }
+    }
+
+    #[test]
+    fn telemetry_wiring_does_not_depend_on_builder_order() {
+        let first = wiring_run(true);
+        let last = wiring_run(false);
+        assert_eq!(first.traces.len(), 5);
+        assert!(first
+            .cache_counters
+            .iter()
+            .any(|(name, n)| name.starts_with("lqo.cache.card.") && *n > 0));
+        assert!(first
+            .ring
+            .iter()
+            .any(|r| matches!(&r.event, FlightEvent::Cache { .. })));
+        assert!(first.ring.iter().any(|r| matches!(
+            &r.event,
+            FlightEvent::Guard { fault, .. } if fault == "panic"
+        )));
+        assert_eq!(first, last);
+    }
+
+    #[test]
+    fn parse_error_leaves_no_open_query() {
+        let (console_, _) = console();
+        let obs = ObsContext::enabled();
+        let telemetry = Telemetry {
+            obs: obs.clone(),
+            prof: ProfContext::enabled(),
+            flight: FlightContext::new(FlightConfig::default(), obs.clone()),
+        };
+        let mut console_ = console_.with_telemetry(telemetry.clone());
+        assert!(console_.execute_sql("SELECT COUNT(*) FROM").is_err());
+        // The profiler query was finished (not left active): a phase
+        // opened now attributes to no query and lands in the total only.
+        assert_eq!(telemetry.prof.finished().len(), 1);
+        assert_eq!(obs.finished_traces().len(), 1);
+        drop(telemetry.prof.phase("after"));
+        assert!(telemetry.prof.finished()[0]
+            .profile
+            .frames
+            .keys()
+            .all(|k| k != "after"));
+        // The flight window was closed: an event published now belongs
+        // to no query.
+        telemetry.flight.publish(
+            Producer::Pilot,
+            FlightEvent::Span {
+                name: "probe".into(),
+                begin: true,
+            },
+        );
+        let ring = telemetry.flight.ring_snapshot();
+        assert_eq!(ring.last().unwrap().query_id, 0);
+        assert!(ring[..ring.len() - 1].iter().all(|r| r.query_id == 1));
+        // The next query opens a fresh, working window.
+        console_.execute_sql(SQL).unwrap();
+        assert_eq!(telemetry.prof.finished().len(), 2);
     }
 }

@@ -13,11 +13,8 @@ use lqo_engine::optimizer::{CardSource, InjectedCardSource, ScaledCardSource};
 use lqo_engine::stats::table_stats::CatalogStats;
 use lqo_engine::{
     Catalog, EngineError, ExecConfig, ExecMode, Executor, HintSet, Optimizer, PhysNode, Result,
-    SpjQuery, TraditionalCardSource, TrueCardOracle,
+    SpjQuery, Telemetry, TraditionalCardSource, TrueCardOracle,
 };
-use lqo_flight::FlightContext;
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
 use lqo_reopt::{ReoptConfig, ReoptExecutor};
 
 use crate::interactor::{DbInteractor, PullReply, PullRequest, PushAction, SessionId};
@@ -39,9 +36,7 @@ pub struct EngineInteractor {
     oracle: Arc<TrueCardOracle>,
     sessions: Mutex<HashMap<SessionId, SessionState>>,
     next_session: AtomicU64,
-    obs: Mutex<ObsContext>,
-    prof: Mutex<ProfContext>,
-    flight: Mutex<FlightContext>,
+    telemetry: Mutex<Telemetry>,
     exec_mode: Mutex<ExecMode>,
     cache: Mutex<Option<Arc<LqoCache>>>,
     reopt: Mutex<Option<ReoptConfig>>,
@@ -63,9 +58,7 @@ impl EngineInteractor {
             oracle,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            obs: Mutex::new(ObsContext::disabled()),
-            prof: Mutex::new(ProfContext::disabled()),
-            flight: Mutex::new(FlightContext::disabled()),
+            telemetry: Mutex::new(Telemetry::default()),
             exec_mode: Mutex::new(ExecMode::Serial),
             cache: Mutex::new(None),
             reopt: Mutex::new(None),
@@ -73,16 +66,8 @@ impl EngineInteractor {
         }
     }
 
-    fn obs(&self) -> ObsContext {
-        self.obs.lock().clone()
-    }
-
-    fn prof(&self) -> ProfContext {
-        self.prof.lock().clone()
-    }
-
-    fn flight(&self) -> FlightContext {
-        self.flight.lock().clone()
+    fn telemetry(&self) -> Telemetry {
+        self.telemetry.lock().clone()
     }
 
     /// The currently selected execution mode.
@@ -142,14 +127,11 @@ impl EngineInteractor {
         query: &SpjQuery,
         card: &Arc<dyn CardSource>,
         hints: &HintSet,
-        obs: &ObsContext,
+        telemetry: &Telemetry,
     ) -> Result<(PhysNode, f64)> {
-        let prof = self.prof();
+        let prof = &telemetry.prof;
         let _prof_plan = prof.phase("plan");
-        let optimizer = Optimizer::with_defaults(&self.catalog)
-            .with_obs(obs.clone())
-            .with_prof(prof.clone())
-            .with_flight(self.flight());
+        let optimizer = Optimizer::with_defaults(&self.catalog).with_telemetry(telemetry.clone());
         let Some(cache) = self.cache.lock().clone() else {
             let choice = optimizer.optimize(query, card.as_ref(), hints)?;
             return Ok((choice.plan, choice.cost));
@@ -226,15 +208,16 @@ impl DbInteractor for EngineInteractor {
             PullRequest::Plan(query) => {
                 query.validate(&self.catalog)?;
                 let (card, hints) = self.session_card(session)?;
-                let (plan, cost) = self.plan_query(session, &query, &card, &hints, &self.obs())?;
+                let telemetry = self.telemetry();
+                let (plan, cost) = self.plan_query(session, &query, &card, &hints, &telemetry)?;
                 Ok(PullReply::Plan { plan, cost })
             }
             PullRequest::Execute(query) => {
                 query.validate(&self.catalog)?;
                 let (card, hints) = self.session_card(session)?;
-                let obs = self.obs();
-                let (plan, _cost) = obs.phase("plan", || {
-                    self.plan_query(session, &query, &card, &hints, &obs)
+                let telemetry = self.telemetry();
+                let (plan, _cost) = telemetry.obs.phase("plan", || {
+                    self.plan_query(session, &query, &card, &hints, &telemetry)
                 })?;
                 self.pull(session, PullRequest::ExecutePlan(query, plan))
             }
@@ -252,9 +235,7 @@ impl DbInteractor for EngineInteractor {
                     // re-plans against its steering.
                     let (card, hints) = self.session_card(session)?;
                     let mut reopt = ReoptExecutor::new(&self.catalog, exec_config, card, cfg)
-                        .with_obs(self.obs())
-                        .with_prof(self.prof())
-                        .with_flight(self.flight())
+                        .with_telemetry(self.telemetry())
                         .with_hints(hints);
                     if let Some(cache) = self.cache.lock().clone() {
                         reopt = reopt.with_cache(cache);
@@ -262,9 +243,7 @@ impl DbInteractor for EngineInteractor {
                     reopt.execute(&query, &plan)?
                 } else {
                     Executor::new(&self.catalog, exec_config)
-                        .with_obs(self.obs())
-                        .with_prof(self.prof())
-                        .with_flight(self.flight())
+                        .with_telemetry(self.telemetry())
                         .execute(&query, &plan)?
                 };
                 Ok(PullReply::Execution {
@@ -285,16 +264,8 @@ impl DbInteractor for EngineInteractor {
         }
     }
 
-    fn attach_obs(&self, obs: &ObsContext) {
-        *self.obs.lock() = obs.clone();
-    }
-
-    fn attach_prof(&self, prof: &ProfContext) {
-        *self.prof.lock() = prof.clone();
-    }
-
-    fn attach_flight(&self, flight: &FlightContext) {
-        *self.flight.lock() = flight.clone();
+    fn attach_telemetry(&self, telemetry: &Telemetry) {
+        *self.telemetry.lock() = telemetry.clone();
     }
 
     fn set_exec_mode(&self, mode: ExecMode) {

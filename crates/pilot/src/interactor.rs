@@ -4,10 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lqo_cache::LqoCache;
-use lqo_engine::{ExecMode, HintSet, PhysNode, Result, SpjQuery, TableSet};
-use lqo_flight::FlightContext;
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
+use lqo_engine::{ExecMode, HintSet, PhysNode, Result, SpjQuery, TableSet, Telemetry};
 use lqo_reopt::ReoptConfig;
 
 /// Identifier of one interaction session (one "database connection").
@@ -93,10 +90,15 @@ pub trait DbInteractor: Send + Sync {
     /// Acquire data.
     fn pull(&self, session: SessionId, request: PullRequest) -> Result<PullReply>;
 
-    /// Attach an observability context: subsequent planning and execution
-    /// report provenance and metrics to it. Default: ignored, so
-    /// interactors without instrumentation keep working unchanged.
-    fn attach_obs(&self, _obs: &ObsContext) {}
+    /// Attach telemetry: subsequent planning and execution report
+    /// provenance and metrics to its obs context; record hierarchical
+    /// phase timings (plan → enumerate → estimate → cost, execute →
+    /// per-operator), work-unit charges and plan-cache hit/miss/bypass
+    /// counters on its profiler; and publish span boundaries, guard
+    /// faults, budget trips and worker-fault degrades onto its flight
+    /// ring. Default: ignored, so interactors without instrumentation
+    /// keep working unchanged.
+    fn attach_telemetry(&self, _telemetry: &Telemetry) {}
 
     /// Select the execution mode (serial or morsel-driven parallel) for
     /// subsequent executions. The parallel path is verified byte-identical
@@ -105,21 +107,6 @@ pub trait DbInteractor: Send + Sync {
     /// learned-component feedback signals. Default: ignored, so
     /// interactors without a parallel engine keep working unchanged.
     fn set_exec_mode(&self, _mode: ExecMode) {}
-
-    /// Attach a profiling context: subsequent planning and execution
-    /// record hierarchical phase timings (plan → enumerate → estimate →
-    /// cost, execute → per-operator) and work-unit charges to it, and
-    /// plan-cache hits/misses/bypasses land on its exact counters.
-    /// Default: ignored, so interactors without a profiler keep working
-    /// unchanged.
-    fn attach_prof(&self, _prof: &ProfContext) {}
-
-    /// Attach a flight recorder: subsequent planning and execution
-    /// publish span boundaries, guard faults, budget trips, and
-    /// worker-fault degrades onto its black-box ring, feeding incident
-    /// bundles. Default: ignored, so interactors without a recorder keep
-    /// working unchanged.
-    fn attach_flight(&self, _flight: &FlightContext) {}
 
     /// Attach a shared plan & inference cache: subsequent planning may
     /// memoize cardinality lookups across queries and reuse previously

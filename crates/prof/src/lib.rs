@@ -3,8 +3,10 @@
 //! A profiling layer built on the same handle pattern as
 //! [`lqo_obs::ObsContext`]: a [`ProfContext`] is an `Option<Arc>` —
 //! disabled contexts carry no allocation and every recording call
-//! returns after one branch — threaded through the stack with
-//! `with_prof` builders that mirror `with_obs`/`with_watch`/`with_cache`.
+//! returns after one branch. Components receive it as the `prof` field
+//! of the engine's `Telemetry` handle, whose per-query scope opens and
+//! closes a query id ([`ProfContext::begin_query_id`] bound to the
+//! calling thread with [`ProfContext::bind_query`]).
 //!
 //! What it adds over plain obs spans:
 //!
@@ -35,8 +37,9 @@
 //! * **Folded-stack export** ([`Profile::to_folded`]) in the flamegraph
 //!   format, and an ANSI "top phases" report ([`report::render_top`]).
 //!
-//! Unclosed phases never panic: `end_query` drains whatever is left on
-//! the stack and marks the profile ([`QueryProfile::unclosed`]).
+//! Unclosed phases never panic: [`ProfContext::end_query_id`] drains
+//! whatever the query left on the stack and marks the profile
+//! ([`QueryProfile::unclosed`]).
 
 #![warn(missing_docs)]
 
@@ -92,10 +95,10 @@ struct OpenPhase {
     /// span stack).
     key: usize,
     /// Query id this phase belongs to (0 = outside any query). Captured
-    /// at open time from the thread's innermost [`QueryBind`] (falling
-    /// back to the legacy single-current query), so phases of queries
-    /// interleaved on one shared worker thread attribute to *their*
-    /// query and never cross-parent or leak into another query's drain.
+    /// at open time from the thread's innermost [`QueryBind`], so phases
+    /// of queries interleaved on one shared worker thread attribute to
+    /// *their* query and never cross-parent or leak into another query's
+    /// drain.
     qid: u64,
     /// Guard token tying this entry to its [`ProfPhase`].
     token: u64,
@@ -152,12 +155,6 @@ struct ProfInner {
     tokens: AtomicU64,
     /// Query-id source; 0 is reserved for "no query".
     query_ids: AtomicU64,
-    /// The query id the legacy single-query API
-    /// ([`ProfContext::begin_query`] / [`ProfContext::end_query`])
-    /// currently controls (0 = none). Phases opened on threads without
-    /// an explicit [`QueryBind`] attribute to this query, preserving the
-    /// one-query-at-a-time behavior every pre-serving caller relies on.
-    legacy_qid: AtomicU64,
     /// Dedicated hot counter: calls reaching a base estimator.
     estimator_calls: AtomicU64,
     /// Span mirror: recorded phases also open spans here.
@@ -187,7 +184,6 @@ impl ProfContext {
                 detail_ticks: AtomicU64::new(0),
                 tokens: AtomicU64::new(0),
                 query_ids: AtomicU64::new(0),
-                legacy_qid: AtomicU64::new(0),
                 estimator_calls: AtomicU64::new(0),
                 obs,
                 state: Mutex::new(ProfState {
@@ -292,16 +288,15 @@ impl ProfContext {
     }
 
     /// The query id phases opened by this thread attribute to: the
-    /// innermost [`QueryBind`] for this context, else the legacy
-    /// single-current query (0 = outside any query).
-    fn active_qid(inner: &ProfInner, key: usize) -> u64 {
-        thread_bound_qid(key).unwrap_or_else(|| inner.legacy_qid.load(Ordering::Relaxed))
+    /// innermost [`QueryBind`] for this context (0 = outside any query).
+    fn active_qid(key: usize) -> u64 {
+        thread_bound_qid(key).unwrap_or(0)
     }
 
     fn open(&self, inner: &Arc<ProfInner>, name: &'static str, weight: u64) -> ProfPhase {
         let token = inner.tokens.fetch_add(1, Ordering::Relaxed);
         let key = Arc::as_ptr(inner) as usize;
-        let qid = Self::active_qid(inner, key);
+        let qid = Self::active_qid(key);
         PHASE_STACK.with(|s| {
             s.borrow_mut().push(OpenPhase {
                 key,
@@ -326,10 +321,7 @@ impl ProfContext {
     /// thread do not appear in each other's paths.
     pub fn current_path(&self) -> String {
         let key = self.key();
-        let qid = self
-            .inner
-            .as_deref()
-            .map_or(0, |inner| Self::active_qid(inner, key));
+        let qid = Self::active_qid(key);
         PHASE_STACK.with(|s| {
             let stack = s.borrow();
             let mut path = String::new();
@@ -355,7 +347,7 @@ impl ProfContext {
     pub fn charge(&self, units: f64) {
         if let Some(inner) = &self.inner {
             let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(inner, key);
+            let qid = Self::active_qid(key);
             let deferred = PHASE_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
                 match stack
@@ -403,7 +395,7 @@ impl ProfContext {
     pub fn record_at(&self, path: &str, calls: u64, wall_ns: u64, units: f64) {
         if let Some(inner) = &self.inner {
             let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(inner, key);
+            let qid = Self::active_qid(key);
             let mut state = inner.state.lock();
             state.total.add(path, calls, calls, wall_ns, units);
             if let Some(q) = state.active.get_mut(&qid) {
@@ -418,7 +410,7 @@ impl ProfContext {
     pub fn bump(&self, counter: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(inner, key);
+            let qid = Self::active_qid(key);
             let mut state = inner.state.lock();
             *state.counters.entry(counter.to_string()).or_default() += delta;
             if let Some(q) = state.active.get_mut(&qid) {
@@ -430,7 +422,7 @@ impl ProfContext {
     /// Count one call reaching a base cardinality estimator. Kept on a
     /// dedicated atomic (not the counter map) because it sits on the
     /// planning hot path; per-query deltas land in the query profile's
-    /// counters at `end_query`.
+    /// counters at `end_query_id`.
     pub fn note_estimator_call(&self) {
         if let Some(inner) = &self.inner {
             inner.estimator_calls.fetch_add(1, Ordering::Relaxed);
@@ -534,31 +526,6 @@ impl ProfContext {
         Some(q)
     }
 
-    /// Start profiling a query through the legacy single-query API. A
-    /// still-open previous query is finished first (and lands in the
-    /// finished log), so a panicking caller cannot lose it. Threads
-    /// without an explicit [`ProfContext::bind_query`] binding attribute
-    /// to this query.
-    pub fn begin_query(&self, query: &str) {
-        if let Some(inner) = self.inner.as_deref() {
-            let prev = inner.legacy_qid.load(Ordering::Relaxed);
-            if prev != 0 {
-                self.end_query_id(prev);
-            }
-            let qid = self.begin_query_id(query);
-            inner.legacy_qid.store(qid, Ordering::Relaxed);
-        }
-    }
-
-    /// Finish the query opened by [`ProfContext::begin_query`] and move
-    /// it to the finished log; returns a clone. Queries opened with
-    /// [`ProfContext::begin_query_id`] are unaffected.
-    pub fn end_query(&self) -> Option<QueryProfile> {
-        let inner = self.inner.as_deref()?;
-        let qid = inner.legacy_qid.swap(0, Ordering::Relaxed);
-        self.end_query_id(qid)
-    }
-
     /// The cumulative profile across everything recorded so far.
     pub fn total(&self) -> Profile {
         match &self.inner {
@@ -604,7 +571,7 @@ fn close_phase(inner: &Arc<ProfInner>, token: u64, weight: u64, elapsed_ns: u64)
     let key = Arc::as_ptr(inner) as usize;
     let closed = PHASE_STACK.with(|s| {
         let mut stack = s.borrow_mut();
-        // Drained by end_query → the token is gone → record nothing.
+        // Drained by end_query_id → the token is gone → record nothing.
         let pos = stack
             .iter()
             .rposition(|p| p.key == key && p.token == token)?;
@@ -694,8 +661,10 @@ mod tests {
         prof.charge(1.0);
         prof.bump("model_calls", 1);
         prof.note_estimator_call();
-        prof.begin_query("q");
-        assert!(prof.end_query().is_none());
+        let qid = prof.begin_query_id("q");
+        assert_eq!(qid, 0);
+        drop(prof.bind_query(qid));
+        assert!(prof.end_query_id(qid).is_none());
         assert!(prof.total().is_empty());
         assert!(prof.finished().is_empty());
         assert_eq!(prof.estimator_calls(), 0);
@@ -706,7 +675,8 @@ mod tests {
     #[test]
     fn nested_phases_build_paths() {
         let prof = ProfContext::enabled();
-        prof.begin_query("q1");
+        let qid = prof.begin_query_id("q1");
+        let bind = prof.bind_query(qid);
         {
             let _plan = prof.phase("plan");
             {
@@ -720,7 +690,8 @@ mod tests {
             let _exec = prof.phase("execute");
             prof.charge(42.0);
         }
-        let q = prof.end_query().expect("profile");
+        let q = prof.end_query_id(qid).expect("profile");
+        drop(bind);
         assert_eq!(q.query, "q1");
         assert_eq!(q.unclosed, 0);
         let f = &q.profile.frames;
@@ -754,9 +725,11 @@ mod tests {
     #[test]
     fn unclosed_phase_is_marked_not_fatal() {
         let prof = ProfContext::enabled();
-        prof.begin_query("q");
+        let qid = prof.begin_query_id("q");
+        let bind = prof.bind_query(qid);
         let guard = prof.phase("execute");
-        let q = prof.end_query().expect("profile");
+        let q = prof.end_query_id(qid).expect("profile");
+        drop(bind);
         assert_eq!(q.unclosed, 1);
         assert!(q.profile.frames.contains_key("(unclosed);execute"));
         // Dropping the stale guard afterwards is harmless and records
@@ -785,27 +758,28 @@ mod tests {
     fn estimator_calls_delta_lands_per_query() {
         let prof = ProfContext::enabled();
         prof.note_estimator_call();
-        prof.begin_query("q1");
+        let q1 = prof.begin_query_id("q1");
         for _ in 0..5 {
             prof.note_estimator_call();
         }
-        let q1 = prof.end_query().unwrap();
+        let q1 = prof.end_query_id(q1).unwrap();
         assert_eq!(q1.counters[CTR_ESTIMATOR_CALLS], 5);
-        prof.begin_query("q2");
-        let q2 = prof.end_query().unwrap();
+        let q2 = prof.begin_query_id("q2");
+        let q2 = prof.end_query_id(q2).unwrap();
         assert!(!q2.counters.contains_key(CTR_ESTIMATOR_CALLS));
         assert_eq!(prof.estimator_calls(), 6);
         assert_eq!(prof.counters()[CTR_ESTIMATOR_CALLS], 6);
     }
 
     #[test]
-    fn begin_query_finishes_predecessor() {
+    fn finished_log_keeps_completion_order() {
         let prof = ProfContext::enabled();
-        prof.begin_query("q1");
-        prof.begin_query("q2");
-        prof.end_query();
+        let q1 = prof.begin_query_id("q1");
+        let q2 = prof.begin_query_id("q2");
+        prof.end_query_id(q2);
+        prof.end_query_id(q1);
         let names: Vec<String> = prof.finished().iter().map(|q| q.query.clone()).collect();
-        assert_eq!(names, ["q1", "q2"]);
+        assert_eq!(names, ["q2", "q1"]);
         assert_eq!(prof.take_finished().len(), 2);
         assert!(prof.finished().is_empty());
     }

@@ -150,7 +150,7 @@ pub fn parse_folded(input: &str) -> Option<BTreeMap<String, u64>> {
 /// One query's worth of profiling: the phase tree plus event counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
-    /// The profiled query (SQL-ish text, as given to `begin_query`).
+    /// The profiled query (SQL-ish text, as given to `begin_query_id`).
     pub query: String,
     /// Phase tree for this query alone.
     pub profile: Profile,

@@ -20,13 +20,11 @@ use lqo_engine::optimizer::residual::{
 };
 use lqo_engine::{
     CardSource, Catalog, EngineError, ExecConfig, ExecResult, Executor, HintSet, JoinAlgo,
-    PhysNode, Result, SpjQuery, WorkMeter,
+    PhysNode, Result, SpjQuery, Telemetry, WorkMeter,
 };
-use lqo_flight::{FlightContext, FlightEvent, Producer};
+use lqo_flight::{FlightEvent, Producer};
 use lqo_guard::{ReoptGuard, ReoptGuardConfig};
 use lqo_obs::trace::{OperatorEvent, ReoptEvent};
-use lqo_obs::ObsContext;
-use lqo_prof::ProfContext;
 
 /// Re-optimization tuning.
 #[derive(Debug, Clone)]
@@ -139,14 +137,6 @@ impl RtNode {
     }
 }
 
-fn join_label(algo: JoinAlgo) -> &'static str {
-    match algo {
-        JoinAlgo::Hash => "HashJoin",
-        JoinAlgo::NestedLoop => "NestedLoopJoin",
-        JoinAlgo::Merge => "MergeJoin",
-    }
-}
-
 /// Executes plans with materialization checkpoints and guarded mid-query
 /// re-optimization. Construct per query batch; cheap to build.
 pub struct ReoptExecutor<'a> {
@@ -157,9 +147,7 @@ pub struct ReoptExecutor<'a> {
     hints: HintSet,
     cfg: ReoptConfig,
     guard: ReoptGuard,
-    obs: ObsContext,
-    prof: ProfContext,
-    flight: FlightContext,
+    telemetry: Telemetry,
     cache: Option<Arc<LqoCache>>,
 }
 
@@ -183,36 +171,19 @@ impl<'a> ReoptExecutor<'a> {
             hints: HintSet::default(),
             cfg,
             guard,
-            obs: ObsContext::disabled(),
-            prof: ProfContext::disabled(),
-            flight: FlightContext::disabled(),
+            telemetry: Telemetry::default(),
             cache: None,
         }
     }
 
-    /// Attach an observability context (exec metrics, operator events,
-    /// [`ReoptEvent`]s, `lqo.reopt.*` counters).
-    pub fn with_obs(mut self, obs: ObsContext) -> ReoptExecutor<'a> {
-        self.exec = self.exec.with_obs(obs.clone());
-        self.obs = obs;
-        self
-    }
-
-    /// Attach a profiling context; re-planning runs under a `reopt`
-    /// phase.
-    pub fn with_prof(mut self, prof: ProfContext) -> ReoptExecutor<'a> {
-        self.exec = self.exec.with_prof(prof.clone());
-        self.prof = prof;
-        self
-    }
-
-    /// Attach a flight recorder; checkpoint decisions (switch, keep,
-    /// degrade) are published onto the black-box ring, and a switch or
-    /// degrade is an incident trigger. The inner executor publishes its
-    /// span/fault events through the same recorder.
-    pub fn with_flight(mut self, flight: FlightContext) -> ReoptExecutor<'a> {
-        self.exec = self.exec.with_flight(flight.clone());
-        self.flight = flight;
+    /// Attach telemetry, shared with the inner executor: exec metrics,
+    /// operator events, [`ReoptEvent`]s and `lqo.reopt.*` counters on its
+    /// obs context; re-planning under a profiler `reopt` phase; and
+    /// checkpoint decisions (switch, keep, degrade — a switch or degrade
+    /// is an incident trigger) on its flight ring.
+    pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> ReoptExecutor<'a> {
+        self.telemetry = telemetry.into();
+        self.exec = self.exec.with_telemetry(self.telemetry.clone());
         self
     }
 
@@ -260,9 +231,9 @@ impl<'a> ReoptExecutor<'a> {
                 query.num_tables()
             )));
         }
-        let _span = self.obs.span("exec.query");
-        let _prof_exec = self.prof.phase("execute");
-        let detail = self.prof.sample_detail();
+        let _span = self.telemetry.obs.span("exec.query");
+        let _prof_exec = self.telemetry.prof.phase("execute");
+        let detail = self.telemetry.prof.sample_detail();
         let start = Instant::now();
         let mut meter = WorkMeter::new(self.max_work);
         let mut intermediates = Vec::new();
@@ -277,9 +248,9 @@ impl<'a> ReoptExecutor<'a> {
             &mut events,
             &mut report,
         );
-        if self.flight.is_enabled() {
+        if self.telemetry.flight.is_enabled() {
             for ev in &report.events {
-                self.flight.publish(
+                self.telemetry.flight.publish(
                     Producer::Reopt,
                     FlightEvent::Reopt {
                         tables: ev.tables,
@@ -289,22 +260,28 @@ impl<'a> ReoptExecutor<'a> {
                 );
             }
         }
-        if self.obs.is_enabled() {
+        if self.telemetry.obs.is_enabled() {
             let r = &report;
-            self.obs.count("lqo.reopt.checkpoints", r.checkpoints);
-            self.obs.count("lqo.reopt.triggers", r.triggers);
-            self.obs.count("lqo.reopt.switches", r.switches);
+            self.telemetry
+                .obs
+                .count("lqo.reopt.checkpoints", r.checkpoints);
+            self.telemetry.obs.count("lqo.reopt.triggers", r.triggers);
+            self.telemetry.obs.count("lqo.reopt.switches", r.switches);
             for ev in &r.events {
                 match ev.action.as_str() {
                     "switch" => {}
-                    a if a.starts_with("degrade") => self.obs.count("lqo.reopt.degraded", 1),
-                    "keep:identical" => self.obs.count("lqo.reopt.noop", 1),
+                    a if a.starts_with("degrade") => {
+                        self.telemetry.obs.count("lqo.reopt.degraded", 1)
+                    }
+                    "keep:identical" => self.telemetry.obs.count("lqo.reopt.noop", 1),
                     _ => {}
                 }
-                self.obs.observe("lqo.reopt.replan_work", ev.replan_work);
+                self.telemetry
+                    .obs
+                    .observe("lqo.reopt.replan_work", ev.replan_work);
             }
             let evs = report.events.clone();
-            self.obs.with_query(move |t| {
+            self.telemetry.obs.with_query(move |t| {
                 for ev in evs {
                     t.push_reopt(ev);
                 }
@@ -312,10 +289,14 @@ impl<'a> ReoptExecutor<'a> {
         }
         match attempt {
             Ok(rel) => {
-                if self.obs.is_enabled() {
-                    self.obs.count("lqo.exec.queries", 1);
-                    self.obs.observe("lqo.exec.work_units", meter.work());
-                    self.obs.with_query(|t| t.exec.operators.extend(events));
+                if self.telemetry.obs.is_enabled() {
+                    self.telemetry.obs.count("lqo.exec.queries", 1);
+                    self.telemetry
+                        .obs
+                        .observe("lqo.exec.work_units", meter.work());
+                    self.telemetry
+                        .obs
+                        .with_query(|t| t.exec.operators.extend(events));
                 }
                 let result = ExecResult {
                     count: rel.len() as u64,
@@ -326,15 +307,15 @@ impl<'a> ReoptExecutor<'a> {
                 Ok((result, rel, report))
             }
             Err(e) => {
-                if self.obs.is_enabled() {
+                if self.telemetry.obs.is_enabled() {
                     if matches!(e, EngineError::WorkLimitExceeded { .. }) {
-                        self.obs.count("lqo.exec.timeouts", 1);
-                        self.obs.with_query(|t| {
+                        self.telemetry.obs.count("lqo.exec.timeouts", 1);
+                        self.telemetry.obs.with_query(|t| {
                             t.exec.timeout = true;
                             t.exec.operators.extend(events);
                         });
                     }
-                    self.obs.count("lqo.exec.errors", 1);
+                    self.telemetry.obs.count("lqo.exec.errors", 1);
                 }
                 Err(e)
             }
@@ -371,7 +352,7 @@ impl<'a> ReoptExecutor<'a> {
                 .expect("unfinished tree has a ready operator");
             let rel = &mats[id];
             intermediates.push((rel.tables(), rel.len() as u64));
-            if self.obs.is_enabled() {
+            if self.telemetry.obs.is_enabled() {
                 events.push(OperatorEvent {
                     op: op.to_string(),
                     tables: rel.tables().0,
@@ -404,7 +385,7 @@ impl<'a> ReoptExecutor<'a> {
             }
             streak = 0;
             report.triggers += 1;
-            let _reopt_phase = self.prof.phase("reopt");
+            let _reopt_phase = self.telemetry.prof.phase("reopt");
             let event = self.replan(query, &mut tree, &mats, (set.0, observed, est, q), meter);
             report.replan_work += event.replan_work;
             if event.action == "switch" {
@@ -429,11 +410,11 @@ impl<'a> ReoptExecutor<'a> {
         match tree {
             RtNode::Mat { .. } => Ok(None),
             RtNode::Scan { pos } => {
-                let _p = detail.then(|| self.prof.phase_sampled("Scan"));
+                let _p = detail.then(|| self.telemetry.prof.phase_sampled("Scan"));
                 let before = meter.work();
                 let rel = self.exec.exec_scan_step(query, *pos, meter)?;
                 let own = meter.work() - before;
-                self.prof.charge(own);
+                self.telemetry.prof.charge(own);
                 let id = mats.len();
                 mats.push(rel);
                 *tree = RtNode::Mat { id };
@@ -453,15 +434,15 @@ impl<'a> ReoptExecutor<'a> {
                     _ => unreachable!("children just finished"),
                 };
                 let algo = *algo;
-                let _p = detail.then(|| self.prof.phase_sampled(join_label(algo)));
+                let _p = detail.then(|| self.telemetry.prof.phase_sampled(algo.label()));
                 let before = meter.work();
                 let rel = self.exec.exec_join_step(query, algo, l, r, meter)?;
                 let own = meter.work() - before;
-                self.prof.charge(own);
+                self.telemetry.prof.charge(own);
                 let id = mats.len();
                 mats.push(rel);
                 *tree = RtNode::Mat { id };
-                Ok(Some((id, join_label(algo), own)))
+                Ok(Some((id, algo.label(), own)))
             }
         }
     }
@@ -637,6 +618,7 @@ mod tests {
     use lqo_engine::stats::table_stats::{CatalogStats, StatsConfig};
     use lqo_engine::table::TableBuilder;
     use lqo_engine::{ExecMode, TableSet, TraditionalCardSource};
+    use lqo_obs::ObsContext;
 
     /// Chain a -> b -> d (same shape as the optimizer tests): 50, 500,
     /// 1500 rows with foreign keys down the chain.
@@ -984,7 +966,7 @@ mod tests {
         let obs = ObsContext::enabled();
         obs.begin_query("reopt-test");
         let re = ReoptExecutor::new(&c, ExecConfig::default(), card, eager_reopt())
-            .with_obs(obs.clone());
+            .with_telemetry(obs.clone());
         re.execute(&q, &bad_plan()).unwrap();
         let trace = obs.end_query().unwrap();
         assert!(!trace.reopt.is_empty());

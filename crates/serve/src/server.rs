@@ -8,11 +8,9 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use lqo_cache::LqoCache;
-use lqo_engine::{EngineError, ExecConfig, Executor, WorkMeter};
+use lqo_engine::{EngineError, ExecConfig, Executor, Telemetry, WorkMeter};
 use lqo_guard::CircuitBreaker;
-use lqo_obs::ObsContext;
 use lqo_pilot::{DbInteractor, EngineInteractor, PullReply, PullRequest, PushAction};
-use lqo_prof::ProfContext;
 use lqo_watch::ModelHealthMonitor;
 
 use crate::scheduler::{
@@ -59,8 +57,7 @@ struct TenantGuard {
 struct Shared {
     cfg: ServeConfig,
     interactor: Arc<EngineInteractor>,
-    obs: Mutex<ObsContext>,
-    prof: Mutex<ProfContext>,
+    telemetry: Mutex<Telemetry>,
     cache: Mutex<Option<Arc<LqoCache>>>,
     monitor: ModelHealthMonitor,
     guards: Mutex<std::collections::BTreeMap<String, Arc<TenantGuard>>>,
@@ -77,12 +74,19 @@ struct Shared {
 }
 
 impl Shared {
-    fn obs(&self) -> ObsContext {
-        self.obs.lock().clone()
+    fn telemetry(&self) -> Telemetry {
+        self.telemetry.lock().clone()
     }
 
-    fn prof(&self) -> ProfContext {
-        self.prof.lock().clone()
+    /// Attach the server's telemetry to the interactor and the cache.
+    /// Both builders that set one of them call this, so the wiring does
+    /// not depend on builder order.
+    fn wire(&self) {
+        let telemetry = self.telemetry();
+        self.interactor.attach_telemetry(&telemetry);
+        if let Some(cache) = &*self.cache.lock() {
+            cache.attach_telemetry(&telemetry);
+        }
     }
 
     fn tenant_guard(&self, tenant: &str) -> Arc<TenantGuard> {
@@ -150,7 +154,7 @@ impl Shared {
     /// their phases and charges correctly. Returns `Ok(true)` when the
     /// query's last operator just ran.
     fn run_step(&self, task: &mut Task) -> Result<bool, EngineError> {
-        let prof = self.prof();
+        let prof = self.telemetry().prof;
         let _bind = prof.bind_query(task.qid);
         let catalog = self.interactor.catalog();
         let ex = Executor::new(
@@ -161,19 +165,11 @@ impl Shared {
                 ..Default::default()
             },
         )
-        .with_prof(prof.clone());
+        .with_telemetry(prof.clone());
         let op = task.ops[task.next_op];
         let label = match op {
             PlanOp::Scan { .. } => "Scan",
-            PlanOp::Join {
-                algo: lqo_engine::JoinAlgo::Hash,
-            } => "HashJoin",
-            PlanOp::Join {
-                algo: lqo_engine::JoinAlgo::NestedLoop,
-            } => "NestedLoopJoin",
-            PlanOp::Join {
-                algo: lqo_engine::JoinAlgo::Merge,
-            } => "MergeJoin",
+            PlanOp::Join { algo } => algo.label(),
         };
         // One profiler phase per step, charged with the step's own work —
         // the same attribution the reopt step driver uses. The phase
@@ -203,8 +199,8 @@ impl Shared {
     }
 
     fn finalize(&self, ticket: usize, mut task: Task, result: Result<QueryAnswer, String>) {
-        self.prof().end_query_id(task.qid);
-        let obs = self.obs();
+        let Telemetry { obs, prof, .. } = self.telemetry();
+        prof.end_query_id(task.qid);
         let component = format!("tenant:{}", task.tenant);
         let guard = self.tenant_guard(&task.tenant);
         match &result {
@@ -324,8 +320,7 @@ impl LqoServer {
             monitor: ModelHealthMonitor::new(cfg.watch.clone()),
             cfg,
             interactor,
-            obs: Mutex::new(ObsContext::disabled()),
-            prof: Mutex::new(ProfContext::disabled()),
+            telemetry: Mutex::new(Telemetry::default()),
             cache: Mutex::new(None),
             guards: Mutex::new(std::collections::BTreeMap::new()),
             state: Mutex::new(SchedState::new(held)),
@@ -352,30 +347,25 @@ impl LqoServer {
         }
     }
 
-    /// Attach an observability context (also forwarded to the
-    /// interactor, so planning and execution report into the same
-    /// registry as serve-level counters).
-    pub fn with_obs(self, obs: ObsContext) -> LqoServer {
-        self.shared.interactor.attach_obs(&obs);
-        *self.shared.obs.lock() = obs;
-        self
-    }
-
-    /// Attach a profiler. Serving uses the per-query-id API
-    /// ([`lqo_prof::ProfContext::begin_query_id`]) so concurrent
-    /// queries profile independently; it is forwarded to the interactor
-    /// for planning-phase attribution too.
-    pub fn with_prof(self, prof: ProfContext) -> LqoServer {
-        self.shared.interactor.attach_prof(&prof);
-        *self.shared.prof.lock() = prof;
+    /// Attach telemetry: serve-level counters go to its obs context, and
+    /// its profiler profiles each admitted query under its own query id
+    /// ([`lqo_prof::ProfContext::begin_query_id`]), so concurrent queries
+    /// profile independently. It is forwarded to the interactor (planning
+    /// and execution report into the same contexts) and to the cache,
+    /// whichever of this and [`LqoServer::with_cache`] comes first.
+    pub fn with_telemetry(self, telemetry: impl Into<Telemetry>) -> LqoServer {
+        *self.shared.telemetry.lock() = telemetry.into();
+        self.shared.wire();
         self
     }
 
     /// Attach the shared plan & inference cache (forwarded to the
-    /// interactor; breaker opens invalidate through it).
+    /// interactor; breaker opens invalidate through it). Its counters and
+    /// events report to the server's telemetry.
     pub fn with_cache(self, cache: Arc<LqoCache>) -> LqoServer {
         self.shared.interactor.attach_cache(&cache);
         *self.shared.cache.lock() = Some(cache);
+        self.shared.wire();
         self
     }
 
@@ -410,7 +400,7 @@ impl LqoServer {
     /// a [`Ticket`] to [`LqoServer::wait`] on, or the rejection.
     pub fn submit(&self, req: SessionRequest) -> Result<Ticket, ServeError> {
         let shared = &self.shared;
-        let obs = shared.obs();
+        let obs = shared.telemetry().obs;
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         obs.count("lqo.serve.submitted", 1);
         let guard = shared.tenant_guard(&req.tenant);
@@ -455,7 +445,8 @@ impl LqoServer {
         let _ = tenant_sched.quota.add(cost);
         let seq = state.tasks.len();
         let qid = shared
-            .prof()
+            .telemetry()
+            .prof
             .begin_query_id(&format!("{}#{seq}", req.tenant));
         let mut ops = Vec::new();
         flatten(&plan, &mut ops);

@@ -220,6 +220,36 @@ fn steered_sessions_plan_under_their_own_stack() {
 }
 
 #[test]
+fn served_cache_reports_to_the_server_obs_in_either_builder_order() {
+    for telemetry_first in [true, false] {
+        let obs = lqo_obs::ObsContext::enabled();
+        let cache = Arc::new(lqo_cache::LqoCache::default());
+        let srv = server(catalog(), ServeConfig::default());
+        let srv = if telemetry_first {
+            srv.with_telemetry(obs.clone()).with_cache(cache.clone())
+        } else {
+            srv.with_cache(cache.clone()).with_telemetry(obs.clone())
+        };
+        let workload: Vec<SessionRequest> =
+            (0..3).map(|_| SessionRequest::new("t", query())).collect();
+        let (_, stats) = srv.serve_all(workload);
+        assert_eq!(stats.completed, 3);
+        let snap = obs.metrics().unwrap().snapshot();
+        let card = |name: &str| snap.counter(name).unwrap_or(0);
+        assert!(
+            card("lqo.cache.card.misses") > 0,
+            "telemetry first: {telemetry_first}"
+        );
+        assert_eq!(
+            card("lqo.cache.card.misses") + card("lqo.cache.card.hits"),
+            cache.stats().card_hits + cache.stats().card_misses,
+            "every lookup of the served cache reported (telemetry first: {telemetry_first})"
+        );
+        assert!(snap.counter("lqo.cache.plan.hits").unwrap_or(0) >= 1);
+    }
+}
+
+#[test]
 fn profiler_attributes_interleaved_queries_without_leaks() {
     let catalog = catalog();
     let prof = lqo_prof::ProfContext::enabled();
@@ -230,7 +260,7 @@ fn profiler_attributes_interleaved_queries_without_leaks() {
             ..ServeConfig::default()
         },
     )
-    .with_prof(prof.clone());
+    .with_telemetry(prof.clone());
     let workload: Vec<SessionRequest> = (0..10)
         .map(|i| {
             SessionRequest::new(

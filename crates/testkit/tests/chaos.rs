@@ -61,7 +61,8 @@ fn worker_panic_degrades_to_serial_with_correct_results() {
         .unwrap();
     for panic_on in [0u64, 1, 5] {
         let obs = ObsContext::enabled();
-        let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_obs(obs.clone());
+        let ex =
+            Executor::new(&catalog, parallel_config(Some(panic_on))).with_telemetry(obs.clone());
         obs.begin_query("chaos");
         let (degraded, degraded_rel) = silenced(|| ex.execute_collect(&q, &plan)).unwrap();
         let trace = obs.end_query().unwrap();
@@ -111,13 +112,13 @@ fn fault_in_third_operator_reruns_nothing_before_it() {
     let panic_on = morsels_of(0) + morsels_of(1);
 
     let sobs = ObsContext::enabled();
-    let serial = Executor::with_defaults(&catalog).with_obs(sobs.clone());
+    let serial = Executor::with_defaults(&catalog).with_telemetry(sobs.clone());
     sobs.begin_query("serial");
     let (sr, srel) = serial.execute_collect(&q, &plan).unwrap();
     let strace = sobs.end_query().unwrap();
 
     let obs = ObsContext::enabled();
-    let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_obs(obs.clone());
+    let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_telemetry(obs.clone());
     obs.begin_query("fault-in-third-operator");
     let (pr, prel) = silenced(|| ex.execute_collect(&q, &plan)).unwrap();
     let trace = obs.end_query().unwrap();
@@ -163,7 +164,7 @@ fn join_step_fault_degrades_that_step_byte_identically() {
         let expect = serial.exec_join_step(&q, algo, l, r, &mut smeter).unwrap();
 
         let obs = ObsContext::enabled();
-        let ex = Executor::new(&catalog, parallel_config(Some(0))).with_obs(obs.clone());
+        let ex = Executor::new(&catalog, parallel_config(Some(0))).with_telemetry(obs.clone());
         let mut pmeter = WorkMeter::new(None);
         let (l, r) = scans(&mut pmeter);
         let got = silenced(|| ex.exec_join_step(&q, algo, l, r, &mut pmeter)).unwrap();
@@ -191,7 +192,7 @@ fn metrics_export_stays_clean_after_contained_panics() {
     let catalog = std::sync::Arc::new(catalog);
     let oracle = std::sync::Arc::new(lqo_engine::TrueCardOracle::new(catalog.clone()));
     oracle.true_card_full(&q).unwrap();
-    let ex = Executor::new(&catalog, parallel_config(Some(0))).with_obs(obs.clone());
+    let ex = Executor::new(&catalog, parallel_config(Some(0))).with_telemetry(obs.clone());
     silenced(|| ex.execute_collect(&q, &plan)).unwrap();
     // A second contained panic on a thread that uses the shared oracle.
     let o2 = oracle.clone();
@@ -249,14 +250,14 @@ proptest! {
         // morsel count.
         let clean = ObsContext::enabled();
         Executor::new(&catalog, parallel_config(None))
-            .with_obs(clean.clone())
+            .with_telemetry(clean.clone())
             .execute(&q, &plan)
             .unwrap();
         let dispatched = counter(&clean, "lqo.exec.parallel.morsels").unwrap_or(0);
         let degrades = (panic_on < dispatched).then_some(1);
 
         let obs = ObsContext::enabled();
-        let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_obs(obs.clone());
+        let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_telemetry(obs.clone());
         let (degraded, degraded_rel) = silenced(|| ex.execute_collect(&q, &plan)).unwrap();
         prop_assert_eq!(degraded.count, serial.count);
         prop_assert_eq!(degraded.work.to_bits(), serial.work.to_bits());
@@ -264,7 +265,7 @@ proptest! {
         prop_assert_eq!(counter(&obs, "lqo.exec.parallel.degraded"), degrades);
 
         let obs = ObsContext::enabled();
-        let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_obs(obs.clone());
+        let ex = Executor::new(&catalog, parallel_config(Some(panic_on))).with_telemetry(obs.clone());
         let counted = silenced(|| ex.execute(&q, &plan)).unwrap();
         prop_assert_eq!(counted.count, serial.count);
         prop_assert_eq!(counted.work.to_bits(), serial.work.to_bits());

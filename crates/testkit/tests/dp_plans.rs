@@ -39,7 +39,7 @@ fn dp_plans_snapshot() {
     ));
     let card = TraditionalCardSource::new(catalog.clone(), stats);
     let obs = ObsContext::enabled();
-    let optimizer = Optimizer::with_defaults(&catalog).with_obs(obs.clone());
+    let optimizer = Optimizer::with_defaults(&catalog).with_telemetry(obs.clone());
     let cfg = RandomQueryConfig {
         max_tables: 10,
         max_predicates: 4,

@@ -9,7 +9,9 @@ use std::time::Instant;
 use lqo_bench_suite::{generate_workload, WorkloadConfig};
 use lqo_engine::datagen::stats_like;
 use lqo_engine::optimizer::CardSource;
-use lqo_engine::{Catalog, CatalogStats, Executor, HintSet, Optimizer, TraditionalCardSource};
+use lqo_engine::{
+    Catalog, CatalogStats, Executor, HintSet, Optimizer, Telemetry, TraditionalCardSource,
+};
 use lqo_flight::{FlightConfig, FlightContext};
 use lqo_obs::prom::{parse_prometheus, render_prometheus};
 use lqo_obs::ObsContext;
@@ -46,8 +48,12 @@ fn run_workload(
     flight: &FlightContext,
     reps: usize,
 ) -> f64 {
-    let optimizer = Optimizer::with_defaults(catalog).with_flight(flight.clone());
-    let executor = Executor::with_defaults(catalog).with_flight(flight.clone());
+    let telemetry = Telemetry {
+        flight: flight.clone(),
+        ..Telemetry::default()
+    };
+    let optimizer = Optimizer::with_defaults(catalog).with_telemetry(telemetry.clone());
+    let executor = Executor::with_defaults(catalog).with_telemetry(telemetry);
     let hints = HintSet::default();
     let mut total_work = 0.0;
     for _ in 0..reps {

@@ -43,8 +43,8 @@ fn run_workload(
     prof: &ProfContext,
     reps: usize,
 ) -> f64 {
-    let optimizer = Optimizer::with_defaults(catalog).with_prof(prof.clone());
-    let executor = Executor::with_defaults(catalog).with_prof(prof.clone());
+    let optimizer = Optimizer::with_defaults(catalog).with_telemetry(prof.clone());
+    let executor = Executor::with_defaults(catalog).with_telemetry(prof.clone());
     let hints = HintSet::default();
     let mut total_work = 0.0;
     for _ in 0..reps {
