@@ -2,8 +2,8 @@
 //! Scale with `LQO_SCALE=small|default|large`.
 //!
 //! Artifacts: `results/exp_e14_batch.json` (summary) and
-//! `results/exp_e14_batch.jsonl` (one record per mode, the
-//! batched-vs-serial speedup curve).
+//! `results/exp_e14_batch.jsonl` (one record per mode, the speedup
+//! curve of the batched bodies over the reference evaluator).
 
 use lqo_bench_suite::experiments::e14_batch::{run, to_jsonl, Config};
 use lqo_bench_suite::report::{dump_json, dump_text};
@@ -26,8 +26,8 @@ fn main() {
             .fold(0.0f64, f64::max);
         assert!(
             best >= 1.0,
-            "expected the batched executor to match or beat serial at some \
-             batch size, got best {best:.2}x"
+            "expected the batched bodies to match or beat the reference \
+             evaluator at some batch size, got best {best:.2}x"
         );
     } else {
         eprintln!(

@@ -3,13 +3,14 @@
 //! per epoch; the survey's cost argument for learned optimizers collapses
 //! if the execution feedback itself is the bottleneck. This experiment
 //! runs a scan-heavy workload (single-table scans plus 2-table hash
-//! joins over a scaled `stats_like` catalog) through `ExecMode::Serial`,
-//! `ExecMode::Batched` at the default batch size, and `ExecMode::Parallel`
-//! at a sweep of thread counts, verifying byte identity with serial at
-//! every cell (counts, bit-exact work, relation digests) and reporting
-//! wall-clock speedup and worker utilization. Parallel morsel bodies run
-//! the batched kernels at that same batch size, so speedups are measured
-//! against the batched run: the curve isolates thread scaling. Artifacts:
+//! joins over a scaled `stats_like` catalog) through the reference
+//! evaluator (`lqo_engine::exec::reference`), `ExecMode::Batched` at the
+//! default batch size, and `ExecMode::Parallel` at a sweep of thread
+//! counts, verifying byte identity with the reference at every cell
+//! (counts, bit-exact work, relation digests) and reporting wall-clock
+//! speedup and worker utilization. Parallel morsels run the same operator
+//! bodies at that same batch size, so speedups are measured against the
+//! batched run: the curve isolates thread scaling. Artifacts:
 //! one JSONL record per mode in `results/exp_e11_scaling.jsonl`.
 //!
 //! On hosts with at least four cores the binary asserts ≥2× speedup at
@@ -22,6 +23,7 @@ use serde::Serialize;
 
 use lqo_engine::datagen::stats_like;
 use lqo_engine::exec::batch::DEFAULT_BATCH_SIZE;
+use lqo_engine::exec::reference;
 use lqo_engine::{Catalog, ExecConfig, ExecMode, Executor, ParallelConfig, PhysNode, SpjQuery};
 use lqo_obs::ObsContext;
 
@@ -37,7 +39,7 @@ pub struct Config {
     pub num_scans: usize,
     /// 2-table join queries.
     pub num_joins: usize,
-    /// Thread counts to sweep (serial is always measured first).
+    /// Thread counts to sweep (the reference is always measured first).
     pub thread_counts: Vec<usize>,
     /// Morsel size in rows.
     pub morsel_rows: usize,
@@ -65,10 +67,10 @@ impl Default for Config {
 /// One JSONL record: the measured scaling at one thread count.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalingPoint {
-    /// Worker threads (`0` encodes the single-threaded serial and
-    /// batched reference runs).
+    /// Worker threads (`0` encodes the single-threaded reference and
+    /// batched runs).
     pub threads: usize,
-    /// Execution mode label (`serial`, `batched:B`, or `parallel:N`).
+    /// Mode label (`reference`, `batched:B`, or `parallel:N`).
     pub mode: String,
     /// Best-of-`repeats` wall time for the whole workload, seconds.
     pub wall_s: f64,
@@ -78,7 +80,7 @@ pub struct ScalingPoint {
     pub queries: usize,
     /// Total result rows across the workload (identical in every row).
     pub total_count: u64,
-    /// Morsels dispatched (0 for serial).
+    /// Morsels dispatched (0 for the single-threaded runs).
     pub morsels: u64,
     /// Mean worker utilization across queries, when observed.
     pub utilization: f64,
@@ -89,7 +91,7 @@ pub struct ScalingPoint {
 pub struct Output {
     /// Rendered summary table.
     pub table: TextTable,
-    /// One record per measured mode, serial first.
+    /// One record per measured mode, the reference first.
     pub points: Vec<ScalingPoint>,
     /// Hardware parallelism the run observed (for interpreting speedups).
     pub host_threads: usize,
@@ -137,11 +139,13 @@ struct ModeRun {
     utilization: f64,
 }
 
+/// Time the workload under `mode`, or under the reference evaluator when
+/// `mode` is `None`.
 fn run_mode(
     catalog: &Catalog,
     pairs: &[(SpjQuery, PhysNode)],
     cfg: &Config,
-    mode: ExecMode,
+    mode: Option<ExecMode>,
 ) -> ModeRun {
     let mut best = f64::INFINITY;
     let mut total_count = 0;
@@ -155,7 +159,7 @@ fn run_mode(
         let ex = Executor::new(
             catalog,
             ExecConfig {
-                mode,
+                mode: mode.unwrap_or_default(),
                 parallel: ParallelConfig {
                     morsel_rows: cfg.morsel_rows,
                     ..Default::default()
@@ -170,7 +174,11 @@ fn run_mode(
         let start = Instant::now();
         for (q, plan) in pairs {
             obs.begin_query(&q.to_string());
-            let (r, rel) = ex.execute_collect(q, plan).expect("workload executes");
+            let (r, rel) = match mode {
+                Some(_) => ex.execute_collect(q, plan),
+                None => reference::execute(&ex, q, plan),
+            }
+            .expect("workload executes");
             obs.end_query();
             total_count += r.count;
             // Fold per-query digests so one scalar fingerprints the run.
@@ -199,23 +207,24 @@ fn run_mode(
     }
 }
 
-/// Run the scaling sweep. Panics if any parallel cell diverges from the
-/// serial reference in counts, digests, or bit-exact work.
+/// Run the scaling sweep. Panics if any cell diverges from the reference
+/// evaluator in counts, digests, or bit-exact work.
 pub fn run(cfg: &Config) -> Output {
     let catalog = stats_like(cfg.scale, 0xE11).expect("catalog");
     let pairs = workload(&catalog, cfg);
     assert!(!pairs.is_empty(), "empty workload");
 
-    // Serial is the identity reference; the batched run, whose kernels
-    // the parallel morsel bodies share, is the speedup baseline.
-    let serial = run_mode(&catalog, &pairs, cfg, ExecMode::Serial);
+    // The reference evaluator is the identity reference; the batched
+    // run, whose operator bodies the parallel morsels share, is the
+    // speedup baseline.
+    let reference = run_mode(&catalog, &pairs, cfg, None);
     let batched = ExecMode::Batched {
         batch_size: DEFAULT_BATCH_SIZE,
     };
-    let mut cells = vec![(0, batched, run_mode(&catalog, &pairs, cfg, batched))];
+    let mut cells = vec![(0, batched, run_mode(&catalog, &pairs, cfg, Some(batched)))];
     for &threads in &cfg.thread_counts {
         let mode = ExecMode::Parallel { threads };
-        cells.push((threads, mode, run_mode(&catalog, &pairs, cfg, mode)));
+        cells.push((threads, mode, run_mode(&catalog, &pairs, cfg, Some(mode))));
     }
     let baseline_s = cells[0].2.wall_s;
 
@@ -248,15 +257,15 @@ pub fn run(cfg: &Config) -> Output {
             utilization: run.utilization,
         });
     };
-    record(0, "serial".into(), &serial);
+    record(0, "reference".into(), &reference);
     for (threads, mode, run) in &cells {
         assert_eq!(
-            run.total_count, serial.total_count,
+            run.total_count, reference.total_count,
             "count divergence at {mode}"
         );
-        assert_eq!(run.digest, serial.digest, "digest divergence at {mode}");
+        assert_eq!(run.digest, reference.digest, "digest divergence at {mode}");
         assert_eq!(
-            run.work_bits, serial.work_bits,
+            run.work_bits, reference.work_bits,
             "work-unit divergence at {mode}"
         );
         record(*threads, mode.to_string(), run);
@@ -295,9 +304,9 @@ mod tests {
             seed: 0xE11,
         };
         let out = run(&cfg);
-        // serial + batched baseline + 2 parallel.
+        // reference + batched baseline + 2 parallel.
         assert_eq!(out.points.len(), 4);
-        assert_eq!(out.points[0].mode, "serial");
+        assert_eq!(out.points[0].mode, "reference");
         assert_eq!(out.points[1].mode, format!("batched:{DEFAULT_BATCH_SIZE}"));
         assert_eq!(out.points[1].speedup, 1.0);
         assert!(out

@@ -1,20 +1,22 @@
-//! **E14 — vectorized batch execution: batched-vs-serial speedup under
-//! the byte-identity contract.** The survey's deployment argument for
-//! learned optimizers assumes execution feedback is cheap to collect;
-//! PR 4 attacked that with morsel parallelism, this experiment measures
-//! the orthogonal axis: columnar batch execution (`ExecMode::Batched`)
-//! on a single thread, plus one composed `Parallel` cell (whose morsel
-//! bodies are the batched kernels at `DEFAULT_BATCH_SIZE`). The
-//! workload is the scan/join mix of E11 (single-table scans and 2-table
-//! hash joins over a scaled `stats_like` catalog). Every cell is
-//! verified byte-identical to the serial reference — counts, bit-exact
-//! work units, and order-sensitive relation digests — before its wall
-//! clock is reported, so any speedup shown is for *exactly the same
-//! answer*. Artifacts: one JSONL record per mode in
+//! **E14 — vectorized batch execution: columnar operator bodies against
+//! the tuple-at-a-time reference evaluator, under the byte-identity
+//! contract.** The survey's deployment argument for learned optimizers
+//! assumes execution feedback is cheap to collect; morsel parallelism
+//! attacks that with cores, this experiment measures the orthogonal
+//! axis: the columnar bodies every mode runs, in-thread at a sweep of
+//! batch sizes (`ExecMode::Serial` is the default batch size), plus one
+//! composed `Parallel` cell. The baseline row is the reference evaluator
+//! (`lqo_engine::exec::reference`), the tuple-at-a-time loops the bodies
+//! are tested against. The workload is the scan/join mix of E11
+//! (single-table scans and 2-table hash joins over a scaled `stats_like`
+//! catalog). Every cell is verified byte-identical to the reference —
+//! counts, bit-exact work units, and order-sensitive relation digests —
+//! before its wall clock is reported, so any speedup shown is for
+//! *exactly the same answer*. Artifacts: one JSONL record per mode in
 //! `results/exp_e14_batch.jsonl`.
 //!
-//! The binary asserts a batched speedup ≥ 1.0 at full scale (vectorized
-//! kernels do not need extra cores); at reduced scale
+//! The binary asserts a batched speedup ≥ 1.0 over the reference at full
+//! scale (vectorized kernels do not need extra cores); at reduced scale
 //! (`LQO_SCALE=small`, e.g. CI containers) the timing assertion is
 //! skipped because sub-millisecond workloads are jitter-dominated —
 //! byte identity is always asserted.
@@ -25,6 +27,7 @@ use serde::Serialize;
 
 use lqo_engine::datagen::stats_like;
 use lqo_engine::exec::batch::DEFAULT_BATCH_SIZE;
+use lqo_engine::exec::reference;
 use lqo_engine::{Catalog, ExecConfig, ExecMode, Executor, ParallelConfig, PhysNode, SpjQuery};
 
 use crate::report::TextTable;
@@ -39,7 +42,8 @@ pub struct Config {
     pub num_scans: usize,
     /// 2-table hash-join queries (KeyTable build/probe dominates).
     pub num_joins: usize,
-    /// Batch sizes to sweep (serial is always measured first).
+    /// Batch sizes to sweep (the reference and serial are always
+    /// measured first).
     pub batch_sizes: Vec<usize>,
     /// Threads for the single composed `Parallel` cell.
     pub threads: usize,
@@ -70,13 +74,13 @@ impl Default for Config {
 /// One JSONL record: the measured cell at one mode.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchPoint {
-    /// Execution mode label (`serial`, `batched:N`, or `parallel:T`).
+    /// Mode label (`reference`, `serial`, `batched:N`, or `parallel:T`).
     pub mode: String,
-    /// Columnar batch size (`0` encodes the serial reference run).
+    /// Columnar batch size (`0` encodes the reference evaluator).
     pub batch_size: usize,
     /// Best-of-`repeats` wall time for the whole workload, seconds.
     pub wall_s: f64,
-    /// `serial_wall / wall` (1.0 for the serial row).
+    /// `reference_wall / wall` (1.0 for the reference row).
     pub speedup: f64,
     /// Queries executed.
     pub queries: usize,
@@ -89,7 +93,7 @@ pub struct BatchPoint {
 pub struct Output {
     /// Rendered summary table.
     pub table: TextTable,
-    /// One record per measured mode, serial first.
+    /// One record per measured mode, the reference first.
     pub points: Vec<BatchPoint>,
     /// Whether the run was at full scale (timing assertions meaningful).
     pub full_scale: bool,
@@ -135,16 +139,18 @@ struct ModeRun {
     work_bits: Vec<u64>,
 }
 
+/// Time the workload under `mode`, or under the reference evaluator when
+/// `mode` is `None`.
 fn run_mode(
     catalog: &Catalog,
     pairs: &[(SpjQuery, PhysNode)],
     cfg: &Config,
-    mode: ExecMode,
+    mode: Option<ExecMode>,
 ) -> ModeRun {
     let ex = Executor::new(
         catalog,
         ExecConfig {
-            mode,
+            mode: mode.unwrap_or_default(),
             parallel: ParallelConfig {
                 morsel_rows: cfg.morsel_rows,
                 ..Default::default()
@@ -162,7 +168,11 @@ fn run_mode(
         work_bits.clear();
         let start = Instant::now();
         for (q, plan) in pairs {
-            let (r, rel) = ex.execute_collect(q, plan).expect("workload executes");
+            let (r, rel) = match mode {
+                Some(_) => ex.execute_collect(q, plan),
+                None => reference::execute(&ex, q, plan),
+            }
+            .expect("workload executes");
             total_count += r.count;
             digest = digest.rotate_left(7) ^ rel.digest();
             work_bits.push(r.work.to_bits());
@@ -177,59 +187,60 @@ fn run_mode(
     }
 }
 
-/// Run the batch sweep. Panics if any batched cell diverges from the
-/// serial reference in counts, digests, or bit-exact work.
+/// Run the batch sweep. Panics if any cell diverges from the reference
+/// evaluator in counts, digests, or bit-exact work.
 pub fn run(cfg: &Config) -> Output {
     let catalog = stats_like(cfg.scale, 0xE14).expect("catalog");
     let pairs = workload(&catalog, cfg);
     assert!(!pairs.is_empty(), "empty workload");
 
-    let serial = run_mode(&catalog, &pairs, cfg, ExecMode::Serial);
+    let reference = run_mode(&catalog, &pairs, cfg, None);
     let mut table = TextTable::new(
         "E14: vectorized batch execution (byte-identity verified per cell)",
         &["mode", "wall_s", "speedup"],
     );
     let mut points = vec![BatchPoint {
-        mode: "serial".into(),
+        mode: "reference".into(),
         batch_size: 0,
-        wall_s: serial.wall_s,
+        wall_s: reference.wall_s,
         speedup: 1.0,
         queries: pairs.len(),
-        total_count: serial.total_count,
+        total_count: reference.total_count,
     }];
     table.row(vec![
-        "serial".into(),
-        format!("{:.4}", serial.wall_s),
+        "reference".into(),
+        format!("{:.4}", reference.wall_s),
         "1.00".into(),
     ]);
 
-    let mut cells: Vec<(String, usize, ExecMode)> = cfg
-        .batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            (
-                format!("batched:{batch_size}"),
-                batch_size,
-                ExecMode::Batched { batch_size },
-            )
-        })
-        .collect();
+    let mut cells: Vec<(String, usize, ExecMode)> = vec![(
+        ExecMode::Serial.to_string(),
+        DEFAULT_BATCH_SIZE,
+        ExecMode::Serial,
+    )];
+    cells.extend(cfg.batch_sizes.iter().map(|&batch_size| {
+        (
+            format!("batched:{batch_size}"),
+            batch_size,
+            ExecMode::Batched { batch_size },
+        )
+    }));
     let parallel = ExecMode::Parallel {
         threads: cfg.threads,
     };
     cells.push((parallel.to_string(), DEFAULT_BATCH_SIZE, parallel));
     for (label, batch_size, mode) in cells {
-        let run = run_mode(&catalog, &pairs, cfg, mode);
+        let run = run_mode(&catalog, &pairs, cfg, Some(mode));
         assert_eq!(
-            run.total_count, serial.total_count,
+            run.total_count, reference.total_count,
             "count divergence at {label}"
         );
-        assert_eq!(run.digest, serial.digest, "digest divergence at {label}");
+        assert_eq!(run.digest, reference.digest, "digest divergence at {label}");
         assert_eq!(
-            run.work_bits, serial.work_bits,
+            run.work_bits, reference.work_bits,
             "work-unit divergence at {label}"
         );
-        let speedup = serial.wall_s / run.wall_s.max(1e-12);
+        let speedup = reference.wall_s / run.wall_s.max(1e-12);
         table.row(vec![
             label.clone(),
             format!("{:.4}", run.wall_s),
@@ -279,15 +290,16 @@ mod tests {
             seed: 0xE14,
         };
         let out = run(&cfg);
-        // serial + 2 batched + 1 parallel.
-        assert_eq!(out.points.len(), 4);
-        assert_eq!(out.points[0].mode, "serial");
+        // reference + serial + 2 batched + 1 parallel.
+        assert_eq!(out.points.len(), 5);
+        assert_eq!(out.points[0].mode, "reference");
+        assert_eq!(out.points[1].mode, "serial");
         assert!(out
             .points
             .iter()
             .all(|p| p.total_count == out.points[0].total_count));
         let jsonl = to_jsonl(&out.points);
-        assert_eq!(jsonl.lines().count(), 4);
+        assert_eq!(jsonl.lines().count(), 5);
         assert!(jsonl.contains("\"mode\":\"batched:7\""));
         assert!(jsonl.contains("\"mode\":\"parallel:2\""));
     }

@@ -1,49 +1,44 @@
-//! Vectorized columnar batch execution.
+//! The production operator bodies: one per operator kind.
 //!
-//! The serial executor processes one tuple at a time: every row pays the
-//! full interpretation overhead — a `match` on the compiled predicate
-//! form, a bounds-checked tuple borrow, a `Vec<i64>` composite-key
-//! allocation per join pair. [`crate::exec::parallel::ExecMode::Batched`]
-//! replaces those inner loops with kernels that amortize the overhead
-//! over a batch of `batch_size` tuples:
+//! Every execution mode runs these bodies; the mode only picks the
+//! [`Runner`] that drives their input ranges (in-thread batches or the
+//! morsel pool, see [`crate::exec::runner`]). The bodies are columnar:
 //!
 //! * **Scan** evaluates the first predicate over a contiguous row range
 //!   into a *selection vector* (ascending qualifying row ids) and each
-//!   residual predicate as an in-place compaction of that vector
+//!   residual predicate as an in-place compaction of it
 //!   ([`crate::exec::compiled::Compiled::filter_range`] /
 //!   [`filter_sel`](crate::exec::compiled::Compiled::filter_sel)) — the
-//!   predicate dispatch runs once per batch, not once per row.
-//! * **Joins** gather key columns out of the row-major
-//!   [`Relation`] ([`column::gather_key_range`]) and run build/probe over
-//!   flat arrays ([`kernels::KeyTable`]); see [`join`]. Like every join
-//!   kernel they write only the slots a later join reads, and a join
-//!   nothing reads counts its matches instead of writing them.
+//!   predicate dispatch runs once per range, not once per row.
+//! * **Joins** gather key columns out of the row-major [`Relation`]
+//!   ([`column`]) and run build/probe, pair and merge loops over flat
+//!   arrays ([`kernels::KeyTable`]); see [`join`]. They write only the
+//!   slots a later join reads, and a join nothing reads counts its
+//!   matches instead of writing them.
 //!
-//! # Byte-identity with the serial reference
+//! # Byte-identity with the reference
 //!
-//! Batched execution is behind the `ExecMode` seam and must be
-//! observationally identical to `ExecMode::Serial` — the testkit
-//! differential harness asserts it on every workload. Three invariants
-//! deliver that:
+//! [`crate::exec::reference`] is the tuple-at-a-time evaluator these
+//! bodies are tested against; the testkit differential harness and the
+//! `exec_plans` golden assert equality in every mode. Three invariants
+//! deliver it:
 //!
-//! 1. **Order**: kernels never reorder tuples. Selection vectors are
+//! 1. **Order**: bodies never reorder tuples. Selection vectors are
 //!    ascending; probe output is probe-major with ascending build rows
-//!    per probe tuple; batches are contiguous input ranges processed in
-//!    order.
-//! 2. **Work**: the serial executor charges its meter in a fixed cadence
-//!    (per-operator upfront work, then output work once per 65 536
-//!    counted tuples, then the remainder). Batched operators replay the
-//!    exact same `f64` additions in the same order via
-//!    [`ChargeCadence`](crate::exec::workunits::ChargeCadence) — f64
-//!    addition does not associate, so summing per batch would drift by
-//!    ulps. Equal charge sequences also mean budget trips fire
-//!    at the same charge, producing identical
+//!    per probe tuple; ranges are contiguous and concatenated in order.
+//! 2. **Work**: every body charges its upfront operator work first, then
+//!    feeds its counted output through
+//!    [`ChargeCadence`](crate::exec::workunits::ChargeCadence), which
+//!    defines the charge sequence whatever the lump sizes — `f64`
+//!    addition does not associate, so summing per range would drift by
+//!    ulps. Equal charge sequences also mean budget trips fire at the
+//!    same charge, producing identical
 //!    [`EngineError::WorkLimitExceeded`] errors; the only divergence is
-//!    internal (a batch may finish being *materialized* before the trip
-//!    is noticed, bounded by one batch of discarded output).
-//! 3. **Semantics**: predicate kernels reuse the very comparison
-//!    expressions of the serial `Compiled::matches`, so NaN-laden float
-//!    predicates and dictionary text comparisons agree bit-for-bit.
+//!    internal (a range may finish being *materialized* before the trip
+//!    is noticed, bounded by one batch or morsel of discarded output).
+//! 3. **Semantics**: predicate kernels use the very comparison
+//!    expressions of `Compiled::matches`, so NaN-laden float predicates
+//!    and dictionary text comparisons agree bit-for-bit.
 //!
 //! [`EngineError::WorkLimitExceeded`]: crate::error::EngineError::WorkLimitExceeded
 
@@ -62,66 +57,54 @@ use crate::error::Result;
 use crate::exec::compiled::Compiled;
 use crate::exec::executor::{Executor, WorkMeter};
 use crate::exec::relation::Relation;
+use crate::exec::runner::Runner;
 use crate::query::spj::SpjQuery;
 
-/// Default rows per batch: the batch size `ExecMode::Parallel` runs its
-/// kernels at, and the one the benchmark and experiments pick for
-/// `ExecMode::Batched`. 1024 row ids keep a batch's selection vector and
-/// gathered key columns comfortably inside L1 while amortizing per-batch
-/// dispatch to noise.
+/// Default rows per batch: the batch size of `ExecMode::Serial` and
+/// `ExecMode::Parallel`, and the one the benchmark and experiments pick
+/// for `ExecMode::Batched`. 1024 row ids keep a batch's selection vector
+/// and gathered key columns comfortably inside L1 while amortizing
+/// per-batch dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Batched scan: selection-vector filtering over contiguous row ranges.
-///
-/// Charges `scan_work` upfront exactly as the serial scan does (the scan
-/// has no output cadence), then filters the whole table with
-/// [`scan_range`].
+/// The scan: charges `scan_work` upfront (a scan has no output cadence),
+/// then filters row ranges on `runner` with [`scan_range`]; qualifying
+/// row ids come out ascending.
 pub(crate) fn scan(
     ex: &Executor,
     query: &SpjQuery,
     pos: usize,
-    batch: usize,
+    runner: &Runner<'_>,
     meter: &mut WorkMeter,
 ) -> Result<Relation> {
     let (n, compiled) = ex.compile_scan(query, pos)?;
     meter.add(ex.params().scan_work(n as f64, compiled.len()))?;
     let mut out: Vec<u32> = Vec::new();
-    scan_range(&compiled, 0..n, batch, &mut out);
+    let body = |range, out: &mut Vec<u32>| scan_range(&compiled, range, out);
+    runner.emit(n, "Scan", None, meter, &mut out, body)?;
     Ok(Relation::from_scan(pos, out))
 }
 
 /// Append the rows of `range` that satisfy every predicate in `compiled`
-/// to `out`, processing `batch`-row sub-ranges: the first predicate fills
-/// a selection vector for the sub-range, each residual predicate compacts
-/// it in place, and surviving row ids — still ascending — extend `out`.
-/// The batched scan runs it over the whole table, the parallel scan once
-/// per morsel.
-pub(crate) fn scan_range(
-    compiled: &[Compiled<'_>],
-    range: Range<usize>,
-    batch: usize,
-    out: &mut Vec<u32>,
-) {
-    let batch = batch.max(1);
-    let mut sel: Vec<u32> = Vec::with_capacity(batch.min(range.len().max(1)));
-    for start in range.clone().step_by(batch) {
-        let end = (start + batch).min(range.end);
-        match compiled.split_first() {
-            // No predicates: the whole range qualifies.
-            None => out.extend(start as u32..end as u32),
-            Some((first, rest)) => {
-                sel.clear();
-                first.filter_range(start..end, &mut sel);
-                for c in rest {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    c.filter_sel(&mut sel);
+/// to `out` and return how many: the first predicate appends a selection
+/// vector for the range, each residual predicate compacts it in place,
+/// and surviving row ids stay ascending.
+fn scan_range(compiled: &[Compiled<'_>], range: Range<usize>, out: &mut Vec<u32>) -> usize {
+    let from = out.len();
+    match compiled.split_first() {
+        // No predicates: the whole range qualifies.
+        None => out.extend(range.start as u32..range.end as u32),
+        Some((first, rest)) => {
+            first.filter_range(range, out);
+            for c in rest {
+                if out.len() == from {
+                    break;
                 }
-                out.extend_from_slice(&sel);
+                c.filter_sel(out, from);
             }
         }
     }
+    out.len() - from
 }
 
 #[cfg(test)]
@@ -131,6 +114,7 @@ mod tests {
     use crate::exec::compiled::compile_pred;
     use crate::exec::executor::{ExecConfig, Executor};
     use crate::exec::parallel::ExecMode;
+    use crate::exec::reference;
     use crate::exec::workunits::CostParams;
     use crate::plan::physical::{JoinAlgo, PhysNode};
     use crate::query::expr::{CmpOp, ColRef, JoinCond, Predicate, TableRef};
@@ -148,24 +132,25 @@ mod tests {
         )
     }
 
-    /// Assert serial and batched agree byte-for-byte (or error-for-error)
-    /// on `plan`, across a spread of batch sizes, and that the counting
-    /// `execute` reports what `execute_collect` does.
+    /// Assert the reference evaluator and the batched runner agree
+    /// byte-for-byte (or error-for-error) on `plan`, across a spread of
+    /// batch sizes, and that the counting `execute` reports what
+    /// `execute_collect` does.
     fn assert_modes_agree(c: &Catalog, q: &SpjQuery, plan: &PhysNode, sizes: &[usize]) {
-        let serial = Executor::with_defaults(c).execute_collect(q, plan);
+        let want = reference::execute(&Executor::with_defaults(c), q, plan);
         for &b in sizes {
             let got = batched(c, b).execute_collect(q, plan);
             let counted = batched(c, b).execute(q, plan);
-            match (&serial, &counted) {
+            match (&want, &counted) {
                 (Ok((sr, _)), Ok(cr)) => {
                     assert_eq!(sr.count, cr.count, "counted, batch {b}");
                     assert_eq!(sr.work.to_bits(), cr.work.to_bits(), "counted, batch {b}");
                     assert_eq!(sr.intermediates, cr.intermediates, "counted, batch {b}");
                 }
                 (Err(se), Err(ce)) => assert_eq!(se, ce, "counted, batch {b}"),
-                (s, g) => panic!("counting mismatch at batch {b}: serial {s:?} vs {g:?}"),
+                (s, g) => panic!("counting mismatch at batch {b}: reference {s:?} vs {g:?}"),
             }
-            match (&serial, &got) {
+            match (&want, &got) {
                 (Ok((sr, srel)), Ok((br, brel))) => {
                     assert_eq!(sr.count, br.count, "batch {b}");
                     assert_eq!(sr.work.to_bits(), br.work.to_bits(), "batch {b}");
@@ -174,7 +159,7 @@ mod tests {
                     assert_eq!(srel.rows(), brel.rows(), "batch {b}");
                 }
                 (Err(se), Err(be)) => assert_eq!(se, be, "batch {b}"),
-                (s, g) => panic!("mode mismatch at batch {b}: serial {s:?} vs batched {g:?}"),
+                (s, g) => panic!("mode mismatch at batch {b}: reference {s:?} vs batched {g:?}"),
             }
         }
     }
@@ -210,7 +195,7 @@ mod tests {
     const SIZES: &[usize] = &[1, 3, 7, 64, 100_000];
 
     #[test]
-    fn batched_joins_match_serial_for_all_algorithms_and_batch_sizes() {
+    fn batched_joins_match_reference_for_all_algorithms_and_batch_sizes() {
         // Batch sizes of 1, below, at, and far above the row count.
         let (c, q) = fixture();
         for algo in JoinAlgo::ALL {
@@ -250,10 +235,10 @@ mod tests {
         all(CmpOp::Ge, 0).filter_range(0..10, &mut sel);
         assert_eq!(sel, (0u32..10).collect::<Vec<_>>());
         // All-false compaction empties the vector.
-        all(CmpOp::Lt, 0).filter_sel(&mut sel);
+        all(CmpOp::Lt, 0).filter_sel(&mut sel, 0);
         assert!(sel.is_empty());
         // Compacting an empty vector is a no-op.
-        all(CmpOp::Ge, 0).filter_sel(&mut sel);
+        all(CmpOp::Ge, 0).filter_sel(&mut sel, 0);
         assert!(sel.is_empty());
         // Empty range produces an empty vector.
         all(CmpOp::Ge, 0).filter_range(5..5, &mut sel);
@@ -263,15 +248,18 @@ mod tests {
         assert_eq!(sel, vec![7, 9]);
         // Residual compaction keeps relative order.
         let mut sel: Vec<u32> = (0..10).collect();
-        all(CmpOp::Gt, 4).filter_sel(&mut sel);
+        all(CmpOp::Gt, 4).filter_sel(&mut sel, 0);
         assert_eq!(sel, vec![5, 6, 7, 8, 9]);
+        // Compaction leaves the vector's head alone.
+        all(CmpOp::Gt, 7).filter_sel(&mut sel, 2);
+        assert_eq!(sel, vec![5, 6, 8, 9]);
     }
 
     #[test]
-    fn nan_float_predicates_agree_with_serial() {
+    fn nan_float_predicates_agree_with_reference() {
         // NaN never satisfies a comparison (partial_cmp is None), on both
         // paths — including Neq, where NaN rows are *excluded*, matching
-        // the serial scan's semantics exactly.
+        // the reference scan's semantics exactly.
         let mut c = Catalog::new();
         c.add_table(
             TableBuilder::new("t")
@@ -293,7 +281,7 @@ mod tests {
     #[test]
     fn float_join_keys_error_identically() {
         // Join keys are INT by contract; a float key (NaN or not) is a
-        // TypeMismatch on the serial path and must be the same error —
+        // TypeMismatch in the reference and must be the same error —
         // not a panic, not a wrong answer — on every batched path.
         let mut c = Catalog::new();
         c.add_table(
@@ -315,20 +303,20 @@ mod tests {
         );
         for algo in JoinAlgo::ALL {
             let plan = PhysNode::join(algo, PhysNode::scan(0), PhysNode::scan(1));
-            let serial = Executor::with_defaults(&c).execute(&q, &plan).unwrap_err();
-            assert!(matches!(serial, EngineError::TypeMismatch { .. }));
+            let want = reference::execute(&Executor::with_defaults(&c), &q, &plan).unwrap_err();
+            assert!(matches!(want, EngineError::TypeMismatch { .. }));
             for &b in SIZES {
-                assert_eq!(batched(&c, b).execute(&q, &plan).unwrap_err(), serial);
+                assert_eq!(batched(&c, b).execute(&q, &plan).unwrap_err(), want);
             }
         }
     }
 
     #[test]
-    fn budget_trips_mid_batch_match_serial() {
+    fn budget_trips_mid_batch_match_reference() {
         // A skewed join emitting >65 536 tuples, so the output cadence
         // issues full-block charges; sweep budgets so trips land on the
         // upfront charge, mid-cadence (inside a batch), and the
-        // remainder. Every cell must agree with serial on Ok/Err, the
+        // remainder. Every cell must agree with the reference on Ok/Err, the
         // error value, and (when Ok) bit-exact work — materializing or
         // counting, where the join is the counting root.
         let mut c = Catalog::new();
@@ -365,24 +353,24 @@ mod tests {
                 ..Default::default()
             };
             let serial = Executor::new(&c, config(ExecMode::Serial));
-            let serial_err = serial.execute_collect(&q, &plan).unwrap_err();
-            assert!(matches!(serial_err, EngineError::WorkLimitExceeded { .. }));
+            let want = reference::execute(&serial, &q, &plan).unwrap_err();
+            assert!(matches!(want, EngineError::WorkLimitExceeded { .. }));
             if frac >= 0.3 {
                 assert!(total * frac > upfront, "the trip lands in the output");
             }
             assert_eq!(
                 serial.execute(&q, &plan).unwrap_err(),
-                serial_err,
+                want,
                 "counting, frac {frac}"
             );
             for &b in &[1usize, 7, 64, 1024] {
                 let ex = Executor::new(&c, config(ExecMode::Batched { batch_size: b }));
                 let got = ex.execute_collect(&q, &plan).map(|(r, _)| r);
-                assert_eq!(got.unwrap_err(), serial_err, "frac {frac} batch {b}");
+                assert_eq!(got.unwrap_err(), want, "frac {frac} batch {b}");
                 let counted = ex.execute(&q, &plan);
                 assert_eq!(
                     counted.unwrap_err(),
-                    serial_err,
+                    want,
                     "counting, frac {frac} batch {b}"
                 );
             }

@@ -1,12 +1,12 @@
-//! Compiled predicate and join-key accessors shared by the serial and
-//! parallel executors.
+//! Compiled predicate and join-key accessors shared by the operator
+//! bodies and the reference evaluator.
 //!
-//! Both execution paths must evaluate predicates and extract join keys
-//! with *identical* semantics — the differential harness in
-//! `crates/testkit` asserts byte-identical output between them — so the
-//! compiled forms live here, in one place, and borrow directly from the
-//! columnar base tables. Everything in this module is immutable after
-//! construction and safe to share across worker threads.
+//! Both must evaluate predicates and extract join keys with *identical*
+//! semantics — the differential harness in `crates/testkit` asserts
+//! byte-identical output between them — so the compiled forms live here,
+//! in one place, and borrow directly from the columnar base tables.
+//! Everything in this module is immutable after construction and safe to
+//! share across worker threads.
 
 use crate::column::Column;
 use crate::query::expr::{CmpOp, Predicate};
@@ -98,11 +98,12 @@ fn select_range(range: std::ops::Range<usize>, out: &mut Vec<u32>, f: impl Fn(us
     }
 }
 
-/// In-place compaction of a selection vector: keep the rows satisfying `f`.
+/// In-place compaction of the selection vector `sel[from..]`: keep the
+/// rows satisfying `f`.
 #[inline]
-fn compact_sel(sel: &mut Vec<u32>, f: impl Fn(usize) -> bool) {
-    let mut w = 0usize;
-    for i in 0..sel.len() {
+fn compact_sel(sel: &mut Vec<u32>, from: usize, f: impl Fn(usize) -> bool) {
+    let mut w = from;
+    for i in from..sel.len() {
         let row = sel[i];
         if f(row as usize) {
             sel[w] = row;
@@ -144,27 +145,29 @@ impl Compiled<'_> {
     }
 
     /// Batched residual-predicate kernel: compact the selection vector
-    /// `sel` in place, keeping only rows that also satisfy this
+    /// `sel[from..]` in place, keeping only rows that also satisfy this
     /// predicate. Row order is preserved, so a chain of `filter_range`
-    /// then `filter_sel` calls selects exactly the rows the serial
-    /// per-row conjunction does, in the same order.
-    pub(crate) fn filter_sel(&self, sel: &mut Vec<u32>) {
+    /// then `filter_sel` calls selects exactly the rows the per-row
+    /// conjunction of [`Compiled::matches`] does, in the same order.
+    pub(crate) fn filter_sel(&self, sel: &mut Vec<u32>, from: usize) {
         match self {
-            Compiled::Int { data, op, v } => compact_sel(sel, |r| op.matches(data[r].cmp(v))),
-            Compiled::IntF { data, op, v } => compact_sel(sel, |r| {
+            Compiled::Int { data, op, v } => compact_sel(sel, from, |r| op.matches(data[r].cmp(v))),
+            Compiled::IntF { data, op, v } => compact_sel(sel, from, |r| {
                 (data[r] as f64)
                     .partial_cmp(v)
                     .is_some_and(|o| op.matches(o))
             }),
-            Compiled::Float { data, op, v } => compact_sel(sel, |r| {
+            Compiled::Float { data, op, v } => compact_sel(sel, from, |r| {
                 data[r].partial_cmp(v).is_some_and(|o| op.matches(o))
             }),
             Compiled::TextEq {
                 codes,
                 code,
                 negate,
-            } => compact_sel(sel, |r| code.is_some_and(|c| codes[r] == c) != *negate),
-            Compiled::Slow { col, op, value } => compact_sel(sel, |r| {
+            } => compact_sel(sel, from, |r| {
+                code.is_some_and(|c| codes[r] == c) != *negate
+            }),
+            Compiled::Slow { col, op, value } => compact_sel(sel, from, |r| {
                 col.value(r).compare(value).is_some_and(|o| op.matches(o))
             }),
         }
@@ -208,15 +211,8 @@ pub(crate) struct KeySide<'a> {
 }
 
 impl KeySide<'_> {
-    /// Key of a single-condition join for `tuple`.
-    #[inline]
-    pub(crate) fn single_key(&self, tuple: &[u32]) -> i64 {
-        let (slot, data) = self.cols[0];
-        data[tuple[slot] as usize]
-    }
-
-    /// Composite key of a multi-condition join for `tuple`.
-    pub(crate) fn multi_key(&self, tuple: &[u32]) -> Vec<i64> {
+    /// The key of `tuple`, one value per condition.
+    pub(crate) fn key(&self, tuple: &[u32]) -> Vec<i64> {
         self.cols
             .iter()
             .map(|&(slot, data)| data[tuple[slot] as usize])

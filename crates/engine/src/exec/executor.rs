@@ -21,17 +21,20 @@
 //! seam ([`Executor::exec_scan_step`] / [`Executor::exec_join_step`])
 //! always materializes full width.
 //!
-//! # One walker, one entry point per operator
+//! # One walker, one body per operator, two runners
 //!
 //! Every mode runs through the same plan walker (`exec_node`) and the same
 //! two operator entry points, `scan_op` and `join_op`, which the step seam
-//! calls too. They validate the inputs once and pick where the operator
-//! runs: on the query's morsel pool run ([`crate::exec::parallel`]) when
-//! the mode has more than one worker, otherwise in-thread — the
-//! tuple-at-a-time kernels below for [`ExecMode::Serial`], the batched
-//! kernels of [`crate::exec::batch`] for every other mode. A contained
-//! worker fault re-runs that one operator in-thread from its pre-operator
-//! work snapshot, and the rest of the query stays in-thread.
+//! calls too. They validate the inputs once (`check_plan` and
+//! `check_join`, which the reference evaluator shares) and run the one
+//! body of the operator ([`crate::exec::batch`]) on a range runner
+//! (`exec/runner.rs`): the query's morsel pool run
+//! ([`crate::exec::parallel`]) when the mode has more than one worker,
+//! otherwise in-thread batches of [`ExecMode::batch_size`] rows. A
+//! contained worker fault re-runs that one operator in-thread from its
+//! pre-operator work snapshot, and the rest of the query stays in-thread.
+//! [`crate::exec::reference`] keeps the tuple-at-a-time evaluator every
+//! mode is tested against.
 //!
 //! # Row-ordering contract
 //!
@@ -51,15 +54,13 @@
 //!   sort position then right sort position. Sort positions themselves are
 //!   deterministic because sort keys are disambiguated by input index.
 //!
-//! The morsel pool ([`crate::exec::parallel`]) preserves this order
-//! by assigning contiguous input ranges (morsels) to workers and
-//! concatenating per-morsel outputs in morsel index order; the
-//! differential harness in `crates/testkit` asserts the equivalence on
-//! every workload. Work-unit accounting follows the same contract: the
-//! sequence of work charges is identical across modes, so
+//! Both runners preserve this order by running contiguous input ranges
+//! and concatenating their outputs in range order; the differential
+//! harness in `crates/testkit` asserts the equivalence with the reference
+//! evaluator on every workload. Work-unit accounting follows the same
+//! contract: the sequence of work charges is identical across modes, so
 //! [`ExecResult::work`] is bit-identical too.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use lqo_flight::{FlightEvent, Producer};
@@ -68,11 +69,12 @@ use serde::Serialize;
 
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result};
-use crate::exec::batch;
+use crate::exec::batch::{self, join::JoinInputs};
 use crate::exec::compiled::{compile_pred, Compiled, KeySide};
 use crate::exec::parallel::{ExecMode, ParRun, ParallelConfig};
 use crate::exec::relation::{self, Projection, Relation};
-use crate::exec::workunits::{ChargeCadence, CostParams};
+use crate::exec::runner::Runner;
+use crate::exec::workunits::CostParams;
 use crate::plan::physical::{JoinAlgo, PhysNode};
 use crate::query::expr::JoinCond;
 use crate::query::spj::SpjQuery;
@@ -89,8 +91,8 @@ pub struct ExecConfig {
     /// would time out). The parallel executor honours the same budget via
     /// cancellation-aware morsel dispatch.
     pub max_work: Option<f64>,
-    /// Execution mode: serial (default), batched, or morsel-driven
-    /// parallel.
+    /// Execution mode: how operator input ranges run (in-thread batches
+    /// or the morsel pool).
     pub mode: ExecMode,
     /// Tuning and fault-injection knobs for the parallel mode.
     pub parallel: ParallelConfig,
@@ -114,7 +116,7 @@ pub struct ExecResult {
 /// Public so step-wise drivers (the adaptive re-optimization executor)
 /// can thread the same meter through a sequence of
 /// [`Executor::exec_scan_step`] / [`Executor::exec_join_step`] calls and
-/// reproduce the exact serial charge sequence.
+/// reproduce the exact charge sequence of [`Executor::execute`].
 #[derive(Debug)]
 pub struct WorkMeter {
     /// Accumulated work units.
@@ -233,21 +235,7 @@ impl<'a> Executor<'a> {
         plan: &PhysNode,
         keep: TableSet,
     ) -> Result<(ExecResult, Relation)> {
-        // The plan must cover every table exactly once.
-        let mut leaves = 0usize;
-        plan.visit_bottom_up(&mut |n| {
-            if matches!(n, PhysNode::Scan { .. }) {
-                leaves += 1;
-            }
-        });
-        if plan.tables() != query.all_tables() || leaves != query.num_tables() {
-            return Err(EngineError::InvalidPlan(format!(
-                "plan covers {} with {} scans; query has {} tables",
-                plan.tables(),
-                leaves,
-                query.num_tables()
-            )));
-        }
+        check_plan(query, plan)?;
         let _span = self.telemetry.obs.span("exec.query");
         let _prof_exec = self.telemetry.prof.phase("execute");
         if self.telemetry.flight.is_enabled() {
@@ -268,7 +256,7 @@ impl<'a> Executor<'a> {
         let mut meter = WorkMeter::new(self.config.max_work);
         let mut intermediates = Vec::new();
         let mut events = Vec::new();
-        let attempt = self.with_pool(query, detail, |par| {
+        let attempt = self.with_pool(detail, |par| {
             self.exec_node(
                 query,
                 plan,
@@ -347,7 +335,7 @@ impl<'a> Executor<'a> {
         pos: usize,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        self.with_pool(query, false, |par| {
+        self.with_pool(false, |par| {
             self.scan_op(query, pos, TableSet::singleton(pos), par, meter)
         })
     }
@@ -363,7 +351,7 @@ impl<'a> Executor<'a> {
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
         let keep = left.tables().union(right.tables());
-        self.with_pool(query, false, |par| {
+        self.with_pool(false, |par| {
             self.join_op(query, algo, left, right, keep, par, meter)
         })
     }
@@ -372,46 +360,41 @@ impl<'a> Executor<'a> {
     /// when the mode has more than one worker, `None` otherwise. One run
     /// spans every operator `f` executes, so its morsel sequence,
     /// approximate budget and utilization cover the whole query.
-    fn with_pool<T>(
-        &self,
-        query: &SpjQuery,
-        detail: bool,
-        f: impl FnOnce(Option<&ParRun<'_>>) -> T,
-    ) -> T {
+    fn with_pool<T>(&self, detail: bool, f: impl FnOnce(Option<&ParRun<'_>>) -> T) -> T {
         if self.config.mode.threads() == 1 {
             return f(None);
         }
-        let run = ParRun::new(self, query, detail);
+        let run = ParRun::new(self, detail);
         let out = f(Some(&run));
         run.finish();
         out
     }
 
-    /// Run `op` on the pool run `par`, unless there is none or a worker
-    /// fault has cancelled it. `None` tells the caller to run the operator
-    /// in-thread — also when `op` itself hits a contained worker fault,
-    /// which is logged and rewinds the meter to its pre-operator value so
-    /// the rerun replays the same charges. A faulted run stays cancelled,
-    /// so the rest of the query runs in-thread too.
-    fn try_pool(
+    /// Run the operator body `op` on the pool run `par` while it is
+    /// live, else on the in-thread runner. A contained worker fault is
+    /// logged and rewinds the meter to its pre-operator value, and `op`
+    /// re-runs in-thread, replaying the same charges. A faulted run stays
+    /// cancelled, so the rest of the query runs in-thread too.
+    fn on_runner(
         &self,
         par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
-        op: impl FnOnce(&ParRun<'_>, &mut WorkMeter) -> Result<Relation>,
-    ) -> Option<Result<Relation>> {
-        let run = par.filter(|run| !run.shared.is_cancelled())?;
-        let before = meter.work;
-        match op(run, meter) {
-            Err(EngineError::WorkerFault { op }) => {
-                self.record_degrade(&op);
-                meter.work = before;
-                None
+        op: impl Fn(&Runner<'_>, &mut WorkMeter) -> Result<Relation>,
+    ) -> Result<Relation> {
+        if let Some(run) = par.filter(|run| !run.shared.is_cancelled()) {
+            let before = meter.work;
+            match op(&Runner::Pool(run), meter) {
+                Err(EngineError::WorkerFault { op }) => {
+                    self.record_degrade(&op);
+                    meter.work = before;
+                }
+                done => return done,
             }
-            done => Some(done),
         }
+        op(&Runner::InThread(self.config.mode.batch_size()), meter)
     }
 
-    /// Note a contained parallel worker fault and the serial retry.
+    /// Note a contained parallel worker fault and the in-thread retry.
     fn record_degrade(&self, op: &str) {
         if self.telemetry.flight.is_enabled() {
             self.telemetry.flight.publish(
@@ -510,9 +493,8 @@ impl<'a> Executor<'a> {
         Ok(rel)
     }
 
-    /// The scan operator of every mode and of the step seam: on the pool
-    /// run `par` while it is live, else in-thread on the mode's kernel. A
-    /// scan whose table `keep` does not name is reduced to its count.
+    /// The scan operator of every mode and of the step seam. A scan
+    /// whose table `keep` does not name is reduced to its count.
     pub(crate) fn scan_op(
         &self,
         query: &SpjQuery,
@@ -521,41 +503,14 @@ impl<'a> Executor<'a> {
         par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        let rel = match self.try_pool(par, meter, |run, meter| run.scan(pos, meter)) {
-            Some(done) => done?,
-            None => match self.config.mode.batch_size() {
-                Some(b) => batch::scan(self, query, pos, b, meter)?,
-                None => self.exec_scan(query, pos, meter)?,
-            },
-        };
+        let rel = self.on_runner(par, meter, |runner, meter| {
+            batch::scan(self, query, pos, runner, meter)
+        })?;
         Ok(if keep.contains(pos) {
             rel
         } else {
             rel.into_count()
         })
-    }
-
-    fn exec_scan(&self, query: &SpjQuery, pos: usize, meter: &mut WorkMeter) -> Result<Relation> {
-        let table = self.catalog.table(&query.tables[pos].table)?;
-        let preds = query.predicates_on(pos);
-        let mut compiled = Vec::with_capacity(preds.len());
-        for p in &preds {
-            let col = table.column_by_name(&p.col.column)?;
-            compiled.push(compile_pred(col, p));
-        }
-        let n = table.nrows();
-        relation::check_row_ids(n, "scan")?;
-        meter.add(self.config.params.scan_work(n as f64, compiled.len()))?;
-        let mut out = Vec::new();
-        'rows: for row in 0..n {
-            for c in &compiled {
-                if !c.matches(row) {
-                    continue 'rows;
-                }
-            }
-            out.push(row as u32);
-        }
-        Ok(Relation::from_scan(pos, out))
     }
 
     /// Compile the filter predicates of the scan at `pos`.
@@ -614,10 +569,9 @@ impl<'a> Executor<'a> {
     }
 
     /// The join operator of every mode and of the step seam: checks the
-    /// inputs, then joins them on the pool run `par` while it is live,
-    /// else in-thread on the mode's kernel, keeping the slots of the
-    /// tables in `keep` in the output (the root of a counting execution
-    /// keeps none).
+    /// inputs, then runs the join's body, keeping the slots of the tables
+    /// in `keep` in the output (the root of a counting execution keeps
+    /// none).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_op(
         &self,
@@ -629,41 +583,19 @@ impl<'a> Executor<'a> {
         par: Option<&ParRun<'_>>,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        relation::check_row_ids(left.len(), "join left input")?;
-        relation::check_row_ids(right.len(), "join right input")?;
-        let conds = query.joins_between(left.tables(), right.tables());
-        if conds.is_empty() && algo != JoinAlgo::NestedLoop {
-            return Err(EngineError::InvalidPlan(format!(
-                "{algo} requires at least one equi-join condition (cross products \
-                 must use NestedLoopJoin)"
-            )));
-        }
+        let conds = check_join(query, algo, &left, &right)?;
         let proj = Projection::new(&left, &right, keep);
-        let pooled = self.try_pool(par, meter, |run, meter| {
-            run.join(algo, &conds, &left, &right, &proj, meter)
-        });
-        if let Some(done) = pooled {
-            return done;
-        }
-        if conds.is_empty() {
-            // Cross products are a single upfront charge plus a straight
-            // emit loop; there is no batched variant to dispatch to.
-            return self.cross_join(left, right, proj, meter);
-        }
-        match (algo, self.config.mode.batch_size()) {
-            (JoinAlgo::Hash, Some(b)) => {
-                batch::join::hash_join(self, query, &conds, left, right, proj, b, meter)
-            }
-            (JoinAlgo::Hash, None) => self.hash_join(query, &conds, left, right, proj, meter),
-            (JoinAlgo::NestedLoop, Some(_)) => {
-                batch::join::nl_join(self, query, &conds, left, right, proj, meter)
-            }
-            (JoinAlgo::NestedLoop, None) => self.nl_join(query, &conds, left, right, proj, meter),
-            (JoinAlgo::Merge, Some(_)) => {
-                batch::join::merge_join(self, query, &conds, left, right, proj, meter)
-            }
-            (JoinAlgo::Merge, None) => self.merge_join(query, &conds, left, right, proj, meter),
-        }
+        let inputs = JoinInputs {
+            ex: self,
+            query,
+            conds: &conds,
+            left: &left,
+            right: &right,
+            proj: &proj,
+        };
+        self.on_runner(par, meter, |runner, meter| {
+            batch::join::join(algo, &inputs, runner, meter)
+        })
     }
 
     /// The hash-join "spill" multiplier for a build side of `build_rows`.
@@ -683,219 +615,59 @@ impl<'a> Executor<'a> {
             1.0
         }
     }
+}
 
-    fn hash_join(
-        &self,
-        query: &SpjQuery,
-        conds: &[&JoinCond],
-        left: Relation,
-        right: Relation,
-        proj: Projection,
-        meter: &mut WorkMeter,
-    ) -> Result<Relation> {
-        let p = &self.config.params;
-        let spill = self.hash_spill(left.len());
-        meter
-            .add((left.len() as f64 * p.hash_build + right.len() as f64 * p.hash_probe) * spill)?;
-
-        let lkeys = self.key_side(query, &left, conds)?;
-        let rkeys = self.key_side(query, &right, conds)?;
-        if conds.len() == 1 {
-            self.hash_probe(
-                &left,
-                &right,
-                proj,
-                meter,
-                |t| lkeys.single_key(t),
-                |t| rkeys.single_key(t),
-            )
-        } else {
-            self.hash_probe(
-                &left,
-                &right,
-                proj,
-                meter,
-                |t| lkeys.multi_key(t),
-                |t| rkeys.multi_key(t),
-            )
+/// The plan must cover every table of `query` exactly once.
+pub(crate) fn check_plan(query: &SpjQuery, plan: &PhysNode) -> Result<()> {
+    let mut leaves = 0usize;
+    plan.visit_bottom_up(&mut |n| {
+        if matches!(n, PhysNode::Scan { .. }) {
+            leaves += 1;
         }
+    });
+    if plan.tables() != query.all_tables() || leaves != query.num_tables() {
+        return Err(EngineError::InvalidPlan(format!(
+            "plan covers {} with {} scans; query has {} tables",
+            plan.tables(),
+            leaves,
+            query.num_tables()
+        )));
     }
+    Ok(())
+}
 
-    /// Build a `HashMap` over the left input's keys and probe it with the
-    /// right's, emitting probe-major or, when `proj` keeps nothing,
-    /// counting each probe's bucket.
-    fn hash_probe<K: Eq + std::hash::Hash>(
-        &self,
-        left: &Relation,
-        right: &Relation,
-        proj: Projection,
-        meter: &mut WorkMeter,
-        lkey: impl Fn(&[u32]) -> K,
-        rkey: impl Fn(&[u32]) -> K,
-    ) -> Result<Relation> {
-        let p = &self.config.params;
-        let width = proj.width();
-        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
-        for i in 0..left.len() {
-            table.entry(lkey(left.tuple(i))).or_default().push(i as u32);
-        }
-        let mut rows: Vec<u32> = Vec::new();
-        let mut cadence = ChargeCadence::new();
-        for j in 0..right.len() {
-            let rt = right.tuple(j);
-            if let Some(matches) = table.get(&rkey(rt)) {
-                if !proj.counts_only() {
-                    for &i in matches {
-                        proj.emit(&mut rows, left.tuple(i as usize), rt);
-                    }
-                }
-                cadence.bump(matches.len(), meter, p, width)?;
-            }
-        }
-        let len = cadence.finish(meter, p, width)?;
-        Ok(proj.finish(rows, len))
+/// Check the inputs of a join and return the conditions between them:
+/// row ids must fit the `u32` domain, the inputs must cover disjoint
+/// tables, and only a nested-loop join may run without a condition (a
+/// cross product).
+pub(crate) fn check_join<'q>(
+    query: &'q SpjQuery,
+    algo: JoinAlgo,
+    left: &Relation,
+    right: &Relation,
+) -> Result<Vec<&'q JoinCond>> {
+    relation::check_row_ids(left.len(), "join left input")?;
+    relation::check_row_ids(right.len(), "join right input")?;
+    let shared = left.tables().intersect(right.tables());
+    if !shared.is_empty() {
+        return Err(EngineError::InvalidPlan(format!(
+            "{algo} inputs overlap on {shared}"
+        )));
     }
-
-    fn nl_join(
-        &self,
-        query: &SpjQuery,
-        conds: &[&JoinCond],
-        left: Relation,
-        right: Relation,
-        proj: Projection,
-        meter: &mut WorkMeter,
-    ) -> Result<Relation> {
-        let p = &self.config.params;
-        let discount = self.nl_discount(right.len());
-        // Charge pair work up front so hopeless plans abort immediately.
-        meter.add(left.len() as f64 * right.len() as f64 * p.nl_pair * discount)?;
-
-        let lkeys = self.key_side(query, &left, conds)?;
-        let rkeys = self.key_side(query, &right, conds)?;
-        let width = proj.width();
-        let mut rows: Vec<u32> = Vec::new();
-        let mut cadence = ChargeCadence::new();
-        for i in 0..left.len() {
-            let lt = left.tuple(i);
-            let lk = lkeys.multi_key(lt);
-            let mut matched = 0usize;
-            for j in 0..right.len() {
-                let rt = right.tuple(j);
-                if lk == rkeys.multi_key(rt) {
-                    if !proj.counts_only() {
-                        proj.emit(&mut rows, lt, rt);
-                    }
-                    matched += 1;
-                }
-            }
-            cadence.bump(matched, meter, p, width)?;
-        }
-        let len = cadence.finish(meter, p, width)?;
-        Ok(proj.finish(rows, len))
+    let conds = query.joins_between(left.tables(), right.tables());
+    if conds.is_empty() && algo != JoinAlgo::NestedLoop {
+        return Err(EngineError::InvalidPlan(format!(
+            "{algo} requires at least one equi-join condition (cross products \
+             must use NestedLoopJoin)"
+        )));
     }
-
-    fn cross_join(
-        &self,
-        left: Relation,
-        right: Relation,
-        proj: Projection,
-        meter: &mut WorkMeter,
-    ) -> Result<Relation> {
-        let p = &self.config.params;
-        let out = left.len() as f64 * right.len() as f64;
-        meter.add(out * p.nl_pair + p.output_work(out, proj.width()))?;
-        let mut rows = Vec::new();
-        if !proj.counts_only() {
-            for i in 0..left.len() {
-                for j in 0..right.len() {
-                    proj.emit(&mut rows, left.tuple(i), right.tuple(j));
-                }
-            }
-        }
-        Ok(proj.finish(rows, left.len() * right.len()))
-    }
-
-    fn merge_join(
-        &self,
-        query: &SpjQuery,
-        conds: &[&JoinCond],
-        left: Relation,
-        right: Relation,
-        proj: Projection,
-        meter: &mut WorkMeter,
-    ) -> Result<Relation> {
-        let p = &self.config.params;
-        meter.add(
-            p.sort_work(left.len() as f64)
-                + p.sort_work(right.len() as f64)
-                + (left.len() + right.len()) as f64 * p.merge_tuple,
-        )?;
-
-        let lkeys = self.key_side(query, &left, conds)?;
-        let rkeys = self.key_side(query, &right, conds)?;
-        let mut lsorted: Vec<(Vec<i64>, u32)> = (0..left.len())
-            .map(|i| (lkeys.multi_key(left.tuple(i)), i as u32))
-            .collect();
-        let mut rsorted: Vec<(Vec<i64>, u32)> = (0..right.len())
-            .map(|j| (rkeys.multi_key(right.tuple(j)), j as u32))
-            .collect();
-        lsorted.sort_unstable();
-        rsorted.sort_unstable();
-        Self::merge_phase(p, &left, &right, &lsorted, &rsorted, &proj, meter)
-    }
-
-    /// The merge phase of a merge join over pre-sorted key/index vectors.
-    /// Shared with the parallel executor, whose only parallel piece is key
-    /// extraction: the merge itself is inherently sequential and cheap.
-    /// A matching key group of `a × b` tuples is emitted left-major, one
-    /// left row (and one cadence bump) at a time, or — when `proj` keeps
-    /// nothing — counted as one lump.
-    pub(crate) fn merge_phase(
-        p: &CostParams,
-        left: &Relation,
-        right: &Relation,
-        lsorted: &[(Vec<i64>, u32)],
-        rsorted: &[(Vec<i64>, u32)],
-        proj: &Projection,
-        meter: &mut WorkMeter,
-    ) -> Result<Relation> {
-        let width = proj.width();
-        let mut rows: Vec<u32> = Vec::new();
-        let mut cadence = ChargeCadence::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lsorted.len() && j < rsorted.len() {
-            match lsorted[i].0.cmp(&rsorted[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Find the full equal groups on both sides.
-                    let key = &lsorted[i].0;
-                    let i_end = lsorted[i..].iter().take_while(|(k, _)| k == key).count() + i;
-                    let j_end = rsorted[j..].iter().take_while(|(k, _)| k == key).count() + j;
-                    if proj.counts_only() {
-                        cadence.bump((i_end - i) * (j_end - j), meter, p, width)?;
-                    } else {
-                        for (_, li) in &lsorted[i..i_end] {
-                            let lt = left.tuple(*li as usize);
-                            for (_, rj) in &rsorted[j..j_end] {
-                                proj.emit(&mut rows, lt, right.tuple(*rj as usize));
-                            }
-                            cadence.bump(j_end - j, meter, p, width)?;
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        let len = cadence.finish(meter, p, width)?;
-        Ok(proj.finish(rows, len))
-    }
+    Ok(conds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::reference;
     use crate::query::expr::{CmpOp, ColRef, Predicate, TableRef};
     use crate::table::TableBuilder;
     use crate::types::Value;
@@ -1005,6 +777,21 @@ mod tests {
         // Duplicate table 0.
         let dup = PhysNode::join(JoinAlgo::Hash, PhysNode::scan(0), PhysNode::scan(0));
         assert!(ex.execute(&q, &dup).is_err());
+    }
+
+    #[test]
+    fn join_step_rejects_overlapping_inputs() {
+        let (c, q) = fixture();
+        let ex = Executor::with_defaults(&c);
+        let mut meter = WorkMeter::new(None);
+        let scan = |meter: &mut WorkMeter| ex.exec_scan_step(&q, 0, meter).unwrap();
+        let (l, r) = (scan(&mut meter), scan(&mut meter));
+        for algo in JoinAlgo::ALL {
+            let err = ex
+                .exec_join_step(&q, algo, l.clone(), r.clone(), &mut meter)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::InvalidPlan(_)), "{algo}: {err}");
+        }
     }
 
     #[test]
@@ -1132,12 +919,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_matches_serial_byte_for_byte() {
+    fn parallel_mode_matches_reference_byte_for_byte() {
         let (c, q) = fixture();
         let serial = Executor::with_defaults(&c);
         for algo in JoinAlgo::ALL {
             let plan = join_plan(algo);
-            let (sr, srel) = serial.execute_collect(&q, &plan).unwrap();
+            let (sr, srel) = reference::execute(&serial, &q, &plan).unwrap();
             for threads in [2, 4] {
                 let par = Executor::new(
                     &c,
@@ -1303,7 +1090,7 @@ mod tests {
     /// `execute_collect` (every slot materialized) reports, in every
     /// mode: count, work bits, intermediates. Returns the count.
     fn assert_counting_matches_collect(c: &Catalog, q: &SpjQuery, plan: &PhysNode) -> u64 {
-        let (reference, _) = Executor::with_defaults(c).execute_collect(q, plan).unwrap();
+        let (reference, _) = reference::execute(&Executor::with_defaults(c), q, plan).unwrap();
         for config in all_modes() {
             let mode = config.mode;
             let ex = Executor::new(c, config);

@@ -6,7 +6,9 @@ pub(crate) mod compiled;
 pub mod executor;
 pub mod oracle;
 pub mod parallel;
+pub mod reference;
 pub mod relation;
+pub(crate) mod runner;
 pub mod workunits;
 
 pub use executor::{ExecConfig, ExecResult, Executor, WorkMeter};

@@ -1,57 +1,38 @@
-//! Morsel-driven parallel execution.
+//! Morsel-driven parallel execution: the pool runner's scheduler.
 //!
 //! A fixed-size pool of `std::thread` workers pulls *morsels* — contiguous,
 //! cache-sized ranges of input indices — from a shared atomic counter and
 //! executes them free-running; the coordinator stitches per-morsel outputs
 //! back together **in morsel index order**. The pool is not a second
-//! executor: [`Executor::exec_node`] walks the plan in every mode, and its
-//! operator entry points (`Executor::scan_op` / `Executor::join_op`) hand
-//! an operator to the query's [`ParRun`] or run it in-thread. Morsel bodies
-//! run the batched kernels of [`crate::exec::batch`] at
-//! [`DEFAULT_BATCH_SIZE`]. Combined with the row-ordering contract of the
-//! executor (see [`crate::exec::executor`]), this makes the parallel
-//! output — result rows, intermediate cardinalities, per-operator events,
-//! and the accumulated work units — **byte-identical** to the serial
-//! executor for every plan, thread count, and morsel size.
+//! executor and holds no operator body: [`Executor::exec_node`] walks the
+//! plan in every mode, the operator bodies of [`crate::exec::batch`] run
+//! their input ranges on a [`Runner`](crate::exec::runner::Runner), and a
+//! query's [`ParRun`] is what the pool runner dispatches to. Morsel order
+//! plus the row-ordering contract of the executor (see
+//! [`crate::exec::executor`]) make the parallel output — result rows,
+//! intermediate cardinalities, per-operator events, and the accumulated
+//! work units — **byte-identical** to the in-thread runner's for every
+//! plan, thread count, and morsel size.
 //!
-//! Determinism argument, per operator:
-//!
-//! * **Scan**: morsels partition the base table into ascending contiguous
-//!   ranges; each runs the batched selection-vector loop over its range
-//!   and emits qualifying ids in ascending order; concatenation in morsel
-//!   order reproduces the serial ascending scan.
-//! * **Hash join build**: each morsel gathers the build-side key columns
-//!   of its ascending slice; the gathers concatenate in morsel order into
-//!   the whole-column gather, from which one
-//!   [`KeyTable`](crate::exec::batch::kernels::KeyTable) is built — the
-//!   same table the single-threaded batched join builds, whose chains
-//!   list build rows in ascending input order (the serial insertion
-//!   order).
-//! * **Hash join probe**: probe morsels cover ascending probe ranges
-//!   against the shared read-only table; each emits probe-major output;
-//!   concatenation in morsel order reproduces the serial probe loop.
-//! * **Nested-loop / cross join**: outer side is morselised; inner loop is
-//!   unchanged; concatenation reproduces the serial outer-major order.
-//! * **Merge join**: only key extraction is parallel (order-preserving by
-//!   construction); sorting and merging reuse the serial code verbatim.
-//!
-//! Work accounting is replayed, not summed: after the deterministic merge,
-//! the coordinator issues the *exact serial sequence* of work charges, so
-//! `ExecResult::work` is bit-identical across modes. During execution an
-//! *approximate* shared accumulator (exact value re-seeded after every
-//! exact charge) makes morsel dispatch budget-aware: workers stop pulling
-//! morsels as soon as the work budget is provably exceeded, which is how
-//! lqo-guard plan budgets cancel runaway parallel plans mid-operator.
+//! Work accounting is exact, not summed: after the morsel-order merge the
+//! coordinator feeds each morsel's output count through the operator's
+//! [`ChargeCadence`](crate::exec::workunits::ChargeCadence) in morsel
+//! order, so `ExecResult::work` is bit-identical across modes. During
+//! execution an *approximate* shared accumulator (exact value re-seeded
+//! before every dispatch) makes morsel dispatch budget-aware: workers
+//! stop pulling morsels as soon as the work budget is provably exceeded,
+//! which is how lqo-guard plan budgets cancel runaway parallel plans
+//! mid-operator.
 //!
 //! A panicking worker is contained by `catch_unwind`, recorded on the run,
 //! and cancels remaining morsels. The operator that dispatched it is
-//! re-run in-thread from its pre-operator work snapshot, and — the
-//! cancellation being sticky — so is every later operator of the query.
+//! re-run — the same body on the in-thread runner — from its
+//! pre-operator work snapshot, and, the cancellation being sticky, so is
+//! every later operator of the query.
 
 // The module docs above link the crate-private types they describe.
 #![allow(rustdoc::private_intra_doc_links)]
 
-pub(crate) mod join;
 pub(crate) mod morsel;
 pub(crate) mod pool;
 
@@ -60,34 +41,33 @@ use std::cell::Cell;
 use serde::Serialize;
 
 use crate::error::Result;
-use crate::exec::batch::{self, DEFAULT_BATCH_SIZE};
-use crate::exec::executor::{Executor, WorkMeter};
+use crate::exec::batch::DEFAULT_BATCH_SIZE;
+use crate::exec::executor::Executor;
 use crate::exec::parallel::morsel::{morsels, SharedRun};
 use crate::exec::parallel::pool::{run_morsels, PoolStats};
-use crate::exec::relation::Relation;
-use crate::query::spj::SpjQuery;
 
-/// How the executor runs a plan.
+/// How the executor runs a plan. Every mode runs the same operator
+/// bodies; the mode only picks the runner of their input ranges (see
+/// [`crate::exec::runner`]), so every mode reports the same results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum ExecMode {
-    /// Single-threaded tuple-at-a-time execution (the reference path).
+    /// Single-threaded execution over batches of [`DEFAULT_BATCH_SIZE`]
+    /// rows: the same runner as [`ExecMode::Batched`] at that size.
     #[default]
     Serial,
-    /// Morsel-driven parallel execution on a fixed-size worker pool.
-    /// Morsel bodies run the batched kernels of [`ExecMode::Batched`] at
-    /// [`DEFAULT_BATCH_SIZE`]; whatever the pool does not run — every
-    /// operator when `threads` is 1, and the rest of a query after a
-    /// contained worker fault — runs the single-threaded batched kernels.
+    /// Morsel-driven parallel execution on a fixed-size worker pool,
+    /// whose morsels run the operator bodies over [`DEFAULT_BATCH_SIZE`]
+    /// sub-ranges. Whatever the pool does not run — every operator when
+    /// `threads` is 1, and the rest of a query after a contained worker
+    /// fault — runs in-thread at [`DEFAULT_BATCH_SIZE`].
     Parallel {
         /// Worker pool size.
         threads: usize,
     },
-    /// Single-threaded vectorized execution: operators run columnar batch
-    /// kernels (selection vectors, gathered key columns, batched hashing)
-    /// over chunks of `batch_size` tuples. Output is byte-identical to
-    /// [`ExecMode::Serial`] — same rows in the same order, bit-identical
-    /// work units — only the inner loops differ (see
-    /// [`crate::exec::batch`]).
+    /// Single-threaded execution over batches of `batch_size` rows: the
+    /// operator bodies' columnar kernels (selection vectors, gathered key
+    /// columns, batched hashing) run once per batch, and the output
+    /// count of each batch is charged before the next one runs.
     Batched {
         /// Tuples per columnar batch; clamped to at least 1.
         batch_size: usize,
@@ -104,13 +84,11 @@ impl ExecMode {
         }
     }
 
-    /// The columnar batch size this mode runs with (`None` for the
-    /// tuple-at-a-time serial mode).
-    pub fn batch_size(&self) -> Option<usize> {
+    /// The rows per batch of this mode's in-thread runner.
+    pub fn batch_size(&self) -> usize {
         match self {
-            ExecMode::Serial => None,
-            ExecMode::Parallel { .. } => Some(DEFAULT_BATCH_SIZE),
-            ExecMode::Batched { batch_size } => Some((*batch_size).max(1)),
+            ExecMode::Serial | ExecMode::Parallel { .. } => DEFAULT_BATCH_SIZE,
+            ExecMode::Batched { batch_size } => (*batch_size).max(1),
         }
     }
 }
@@ -150,7 +128,6 @@ impl Default for ParallelConfig {
 /// pool utilization totals.
 pub(crate) struct ParRun<'a> {
     pub(crate) ex: &'a Executor<'a>,
-    pub(crate) query: &'a SpjQuery,
     /// Whether this query was picked for per-operator profiling detail
     /// (decided once per query by the executor).
     detail: bool,
@@ -164,32 +141,15 @@ pub(crate) struct ParRun<'a> {
 }
 
 impl<'a> ParRun<'a> {
-    pub(crate) fn new(ex: &'a Executor<'a>, query: &'a SpjQuery, detail: bool) -> ParRun<'a> {
+    pub(crate) fn new(ex: &'a Executor<'a>, detail: bool) -> ParRun<'a> {
         ParRun {
             ex,
-            query,
             detail,
             shared: SharedRun::new(ex.config.max_work, ex.config.parallel.panic_on_morsel),
             morsels_run: Cell::new(0),
             busy_ns: Cell::new(0),
             capacity_ns: Cell::new(0),
         }
-    }
-
-    /// Parallel filter scan: each morsel runs the batched selection-vector
-    /// loop over its row range; qualifying row ids concatenate in morsel
-    /// (= ascending row) order.
-    pub(crate) fn scan(&self, pos: usize, meter: &mut WorkMeter) -> Result<Relation> {
-        let (n, compiled) = self.ex.compile_scan(self.query, pos)?;
-        meter.add(self.ex.config.params.scan_work(n as f64, compiled.len()))?;
-        self.shared.seed_work(meter.work);
-        let compiled = &compiled;
-        let chunks = self.dispatch(n, "Scan", move |_, range| {
-            let mut out = Vec::new();
-            batch::scan_range(compiled, range, DEFAULT_BATCH_SIZE, &mut out);
-            out
-        })?;
-        Ok(Relation::from_scan(pos, chunks.concat()))
     }
 
     /// Run `f` over morsels of `0..n` on the pool, recording timings.
@@ -284,16 +244,16 @@ mod tests {
 
     #[test]
     fn exec_mode_batch_size() {
-        assert_eq!(ExecMode::Serial.batch_size(), None);
+        assert_eq!(ExecMode::Serial.batch_size(), DEFAULT_BATCH_SIZE);
         assert_eq!(
             ExecMode::Parallel { threads: 2 }.batch_size(),
-            Some(DEFAULT_BATCH_SIZE),
-            "the pool and its in-thread paths run the batched kernels"
+            DEFAULT_BATCH_SIZE,
+            "the pool's in-thread fallback runs default batches"
         );
-        assert_eq!(ExecMode::Batched { batch_size: 64 }.batch_size(), Some(64));
+        assert_eq!(ExecMode::Batched { batch_size: 64 }.batch_size(), 64);
         assert_eq!(
             ExecMode::Batched { batch_size: 0 }.batch_size(),
-            Some(1),
+            1,
             "degenerate batch size clamps to 1"
         );
     }

@@ -4,9 +4,9 @@
 //! scans, input tuples for join sides) small enough to be cache-resident.
 //! Workers pull morsel indices from a shared atomic counter, so scheduling
 //! is dynamic, but every morsel's *output* is stitched back together in
-//! morsel index order — which is what makes the parallel executor's output
-//! byte-identical to the serial one (see the determinism argument in
-//! DESIGN.md §11).
+//! morsel index order — which is what makes the pool runner's output
+//! byte-identical to the in-thread runner's (see the determinism argument
+//! in DESIGN.md §11).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +32,7 @@ pub(crate) fn morsels(n: usize, morsel_rows: usize) -> Vec<Range<usize>> {
 
 /// Relative + absolute slack applied before tripping the approximate
 /// budget. The worker-side work accumulator sums the same charges as the
-/// serial meter but in a different association order, so it can differ
+/// exact meter but in a different association order, so it can differ
 /// from the exact value by float rounding. The slack guarantees we only
 /// cancel when the exact meter is certain to exceed the limit too, keeping
 /// budget outcomes identical across execution modes.
@@ -76,8 +76,8 @@ impl SharedRun {
     }
 
     /// Reset the approximate accumulator to the exact meter value. Called
-    /// by the coordinator after every exact charge so the approximation
-    /// never drifts across operators.
+    /// by the coordinator before every output-charging dispatch so the
+    /// approximation never drifts across operators.
     pub(crate) fn seed_work(&self, exact: f64) {
         self.work_bits.store(exact.to_bits(), Ordering::Relaxed);
     }

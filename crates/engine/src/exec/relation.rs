@@ -73,7 +73,6 @@ impl Relation {
     ///
     /// # Panics
     /// If `slots` is empty or `rows` is not a whole number of tuples.
-    #[cfg(test)]
     pub(crate) fn new(slots: Vec<usize>, rows: Vec<u32>) -> Relation {
         assert!(
             !slots.is_empty() && rows.len().is_multiple_of(slots.len()),
@@ -154,7 +153,7 @@ impl Relation {
     /// Order-sensitive FNV-1a digest over the slot layout and the tuples
     /// in emit order. Equal digests (for same-width relations) mean
     /// byte-identical output — the equivalence the differential harness
-    /// asserts between serial and parallel execution.
+    /// asserts between the reference evaluator and every mode.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.push(self.slots.len() as u64);
@@ -229,8 +228,8 @@ pub(crate) fn keep_for_child(query: &SpjQuery, child: TableSet, parent_keep: Tab
 /// How one join writes its output: which stored slots of a left and a
 /// right input tuple the output keeps, in output order (left first).
 ///
-/// Every join kernel writes through [`Projection::emit`]; when nothing is
-/// kept ([`Projection::counts_only`]) a kernel counts matches instead of
+/// Every join body writes through [`Projection::emit`]; when nothing is
+/// kept ([`Projection::counts_only`]) a body counts matches instead of
 /// calling it. Output work is charged at [`Projection::width`], the
 /// logical width, whatever is kept.
 #[derive(Debug)]

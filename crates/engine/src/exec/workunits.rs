@@ -13,16 +13,17 @@
 //! **Charging-cadence contract.** The work account is part of the
 //! executor's determinism guarantee (the row-ordering half lives in
 //! [`crate::exec::executor`]'s module docs): charges are accumulated in a
-//! fixed serial order — per-operator up-front charges, then per-tuple
-//! output charges in 64 Ki-tuple blocks as rows are produced. A block is
-//! charged for the tuples a join *counts*, at the join's logical width
-//! (its tables, not the slots it stores), so a join that only counts its
+//! fixed order — per-operator up-front charges, then per-tuple output
+//! charges in 64 Ki-tuple blocks as rows are counted. A block is charged
+//! for the tuples a join *counts*, at the join's logical width (its
+//! tables, not the slots it stores), so a join that only counts its
 //! output — the root of [`crate::exec::Executor::execute`] — and one that
-//! materializes it issue the same charges. Every join kernel feeds its
-//! counts through `ChargeCadence`; `f64` addition does not associate, so
-//! batched and parallel kernels, which count in lumps, rely on it to
-//! replay the exact operand sequence rather than summing lump totals.
-//! Any change to the cadence here changes recorded work bit-for-bit.
+//! materializes it issue the same charges. `ChargeCadence` defines that
+//! order: every join body and the reference evaluator feed their counts
+//! through it, in lumps of any size (a row, a batch, a morsel), and it
+//! issues the same operands in the same order — `f64` addition does not
+//! associate, so summing lump totals would drift. Any change to the
+//! cadence here changes recorded work bit-for-bit.
 
 use crate::error::Result;
 use crate::exec::executor::WorkMeter;
@@ -118,70 +119,60 @@ impl CostParams {
     }
 }
 
-/// Issues a join's output-work charges in the serial cadence.
+/// Issues a join's output-work charges: the cadence that defines the
+/// charge order of every execution mode.
 ///
-/// The reference row loop charges `output_work(65_536, width)` every time
-/// its emitted-tuple counter crosses a multiple of 65 536, and
-/// `output_work(emitted % 65_536, width)` once at operator end. Kernels
+/// An operator charges `output_work(65_536, width)` every time its
+/// counted-tuple total crosses a multiple of 65 536, and
+/// `output_work(total % 65_536, width)` once at operator end. Kernels
 /// count tuples in lumps (a hash chain, a merge group, a batch, a morsel)
-/// and feed each lump through [`ChargeCadence::bump`], which issues
-/// exactly the crossing charges the row loop would have issued — same
-/// values, same order — so accumulated work stays bit-identical and a
-/// budget trip raises the same error at the same charge.
-#[derive(Debug, Default)]
-pub(crate) struct ChargeCadence {
+/// and feed each lump through [`ChargeCadence::bump`], which issues the
+/// crossing charges in order whatever the lump sizes — so the account is
+/// bit-identical however an operator's ranges are run, and a budget trip
+/// raises the same error at the same charge.
+#[derive(Debug)]
+pub(crate) struct ChargeCadence<'p> {
+    params: &'p CostParams,
+    /// The operator's logical output width.
+    width: usize,
     /// Output tuples counted so far.
     emitted: usize,
     /// Tuples already covered by full-block charges.
     charged: usize,
 }
 
-impl ChargeCadence {
-    /// A fresh cadence for one operator.
-    pub(crate) fn new() -> ChargeCadence {
-        ChargeCadence::default()
+impl<'p> ChargeCadence<'p> {
+    /// A fresh cadence for one operator of logical output width `width`.
+    pub(crate) fn new(params: &'p CostParams, width: usize) -> ChargeCadence<'p> {
+        ChargeCadence {
+            params,
+            width,
+            emitted: 0,
+            charged: 0,
+        }
     }
 
-    /// Record `n` more output tuples, issuing any 65 536-block charges
-    /// the row loop would have issued while producing them.
-    pub(crate) fn bump(
-        &mut self,
-        n: usize,
-        meter: &mut WorkMeter,
-        p: &CostParams,
-        width: usize,
-    ) -> Result<()> {
+    /// The output work of `n` tuples at this operator's width.
+    pub(crate) fn work(&self, n: usize) -> f64 {
+        self.params.output_work(n as f64, self.width)
+    }
+
+    /// Record `n` more output tuples, issuing every 65 536-block charge
+    /// their count crosses.
+    pub(crate) fn bump(&mut self, n: usize, meter: &mut WorkMeter) -> Result<()> {
         self.emitted += n;
         while self.charged + 65_536 <= self.emitted {
             self.charged += 65_536;
-            meter.add(p.output_work(65_536.0, width))?;
+            meter.add(self.work(65_536))?;
         }
         Ok(())
     }
 
     /// Issue the end-of-operator remainder charge; returns the operator's
     /// output tuple count.
-    pub(crate) fn finish(
-        self,
-        meter: &mut WorkMeter,
-        p: &CostParams,
-        width: usize,
-    ) -> Result<usize> {
-        meter.add(p.output_work((self.emitted % 65_536) as f64, width))?;
+    pub(crate) fn finish(self, meter: &mut WorkMeter) -> Result<usize> {
+        meter.add(self.work(self.emitted % 65_536))?;
         Ok(self.emitted)
-    }
-
-    /// Every charge of an operator that produced `n` tuples, issued at
-    /// once (the parallel kernels count first and charge after merging).
-    pub(crate) fn charge_all(
-        n: usize,
-        meter: &mut WorkMeter,
-        p: &CostParams,
-        width: usize,
-    ) -> Result<()> {
-        let mut cadence = ChargeCadence::new();
-        cadence.bump(n, meter, p, width)?;
-        cadence.finish(meter, p, width).map(drop)
     }
 }
 
@@ -223,7 +214,7 @@ mod tests {
     fn charge_cadence_replays_serial_blocks() {
         let p = CostParams::default();
         let width = 2;
-        // Serial reference: charge per emitted row at 65 536 multiples.
+        // Row loop: charge per emitted row at 65 536 multiples.
         let mut serial = WorkMeter::new(None);
         let mut emitted = 0usize;
         for _ in 0..150_000 {
@@ -238,15 +229,17 @@ mod tests {
         // Cadence replay in uneven lumps, including lumps spanning more
         // than one block boundary.
         let mut meter = WorkMeter::new(None);
-        let mut cadence = ChargeCadence::new();
+        let mut cadence = ChargeCadence::new(&p, width);
         for lump in [1usize, 65_535, 2, 70_000, 14_462] {
-            cadence.bump(lump, &mut meter, &p, width).unwrap();
+            cadence.bump(lump, &mut meter).unwrap();
         }
-        assert_eq!(cadence.finish(&mut meter, &p, width).unwrap(), 150_000);
+        assert_eq!(cadence.finish(&mut meter).unwrap(), 150_000);
         assert_eq!(meter.work().to_bits(), serial.work().to_bits());
         // One lump of everything replays the same sequence.
         let mut once = WorkMeter::new(None);
-        ChargeCadence::charge_all(150_000, &mut once, &p, width).unwrap();
+        let mut cadence = ChargeCadence::new(&p, width);
+        cadence.bump(150_000, &mut once).unwrap();
+        cadence.finish(&mut once).unwrap();
         assert_eq!(once.work().to_bits(), serial.work().to_bits());
     }
 }

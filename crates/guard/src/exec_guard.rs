@@ -82,8 +82,8 @@ impl<'a> RegressionGuard<'a> {
     /// Execute guarded plans in the given mode. Budget semantics are
     /// unchanged: work accounting is mode-independent (the parallel and
     /// batched executors are byte-identical to serial, with
-    /// cancellation-aware morsel dispatch and serial-cadence charge
-    /// replay honouring the same budget mid-operator).
+    /// cancellation-aware morsel dispatch and one charge cadence for
+    /// every mode honouring the same budget mid-operator).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> RegressionGuard<'a> {
         self.mode = mode;
         self

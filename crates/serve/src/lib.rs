@@ -88,11 +88,14 @@ pub struct ServeConfig {
     /// Drift-monitor tuning for the per-tenant `tenant:<name>`
     /// components.
     pub watch: lqo_watch::WatchConfig,
-    /// Execution mode *within* one operator step. [`lqo_engine::ExecMode::Serial`]
-    /// and [`lqo_engine::ExecMode::Batched`] keep steps single-threaded
-    /// (the serving pool provides the concurrency); parallel modes add
-    /// engine-level micro-parallelism per step. All modes are
-    /// byte-identical per the engine's differential contract.
+    /// Execution mode *within* one operator step. Every mode runs the
+    /// same operator bodies: [`lqo_engine::ExecMode::Serial`] (the
+    /// default, batches of `DEFAULT_BATCH_SIZE` rows) and
+    /// [`lqo_engine::ExecMode::Batched`] run a step's input ranges on the
+    /// worker thread (the serving pool provides the concurrency);
+    /// [`lqo_engine::ExecMode::Parallel`] runs them on a morsel pool per
+    /// step. All modes are byte-identical per the engine's differential
+    /// contract.
     pub step_mode: lqo_engine::ExecMode,
     /// Per-query work budget applied when a submission does not carry
     /// its own (`None` = unlimited).

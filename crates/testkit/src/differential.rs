@@ -1,6 +1,7 @@
-//! The differential harness: serial vs parallel vs batched, everything
-//! compared.
+//! The differential harness: the reference evaluator vs every execution
+//! mode — serial, parallel and batched — everything compared.
 
+use lqo_engine::exec::reference;
 use lqo_engine::exec::relation::Relation;
 use lqo_engine::{
     Catalog, EngineError, ExecConfig, ExecMode, ExecResult, Executor, ParallelConfig, PhysNode,
@@ -10,16 +11,16 @@ use lqo_engine::{
 /// What to sweep when differencing one (query, plan) pair.
 #[derive(Debug, Clone)]
 pub struct DiffConfig {
-    /// Worker-pool sizes to compare against serial. 1 exercises the
-    /// serial-dispatch shortcut; the rest the real pool.
+    /// Worker-pool sizes to compare against the reference. 1 exercises
+    /// the in-thread shortcut; the rest the real pool.
     pub thread_counts: Vec<usize>,
     /// Morsel sizes to sweep (each combined with each thread count). A
     /// deliberately tiny size maximizes scheduling nondeterminism — the
     /// hardest case for byte identity.
     pub morsel_rows: Vec<usize>,
     /// Columnar batch sizes to sweep, each as an `ExecMode::Batched`
-    /// cell. Empty disables the batched leg. (Parallel cells run the
-    /// batched kernels at the default batch size.)
+    /// cell. Empty disables the batched leg. (The serial cell and the
+    /// parallel cells run at the default batch size.)
     pub batch_sizes: Vec<usize>,
     /// Work budget applied identically to every mode (`None` = unlimited).
     pub max_work: Option<f64>,
@@ -84,11 +85,12 @@ pub fn batch_sizes_from_env() -> Vec<usize> {
 /// Outcome of one differential check.
 #[derive(Debug, Clone)]
 pub struct DiffOutcome {
-    /// The serial reference result.
-    pub serial: ExecResult,
-    /// Order-sensitive digest of the serial output relation.
+    /// The reference evaluator's result.
+    pub reference: ExecResult,
+    /// Order-sensitive digest of the reference output relation.
     pub digest: u64,
-    /// Number of non-serial cells compared (parallel and batched).
+    /// Number of execution-mode cells compared (serial, parallel and
+    /// batched).
     pub cells: usize,
 }
 
@@ -96,14 +98,14 @@ fn result_fingerprint(r: &ExecResult) -> (u64, u64, Vec<(lqo_engine::TableSet, u
     (r.count, r.work.to_bits(), r.intermediates.clone())
 }
 
-/// The non-serial cells a [`DiffConfig`] expands to: every
+/// The cells a [`DiffConfig`] expands to: the serial cell, every
 /// `(threads, morsel_rows)` parallel cell and every `batch` batched cell.
 fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
-    let mut cells = Vec::new();
     let base = ExecConfig {
         max_work: cfg.max_work,
         ..Default::default()
     };
+    let mut cells = vec![("serial".to_string(), base.clone())];
     for &threads in &cfg.thread_counts {
         for &morsel_rows in &cfg.morsel_rows {
             cells.push((
@@ -131,12 +133,13 @@ fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
     cells
 }
 
-/// Execute `plan` serially and under every parallel and batched cell of
-/// `cfg`, requiring byte-identical output everywhere: equal counts,
-/// bit-identical work, equal intermediates,
-/// identical output relations (slots and row order), and — when the
-/// serial run errors (e.g. a work budget trip) — the *same* error from
-/// every cell. In every cell, serial included, the counting
+/// Evaluate `plan` with the reference evaluator
+/// ([`lqo_engine::exec::reference`]) and execute it under the serial cell
+/// and every parallel and batched cell of `cfg`, requiring byte-identical
+/// output everywhere: equal counts, bit-identical work, equal
+/// intermediates, identical output relations (slots and row order), and
+/// — when the reference errors (e.g. a work budget trip) — the *same*
+/// error from every cell. In every cell the counting
 /// [`Executor::execute`] must also report exactly what that cell's
 /// [`Executor::execute_collect`] does: count, work bits, intermediates,
 /// or the same error.
@@ -149,51 +152,50 @@ pub fn diff_plan(
     plan: &PhysNode,
     cfg: &DiffConfig,
 ) -> Result<DiffOutcome, String> {
-    let serial_exec = Executor::new(
+    let reference_exec = Executor::new(
         catalog,
         ExecConfig {
             max_work: cfg.max_work,
             ..Default::default()
         },
     );
-    let serial = serial_exec.execute_collect(query, plan);
-    check_counting(&serial_exec, &serial, "serial", query, plan)?;
+    let want = reference::execute(&reference_exec, query, plan);
     let mut cells = 0;
     for (cell, config) in sweep_cells(cfg) {
         cells += 1;
         let exec = Executor::new(catalog, config);
         let candidate = exec.execute_collect(query, plan);
         check_counting(&exec, &candidate, &cell, query, plan)?;
-        match (&serial, &candidate) {
+        match (&want, &candidate) {
             (Ok((sr, srel)), Ok((pr, prel))) => {
                 compare(sr, srel, pr, prel, &cell, query)?;
             }
             (Err(se), Err(pe)) => {
                 if !same_error(se, pe) {
                     return Err(format!(
-                        "error divergence at {cell} for `{query}`: serial {se}, candidate {pe}"
+                        "error divergence at {cell} for `{query}`: reference {se}, candidate {pe}"
                     ));
                 }
             }
             (Ok(_), Err(pe)) => {
                 return Err(format!(
-                    "candidate failed at {cell} for `{query}` where serial succeeded: {pe}"
+                    "candidate failed at {cell} for `{query}` where the reference succeeded: {pe}"
                 ));
             }
             (Err(se), Ok(_)) => {
                 return Err(format!(
-                    "candidate succeeded at {cell} for `{query}` where serial failed: {se}"
+                    "candidate succeeded at {cell} for `{query}` where the reference failed: {se}"
                 ));
             }
         }
     }
-    match serial {
+    match want {
         Ok((result, rel)) => Ok(DiffOutcome {
             digest: rel.digest(),
-            serial: result,
+            reference: result,
             cells,
         }),
-        Err(e) => Err(format!("serial execution failed for `{query}`: {e}")),
+        Err(e) => Err(format!("reference execution failed for `{query}`: {e}")),
     }
 }
 
@@ -234,8 +236,8 @@ fn compare(
     if result_fingerprint(sr) != result_fingerprint(pr) {
         return Err(format!(
             "result divergence at {cell} for `{query}`: \
-             serial (count={}, work={:x?}, {} intermediates) vs \
-             parallel (count={}, work={:x?}, {} intermediates)",
+             reference (count={}, work={:x?}, {} intermediates) vs \
+             candidate (count={}, work={:x?}, {} intermediates)",
             sr.count,
             sr.work.to_bits(),
             sr.intermediates.len(),
@@ -268,7 +270,7 @@ fn compare(
 
 /// Run [`diff_plan`] for every `(query, plan)` pair, panicking on the
 /// first divergence with the offending query. Returns the number of
-/// parallel cells compared in total.
+/// cells compared in total.
 pub fn diff_workload(catalog: &Catalog, pairs: &[(SpjQuery, PhysNode)], cfg: &DiffConfig) -> usize {
     let mut cells = 0;
     for (query, plan) in pairs {
@@ -308,9 +310,9 @@ mod tests {
             },
         )
         .unwrap();
-        // 3x2 parallel + 2 batched.
-        assert_eq!(out.cells, 8);
-        assert!(out.serial.work > 0.0);
+        // Serial + 3x2 parallel + 2 batched.
+        assert_eq!(out.cells, 9);
+        assert!(out.reference.work > 0.0);
     }
 
     #[test]
@@ -319,7 +321,8 @@ mod tests {
         let q = parse_query("SELECT COUNT(*) FROM users u, posts p WHERE u.id = p.owner_user_id")
             .unwrap();
         let plan = PhysNode::join(JoinAlgo::Hash, PhysNode::scan(0), PhysNode::scan(1));
-        // Tiny budget: both modes must fail with the same error.
+        // Tiny budget: the reference and every mode must fail with the
+        // same error.
         let err = diff_plan(
             &catalog,
             &q,
@@ -332,7 +335,7 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(err.contains("serial execution failed"), "{err}");
+        assert!(err.contains("reference execution failed"), "{err}");
     }
 
     #[test]

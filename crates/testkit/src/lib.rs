@@ -9,16 +9,17 @@
 //! usually" would silently corrupt every learned-component feedback loop
 //! in this repository. This crate therefore holds the engine to a much
 //! stronger standard: **byte identity**. For every query, plan, thread
-//! count, morsel size, and columnar batch size, the parallel and batched
-//! executors must produce the same result rows in the same order, the
-//! same intermediate cardinalities, and the *bit-identical* work-unit
-//! account as the serial reference.
+//! count, morsel size, and columnar batch size, every execution mode
+//! must produce the same result rows in the same order, the same
+//! intermediate cardinalities, and the *bit-identical* work-unit account
+//! as the tuple-at-a-time reference evaluator
+//! (`lqo_engine::exec::reference`).
 //!
 //! Pieces:
 //!
-//! * [`differential`] — run a (query, plan) through the serial, parallel
-//!   and batched modes at multiple thread counts, morsel sizes, and batch
-//!   sizes and compare everything
+//! * [`differential`] — run a (query, plan) through the reference and
+//!   the serial, parallel and batched modes at multiple thread counts,
+//!   morsel sizes, and batch sizes and compare everything
 //!   ([`differential::diff_plan`]), plus workload sweeps.
 //! * [`reopt_diff`] — the same standard for the checkpointed
 //!   re-optimizing executor: byte identity when no checkpoint triggers,

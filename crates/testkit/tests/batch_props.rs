@@ -1,9 +1,9 @@
 //! Property tests for the vectorized (batched) execution path: random
 //! SPJ queries, random plan shapes, random batch sizes — batched must
-//! equal serial byte for byte, the result must not depend on the batch
-//! size, and selection-vector boundaries must not leak rows. Worker
-//! faults in the morsel pool, whose bodies are the batched kernels, are
-//! covered by `chaos.rs`.
+//! equal the reference evaluator byte for byte, the result must not
+//! depend on the batch size, and selection-vector boundaries must not
+//! leak rows. Worker faults in the morsel pool, which runs the same
+//! operator bodies, are covered by `chaos.rs`.
 
 use std::sync::OnceLock;
 
@@ -35,9 +35,9 @@ proptest! {
 
     /// The core property: for ANY query, ANY plan shape, ANY batch size
     /// (including the degenerate 1 and sizes far beyond any table),
-    /// batched output is byte-identical to serial — same rows in the
-    /// same order, bit-identical work. Also sweeps one parallel cell,
-    /// whose morsel bodies run the batched kernels, per case.
+    /// batched output is byte-identical to the reference — same rows in
+    /// the same order, bit-identical work. Also sweeps the serial cell
+    /// and one parallel cell per case.
     #[test]
     fn batched_equals_serial_for_random_plans(
         seed in 0u64..u64::MAX,
@@ -58,8 +58,8 @@ proptest! {
     }
 
     /// Batch-size invariance: two *different* batch sizes over the same
-    /// plan must agree with each other exactly, not just each with
-    /// serial — the batch size is a performance knob, never a semantic
+    /// plan must agree with each other exactly, not just each with the
+    /// reference — the batch size is a performance knob, never a semantic
     /// one.
     #[test]
     fn result_is_invariant_under_batch_size(

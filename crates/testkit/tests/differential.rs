@@ -1,7 +1,7 @@
 //! Differential sweep: every bench-workload query, optimizer-chosen
-//! plan, executed serially, in parallel at every configured thread count
-//! and morsel size, and batched at every configured batch size, compared
-//! byte for byte.
+//! plan, evaluated by the reference evaluator and executed serially, in
+//! parallel at every configured thread count and morsel size, and batched
+//! at every configured batch size, compared byte for byte.
 //!
 //! Thread counts come from `LQO_TEST_THREADS` (default `1,2,4,8`) and
 //! batch sizes from `LQO_TEST_BATCH_SIZES` (default `1,7,64,1024`); the
@@ -67,7 +67,7 @@ fn tpch_workload_is_mode_invariant() {
 
 #[test]
 fn budget_trips_agree_across_modes() {
-    // A budget tight enough to trip mid-join: serial and every other
+    // A budget tight enough to trip mid-join: the reference and every
     // cell must fail with the *same* WorkLimitExceeded error.
     let catalog = Arc::new(stats_like(60, 7).unwrap());
     let pairs = optimizer_pairs(&catalog, 3, 0xD1FF_0004);
@@ -82,11 +82,11 @@ fn budget_trips_agree_across_modes() {
             },
         );
         // Either every mode succeeded under the budget (possible for a
-        // trivial query) or diff_plan reports the uniform serial failure;
-        // any *divergence* message is a harness failure.
+        // trivial query) or diff_plan reports the uniform reference
+        // failure; any *divergence* message is a harness failure.
         if let Err(msg) = out {
             assert!(
-                msg.contains("serial execution failed"),
+                msg.contains("reference execution failed"),
                 "mode divergence under budget: {msg}"
             );
         }

@@ -1,8 +1,8 @@
 //! Property tests for the parallel execution path: random SPJ queries,
 //! random (often terrible) plan shapes, random morsel sizes and thread
-//! counts — parallel must equal serial byte for byte, runs must be
-//! deterministic, and the merge steps must be order-insensitive where
-//! the design says they are.
+//! counts — parallel must equal the reference evaluator byte for byte,
+//! runs must be deterministic, and the merge steps must be
+//! order-insensitive where the design says they are.
 
 use std::sync::OnceLock;
 
@@ -37,8 +37,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     /// The core property: for ANY query, ANY plan shape, ANY morsel size
-    /// and thread count, parallel output is byte-identical to serial —
-    /// same rows in the same order, bit-identical work.
+    /// and thread count, parallel output is byte-identical to the
+    /// reference — same rows in the same order, bit-identical work.
     #[test]
     fn parallel_equals_serial_for_random_plans(
         seed in 0u64..u64::MAX,
@@ -59,7 +59,8 @@ proptest! {
     }
 
     /// Two parallel runs of the same plan — different wall-clock morsel
-    /// schedules — must agree with each other, not just with serial.
+    /// schedules — must agree with each other, not just with the
+    /// reference.
     #[test]
     fn parallel_runs_are_deterministic(
         seed in 0u64..u64::MAX,
