@@ -13,6 +13,13 @@
 //! moment subnormal: the moments of those long-zero gradients are flushed
 //! to zero rather than left stuck a few ulps above it.
 //!
+//! Two more kinds of fixture: `mlp_settled` trains under L2 weight decay
+//! with an input that is zero throughout, until decay has driven a weight
+//! below 1e-290 (asserted), where Adam's `(1-β₁)·g` and `(1-β₂)·g²` terms
+//! underflow; `bao_batch` and `bao_pairwise` train tree convolution at the
+//! shape Bao and Lero use (14-wide one-hot nodes, channels `[24, 12]`,
+//! head `[24]`, batches of 16).
+//!
 //! The file is written, never edited by hand, and only for an intended
 //! change of the numbers:
 //!
@@ -377,6 +384,146 @@ fn mscn() -> (Mscn, Vec<Snapshot>) {
     (net, snaps)
 }
 
+// ------------------------------------------------------------- settling
+
+/// Steps of [`mlp_settled`]: enough for weight decay to drive the weights
+/// of its dead input below 1e-290.
+const SETTLE: usize = 13_000;
+
+/// An `Mlp` under L2 weight decay whose last input is zero from step 1:
+/// the weights it feeds see no data gradient, only decay, and shrink
+/// toward 1e-302, where Adam's moment and gradient-square terms underflow.
+fn mlp_settled() -> (Mlp, Vec<Snapshot>) {
+    let mut net = mlp(1e-5, 1, 24);
+    let data = rows(false);
+    let xs: Vec<&[f64]> = data.iter().map(|(x, _, _)| x.as_slice()).collect();
+    let ys: Vec<f64> = data.iter().map(|(_, y, _)| *y).collect();
+    let mut snaps = Vec::new();
+    for s in 1..=SETTLE {
+        net.train_scalar_batch(&xs, &ys);
+        if [EARLY, SETTLE / 2, SETTLE].contains(&s) {
+            snaps.push(Snapshot {
+                fixture: "mlp_settled",
+                step: s,
+                preds: row_preds(&net),
+            });
+        }
+    }
+    (net, snaps)
+}
+
+// ------------------------------------------------------------ bao-shaped
+
+/// Bao's plan-node width: 4 operator slots, 8 table slots, log
+/// cardinality and predicate count.
+const BAO_DIM: usize = 14;
+/// Training epochs of the Bao-shaped fixtures.
+const BAO_EPOCHS: usize = 60;
+
+/// 48 one-hot plan trees of 3, 5 or 7 nodes (2–4 scans joined left-deep
+/// or bushy) with a target per tree.
+fn bao_trees() -> Vec<(FeatTree, f64)> {
+    let scan = |t: &mut FeatTree, table: usize, card: f64, preds: usize| {
+        let mut f = vec![0.0; BAO_DIM];
+        f[0] = 1.0;
+        f[4 + table] = 1.0;
+        f[12] = card;
+        f[13] = preds as f64 / 4.0;
+        t.leaf(f)
+    };
+    let join = |t: &mut FeatTree, algo: usize, card: f64, l: usize, r: usize| {
+        let mut f = vec![0.0; BAO_DIM];
+        f[1 + algo] = 1.0;
+        f[12] = card;
+        t.internal(f, l, r)
+    };
+    (0..48)
+        .map(|i| {
+            let mut t = FeatTree::new();
+            let leaves = 2 + i % 3;
+            let card = |k: usize| ((i * 7 + k * 13) % 23) as f64 / 23.0;
+            let mut nodes: Vec<usize> = (0..leaves)
+                .map(|k| scan(&mut t, (i + 3 * k) % 8, card(k), (i + k) % 3))
+                .collect();
+            let mut cost = 0.0;
+            let mut k = 0;
+            while nodes.len() > 1 {
+                // Odd trees join the last two inputs (bushy at four
+                // leaves), even ones the first two (left-deep).
+                let at = if i % 2 == 1 { nodes.len() - 2 } else { 0 };
+                let (l, r) = (nodes[at], nodes.remove(at + 1));
+                let (algo, c) = ((i + k) % 3, card(leaves + k));
+                cost += c * [1.0, 2.5, 1.5][algo];
+                nodes[at] = join(&mut t, algo, c, l, r);
+                k += 1;
+            }
+            (t, cost - 0.5)
+        })
+        .collect()
+}
+
+fn bao_net(seed: u64) -> TreeConvNet {
+    TreeConvNet::new(TreeConvConfig {
+        learning_rate: 2e-3,
+        channels: vec![24, 12],
+        head_hidden: vec![24],
+        seed,
+        ..TreeConvConfig::new(BAO_DIM)
+    })
+}
+
+/// Trains `net` for [`BAO_EPOCHS`] epochs of `epoch` and snapshots its
+/// predictions on every tree after the first and the last epoch.
+fn bao_run(
+    fixture: &'static str,
+    net: &mut TreeConvNet,
+    mut epoch: impl FnMut(&mut TreeConvNet, &[&FeatTree], &[f64]),
+) -> Vec<Snapshot> {
+    let data = bao_trees();
+    let trees: Vec<&FeatTree> = data.iter().map(|(t, _)| t).collect();
+    let ys: Vec<f64> = data.iter().map(|(_, y)| *y).collect();
+    let mut snaps = Vec::new();
+    for e in 1..=BAO_EPOCHS {
+        epoch(net, &trees, &ys);
+        if e == 1 || e == BAO_EPOCHS {
+            snaps.push(Snapshot {
+                fixture,
+                step: e,
+                preds: trees.iter().map(|t| net.predict(t)).collect(),
+            });
+        }
+    }
+    snaps
+}
+
+/// Bao's value network: pointwise regression in batches of 16 trees.
+fn bao_batch() -> (TreeConvNet, Vec<Snapshot>) {
+    let mut net = bao_net(5);
+    let snaps = bao_run("bao_batch", &mut net, |net, trees, ys| {
+        for (t, y) in trees.chunks(16).zip(ys.chunks(16)) {
+            net.train_batch(t, y);
+        }
+    });
+    (net, snaps)
+}
+
+/// Lero's comparator shape: pairwise ranking in batches of 16 pairs.
+fn bao_pairwise() -> (TreeConvNet, Vec<Snapshot>) {
+    let mut net = bao_net(29);
+    let snaps = bao_run("bao_pairwise", &mut net, |net, trees, ys| {
+        let pairs: Vec<(&FeatTree, &FeatTree, f64)> = (0..trees.len())
+            .map(|i| {
+                let j = (i * 5 + 3) % trees.len();
+                (trees[i], trees[j], if ys[i] < ys[j] { 1.0 } else { -1.0 })
+            })
+            .collect();
+        for chunk in pairs.chunks(16) {
+            net.train_pairwise_batch(chunk);
+        }
+    });
+    (net, snaps)
+}
+
 // ---------------------------------------------------------------- tests
 
 /// Every fixture, trained once and shared by the tests of this file.
@@ -384,6 +531,8 @@ struct Trained {
     snaps: Vec<Snapshot>,
     /// Subnormal parameters and moments per fixture after training.
     subnormal: Vec<(&'static str, usize)>,
+    /// Smallest weight magnitude of `mlp_settled` after training.
+    settled_min: f64,
 }
 
 fn trained() -> &'static Trained {
@@ -392,6 +541,7 @@ fn trained() -> &'static Trained {
         let mut t = Trained {
             snaps: Vec::new(),
             subnormal: Vec::new(),
+            settled_min: f64::INFINITY,
         };
         let mut add = |state: Vec<&[f64]>, snaps: Vec<Snapshot>| {
             let n = state
@@ -415,6 +565,20 @@ fn trained() -> &'static Trained {
         add(net.params_and_moments(), s);
         let (net, s) = mscn();
         add(net.params_and_moments(), s);
+        let (net, s) = bao_batch();
+        add(net.params_and_moments(), s);
+        let (net, s) = bao_pairwise();
+        add(net.params_and_moments(), s);
+        let (net, s) = mlp_settled();
+        let state = net.params_and_moments();
+        // Weights and biases, without the two moment slices.
+        let params = &state[..state.len() - 2];
+        let settled_min = params
+            .iter()
+            .flat_map(|s| s.iter())
+            .fold(f64::INFINITY, |a, w| a.min(w.abs()));
+        add(state, s);
+        t.settled_min = settled_min;
         t
     })
 }
@@ -428,4 +592,10 @@ fn predictions_match_golden_bits() {
 fn no_parameter_or_moment_is_subnormal() {
     let bad: Vec<_> = trained().subnormal.iter().filter(|(_, n)| *n > 0).collect();
     assert!(bad.is_empty(), "subnormal values after training: {bad:?}");
+}
+
+#[test]
+fn weight_decay_settles_a_dead_weight_below_1e_290() {
+    let min = trained().settled_min;
+    assert!(min < 1e-290, "smallest mlp_settled weight {min:e}");
 }
