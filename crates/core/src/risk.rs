@@ -1,5 +1,7 @@
 //! Learned risk models for plan selection.
 
+use std::collections::HashMap;
+
 use lqo_cost::PlanFeaturizer;
 use lqo_engine::optimizer::plan_cost;
 use lqo_engine::{PhysNode, SpjQuery};
@@ -175,21 +177,7 @@ impl RiskModel for PairwiseTcnnRisk {
     }
 
     fn train(&mut self, samples: &[ExecutionSample]) {
-        // Build within-query pairs labeled by measured work.
-        let mut pairs_idx: Vec<(usize, usize, f64)> = Vec::new();
-        for i in 0..samples.len() {
-            for j in i + 1..samples.len() {
-                if samples[i].query != samples[j].query {
-                    continue;
-                }
-                let (wi, wj) = (samples[i].work, samples[j].work);
-                if (wi - wj).abs() / wi.max(wj).max(1.0) < 0.05 {
-                    continue; // ties teach nothing
-                }
-                // +1 when i is the better (cheaper) plan.
-                pairs_idx.push((i, j, if wi < wj { 1.0 } else { -1.0 }));
-            }
-        }
+        let pairs_idx = ranking_pairs(samples);
         if pairs_idx.len() < MIN_SAMPLES {
             return;
         }
@@ -208,6 +196,49 @@ impl RiskModel for PairwiseTcnnRisk {
         }
         self.trained = true;
     }
+}
+
+/// Within-query training pairs `(i, j, y)` for `i < j`, ascending in `i`
+/// then `j`, labeled `+1` when plan `i` did less work than plan `j`;
+/// near-ties (work within 5 %) teach nothing and are left out.
+///
+/// Samples are grouped by query first, so only samples of the same query
+/// are compared: the history holds many executions of each query, and
+/// comparing every pair of queries made each retrain quadratic in it.
+fn ranking_pairs(samples: &[ExecutionSample]) -> Vec<(usize, usize, f64)> {
+    // Equal queries print equally; within one printed form, groups are
+    // told apart by `==`, which defines "the same query".
+    let mut by_text: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = Vec::with_capacity(samples.len());
+    for (i, s) in samples.iter().enumerate() {
+        let candidates = by_text.entry(s.query.to_string()).or_default();
+        let found = candidates
+            .iter()
+            .copied()
+            .find(|&g| samples[groups[g][0]].query == s.query);
+        let g = found.unwrap_or_else(|| {
+            candidates.push(groups.len());
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+        group_of.push(g);
+    }
+    let mut pairs = Vec::new();
+    for (i, &g) in group_of.iter().enumerate() {
+        let group = &groups[g];
+        let after = group.partition_point(|&j| j <= i);
+        for &j in &group[after..] {
+            let (wi, wj) = (samples[i].work, samples[j].work);
+            if (wi - wj).abs() / wi.max(wj).max(1.0) < 0.05 {
+                continue; // ties teach nothing
+            }
+            // +1 when i is the better (cheaper) plan.
+            pairs.push((i, j, if wi < wj { 1.0 } else { -1.0 }));
+        }
+    }
+    pairs
 }
 
 /// Multi-head ensemble with variance filtering — HyperQO's regression
@@ -441,6 +472,37 @@ mod tests {
             "pairwise model wrong on {} of {total} best/worst pairs",
             total - wins
         );
+    }
+
+    #[test]
+    fn grouped_ranking_pairs_equal_the_all_pairs_scan() {
+        let (ctx, queries) = fixture();
+        // Every query three times over, each execution with its own copy
+        // of the query, interleaved.
+        let mut samples = Vec::new();
+        for _ in 0..3 {
+            for s in collect_samples(&ctx, &queries) {
+                samples.push(ExecutionSample {
+                    query: Arc::new(s.query.as_ref().clone()),
+                    ..s
+                });
+            }
+        }
+        let mut naive = Vec::new();
+        for i in 0..samples.len() {
+            for j in i + 1..samples.len() {
+                if samples[i].query != samples[j].query {
+                    continue;
+                }
+                let (wi, wj) = (samples[i].work, samples[j].work);
+                if (wi - wj).abs() / wi.max(wj).max(1.0) < 0.05 {
+                    continue;
+                }
+                naive.push((i, j, if wi < wj { 1.0 } else { -1.0 }));
+            }
+        }
+        assert!(naive.len() > queries.len(), "the history repeats queries");
+        assert_eq!(ranking_pairs(&samples), naive);
     }
 
     #[test]

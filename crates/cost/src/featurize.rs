@@ -133,7 +133,7 @@ mod tests {
         for s in &samples {
             let tree = f.tree(&s.query, &s.plan);
             assert_eq!(tree.len(), 2 * s.query.num_tables() - 1);
-            assert!(tree.nodes.iter().all(|n| n.feat.len() == f.node_dim()));
+            assert!((0..tree.len()).all(|i| tree.feat(i).len() == f.node_dim()));
         }
     }
 
@@ -157,6 +157,6 @@ mod tests {
         let merge = PhysNode::join(JoinAlgo::Merge, PhysNode::scan(0), PhysNode::scan(1));
         let th = f.tree(q, &hash);
         let tm = f.tree(q, &merge);
-        assert_ne!(th.nodes.last().unwrap().feat, tm.nodes.last().unwrap().feat);
+        assert_ne!(th.feat(th.len() - 1), tm.feat(tm.len() - 1));
     }
 }

@@ -87,14 +87,12 @@ impl TreeRnn {
     /// Bottom-up embeddings of every node (children-first order assumed).
     fn embed_all(&self, tree: &FeatTree) -> Vec<Vec<f64>> {
         let h = self.cfg.hidden;
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(tree.nodes.len());
-        for node in &tree.nodes {
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(tree.len());
+        for i in 0..tree.len() {
             let mut z = vec![0.0; self.cfg.input_dim + 2 * h];
-            z[..self.cfg.input_dim].copy_from_slice(&node.feat);
-            if let Some(l) = node.left {
+            z[..self.cfg.input_dim].copy_from_slice(tree.feat(i));
+            if let Some((l, r)) = tree.children(i) {
                 z[self.cfg.input_dim..self.cfg.input_dim + h].copy_from_slice(&out[l]);
-            }
-            if let Some(r) = node.right {
                 z[self.cfg.input_dim + h..].copy_from_slice(&out[r]);
             }
             let mut e = self.w.matvec(&z);
@@ -139,7 +137,7 @@ impl TreeRnn {
             }
             dhb += g;
             // Backprop through the recursion, top-down.
-            let n = tree.nodes.len();
+            let n = tree.len();
             let mut gh: Vec<Vec<f64>> = vec![vec![0.0; h]; n];
             for (gi, &wi) in gh[n - 1].iter_mut().zip(&self.head_w) {
                 *gi = g * wi;
@@ -155,13 +153,10 @@ impl TreeRnn {
                     continue;
                 }
                 // Rebuild input z.
-                let node = &tree.nodes[i];
                 let mut z = vec![0.0; d + 2 * h];
-                z[..d].copy_from_slice(&node.feat);
-                if let Some(l) = node.left {
+                z[..d].copy_from_slice(tree.feat(i));
+                if let Some((l, r)) = tree.children(i) {
                     z[d..d + h].copy_from_slice(&emb[l]);
-                }
-                if let Some(r) = node.right {
                     z[d + h..].copy_from_slice(&emb[r]);
                 }
                 for r_i in 0..h {
@@ -177,32 +172,27 @@ impl TreeRnn {
                 }
                 // Gradients to children embeddings.
                 let cols = d + 2 * h;
-                if let Some(l) = node.left {
-                    for k in 0..h {
-                        let mut s = 0.0;
-                        for r_i in 0..h {
-                            s += grad[r_i] * self.w.data[r_i * cols + d + k];
+                if let Some((l, r)) = tree.children(i) {
+                    for (j, off) in [(l, d), (r, d + h)] {
+                        for k in 0..h {
+                            let mut s = 0.0;
+                            for r_i in 0..h {
+                                s += grad[r_i] * self.w.data[r_i * cols + off + k];
+                            }
+                            gh[j][k] += s;
                         }
-                        gh[l][k] += s;
-                    }
-                }
-                if let Some(r) = node.right {
-                    for k in 0..h {
-                        let mut s = 0.0;
-                        for r_i in 0..h {
-                            s += grad[r_i] * self.w.data[r_i * cols + d + h + k];
-                        }
-                        gh[r][k] += s;
                     }
                 }
             }
         }
         let nb = trees.len().max(1) as f64;
         let mut step = self.adam.step(self.cfg.learning_rate);
-        step.update(&mut self.w.data, |i, _| dw[i] / nb);
-        step.update(&mut self.b, |i, _| db[i] / nb);
-        step.update(&mut self.head_w, |i, _| dhw[i] / nb);
-        step.update(std::slice::from_mut(&mut self.head_b), |_, _| dhb / nb);
+        step.update(&mut self.w.data, &dw, |d, _| d / nb);
+        step.update(&mut self.b, &db, |d, _| d / nb);
+        step.update(&mut self.head_w, &dhw, |d, _| d / nb);
+        step.update(std::slice::from_mut(&mut self.head_b), &[dhb], |d, _| {
+            d / nb
+        });
         loss / nb
     }
 }
