@@ -29,9 +29,9 @@ pub struct LoadReport {
     pub wall_ns: u64,
     /// FNV-1a fold of every submission's deterministic outcome —
     /// sequence number, admission verdict, row count, `work.to_bits()`,
-    /// output digest, and error text. Two runs of the same workload
-    /// (any worker count) must produce the same digest; the serving
-    /// differential and the bench baseline both key on it.
+    /// and error text. Two runs of the same workload (any worker count)
+    /// must produce the same digest; the serving differential and the
+    /// bench baseline both key on it.
     pub answer_digest: u64,
     /// Per-submission outcomes in submission order.
     pub outcomes: Vec<Result<QueryOutcome, ServeError>>,
@@ -82,7 +82,6 @@ pub(crate) fn fold_outcomes(outcomes: &[Result<QueryOutcome, ServeError>]) -> u6
                         h.u64(1);
                         h.u64(a.count);
                         h.u64(a.work.to_bits());
-                        h.u64(a.digest);
                     }
                     Err(e) => {
                         h.u64(2);
