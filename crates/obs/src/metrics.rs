@@ -54,21 +54,31 @@ impl Histogram {
         }
     }
 
-    /// The bucket index `value` falls into.
+    /// The bucket index `value` falls into, in O(1): the bucket of a
+    /// positive `value` is `e = ceil(log2 value)`, the smallest exponent
+    /// with `value <= 2^e`, read off the exponent and mantissa bits. An
+    /// exact power of two has an all-zero mantissa and stays in the lower
+    /// bucket; exponents below [`HIST_MIN_EXP`] land in the first finite
+    /// bucket and above [`HIST_MAX_EXP`] (`+inf` included) overflow.
     pub fn bucket_index(value: f64) -> usize {
         if value.is_nan() || value <= 0.0 {
             return 0; // underflow: zero, negative, NaN
         }
-        // Smallest exponent e in [HIST_MIN_EXP, HIST_MAX_EXP] with
-        // value <= 2^e. Powers of two are exact in f64, so boundary
-        // values land deterministically in the lower bucket.
-        let exps = HIST_MIN_EXP..=HIST_MAX_EXP;
-        for (i, e) in exps.enumerate() {
-            if value <= pow2(e) {
-                return i + 1;
-            }
+        let bits = value.to_bits();
+        let biased = (bits >> 52) as i32; // the sign bit is clear
+        let ceil_log2 = if biased == 0 {
+            // Subnormal: below 2^-1022, far under the first bucket.
+            HIST_MIN_EXP
+        } else if bits & ((1 << 52) - 1) == 0 {
+            biased - 1023
+        } else {
+            biased - 1022
+        };
+        if ceil_log2 > HIST_MAX_EXP {
+            HIST_BUCKETS - 1 // overflow
+        } else {
+            (ceil_log2.max(HIST_MIN_EXP) - HIST_MIN_EXP) as usize + 1
         }
-        HIST_BUCKETS - 1 // overflow
     }
 
     /// The inclusive upper bound of bucket `i` (`f64::INFINITY` for the
@@ -327,6 +337,104 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear bucket search `bucket_index` replaced, kept as its
+    /// oracle: the smallest exponent `e` in the range with
+    /// `value <= 2^e`.
+    fn bucket_index_by_search(value: f64) -> usize {
+        if value.is_nan() || value <= 0.0 {
+            return 0;
+        }
+        let exps = HIST_MIN_EXP..=HIST_MAX_EXP;
+        for (i, e) in exps.enumerate() {
+            if value <= pow2(e) {
+                return i + 1;
+            }
+        }
+        HIST_BUCKETS - 1
+    }
+
+    fn assert_same_bucket(v: f64) {
+        assert_eq!(
+            Histogram::bucket_index(v),
+            bucket_index_by_search(v),
+            "value {v:e} (bits {:#018x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn bucket_index_matches_the_search_at_every_power_of_two() {
+        for e in -1074i32..=1023 {
+            let p = if e < -1022 {
+                f64::from_bits(1 << (e + 1074)) // subnormal
+            } else {
+                f64::from_bits(((e + 1023) as u64) << 52)
+            };
+            assert_eq!(p.log2(), e as f64);
+            for v in [p, p.next_down(), p.next_up()] {
+                assert_same_bucket(v);
+                assert_same_bucket(-v);
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_index_matches_the_search_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::EPSILON,
+            1.0,
+            -1.0,
+            3.0,
+            1e300,
+        ];
+        for v in specials {
+            assert_same_bucket(v);
+        }
+        // Subnormals: every mantissa bit pattern shape.
+        for shift in 0..52 {
+            for m in [
+                1u64 << shift,
+                (1u64 << shift) | 1,
+                (1u64 << (shift + 1)) - 1,
+            ] {
+                assert_same_bucket(f64::from_bits(m));
+                assert_same_bucket(-f64::from_bits(m));
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_index_matches_the_search_on_random_bit_patterns() {
+        // SplitMix64 over the full 64-bit space: every sign, exponent,
+        // NaN payload and mantissa shape shows up.
+        let mut state = 0x5EED_0B5E_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            let bits = next();
+            assert_same_bucket(f64::from_bits(bits));
+            // Half the raw patterns are negative or huge; also sweep the
+            // exponents the histogram actually resolves.
+            let e = (bits % 100) as i32 - 30;
+            assert_same_bucket(f64::from_bits(bits >> 12 | ((1023 + e) as u64) << 52));
+        }
+    }
 
     #[test]
     fn counters_and_gauges() {

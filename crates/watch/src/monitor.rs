@@ -290,12 +290,12 @@ impl ModelHealthMonitor {
     /// Record one cardinality estimate against its measured truth for
     /// `component`, updating sketch, baseline, calibration, and drift.
     pub fn observe_estimate(&self, component: &str, est_rows: f64, true_rows: f64) {
-        let mut g = self.inner.lock();
         let cfg = &self.cfg;
-        let c = g
-            .components
-            .entry(component.to_string())
-            .or_insert_with(|| ComponentHealth::new(cfg));
+        let mut g = self.inner.lock();
+        let Inner {
+            components, series, ..
+        } = &mut *g;
+        let c = component_entry(components, component, cfg);
         let q = crate::sketch::q_error(est_rows, true_rows);
         if c.baseline.count() < cfg.baseline as u64 {
             c.baseline.record(q);
@@ -308,22 +308,22 @@ impl ModelHealthMonitor {
         // The KS side is invariant under monotone transforms either way.
         c.drift.observe(1.0 + true_rows.max(0.0));
         c.observations += 1;
-        self.after_observation(&mut g, component);
+        self.after_observation(c, series, component);
     }
 
     /// Record a cost-model prediction against the measured work for
     /// `component` (calibration + drift on the work stream; no q-error).
     pub fn observe_cost(&self, component: &str, predicted: f64, actual_work: f64) {
-        let mut g = self.inner.lock();
         let cfg = &self.cfg;
-        let c = g
-            .components
-            .entry(component.to_string())
-            .or_insert_with(|| ComponentHealth::new(cfg));
+        let mut g = self.inner.lock();
+        let Inner {
+            components, series, ..
+        } = &mut *g;
+        let c = component_entry(components, component, cfg);
         c.calib.observe(predicted, actual_work);
         c.drift.observe(1.0 + actual_work.max(0.0));
         c.observations += 1;
-        self.after_observation(&mut g, component);
+        self.after_observation(c, series, component);
     }
 
     /// Record one query's latencies against the SLOs.
@@ -344,15 +344,15 @@ impl ModelHealthMonitor {
     ///
     /// [`lqo-guard`'s convention]: HealthState::code
     pub fn record_breaker(&self, component: &str, state_code: f64, opens: u64) {
-        let mut g = self.inner.lock();
         let cfg = &self.cfg;
-        let c = g
-            .components
-            .entry(component.to_string())
-            .or_insert_with(|| ComponentHealth::new(cfg));
+        let mut g = self.inner.lock();
+        let Inner {
+            components, series, ..
+        } = &mut *g;
+        let c = component_entry(components, component, cfg);
         c.breaker_state = state_code;
         c.breaker_opens = c.breaker_opens.max(opens);
-        self.after_observation(&mut g, component);
+        self.after_observation(c, series, component);
     }
 
     /// Ingest one finished query trace: operator estimate/truth pairs,
@@ -379,10 +379,7 @@ impl ModelHealthMonitor {
             let mut g = self.inner.lock();
             let cfg = &self.cfg;
             for ev in &trace.guard {
-                let c = g
-                    .components
-                    .entry(ev.component.clone())
-                    .or_insert_with(|| ComponentHealth::new(cfg));
+                let c = component_entry(&mut g.components, &ev.component, cfg);
                 c.guard_faults += 1;
                 if ev.fault == "breaker-open" {
                     c.breaker_state = 2.0;
@@ -459,15 +456,18 @@ impl ModelHealthMonitor {
         }
     }
 
-    /// Post-observation bookkeeping: health transition tracking, gauge
-    /// publication, and series sampling. Caller holds the lock.
-    fn after_observation(&self, g: &mut Inner, component: &str) {
+    /// Post-observation bookkeeping for `c`, the state of `component`:
+    /// health transition tracking, gauge publication, and series
+    /// sampling. Caller holds the lock. The drift scores are the ones
+    /// the observation just cached, so this costs no recomputation.
+    fn after_observation(
+        &self,
+        c: &mut ComponentHealth,
+        series: &mut Vec<SamplePoint>,
+        component: &str,
+    ) {
         let cfg = &self.cfg;
         let sample_every = cfg.sample_every.max(1) as u64;
-        let max_series = cfg.max_series;
-        let Some(c) = g.components.get_mut(component) else {
-            return;
-        };
         let health = c.health(cfg);
         if health != HealthState::Healthy && c.first_alarm.is_none() {
             c.first_alarm = Some(c.observations);
@@ -488,27 +488,52 @@ impl ModelHealthMonitor {
             }
             c.last_health = health;
         }
-        self.obs.gauge(
-            &format!("lqo.watch.health.{component}"),
-            health.code() as f64,
-        );
-        if c.observations % sample_every == 0 && g.series.len() < max_series {
+        if self.obs.is_enabled() {
+            self.obs.gauge(
+                &format!("lqo.watch.health.{component}"),
+                health.code() as f64,
+            );
+        }
+        if c.observations.is_multiple_of(sample_every) && series.len() < cfg.max_series {
             let drift = c.drift.status();
-            let window = c.sketch.window();
-            let point = SamplePoint {
+            // A component fed only work observations has an empty q-error
+            // window, whose quantiles read 1.0 without merging a chunk.
+            let (q50, q95, qmax) = if c.sketch.count() == 0 {
+                (1.0, 1.0, 1.0)
+            } else {
+                let window = c.sketch.window();
+                (
+                    window.quantile(0.5).unwrap_or(1.0),
+                    window.quantile(0.95).unwrap_or(1.0),
+                    window.max().unwrap_or(1.0),
+                )
+            };
+            series.push(SamplePoint {
                 component: component.to_string(),
                 seq: c.observations,
-                q50: window.quantile(0.5).unwrap_or(1.0),
-                q95: window.quantile(0.95).unwrap_or(1.0),
-                qmax: window.max().unwrap_or(1.0),
+                q50,
+                q95,
+                qmax,
                 psi: drift.psi,
                 ks: drift.ks,
                 bias_log2: c.calib.bias_log2(),
                 health: health.code(),
-            };
-            g.series.push(point);
+            });
         }
     }
+}
+
+/// The state of `name`, created under `cfg` on first use. A hit does
+/// not allocate the key.
+fn component_entry<'a>(
+    components: &'a mut BTreeMap<String, ComponentHealth>,
+    name: &str,
+    cfg: &WatchConfig,
+) -> &'a mut ComponentHealth {
+    if !components.contains_key(name) {
+        components.insert(name.to_string(), ComponentHealth::new(cfg));
+    }
+    components.get_mut(name).expect("inserted above")
 }
 
 /// The component a trace's estimates are attributed to: the planner's
