@@ -14,5 +14,5 @@ pub mod workunits;
 pub use executor::{ExecConfig, ExecResult, Executor, WorkMeter};
 pub use oracle::TrueCardOracle;
 pub use parallel::{ExecMode, ParallelConfig};
-pub use relation::{check_row_ids, Relation, MAX_ROW_IDS};
+pub use relation::{check_row_ids, keep_for_child, Relation, MAX_ROW_IDS};
 pub use workunits::CostParams;
