@@ -380,9 +380,9 @@ pub fn run_worker_chaos(cfg: &Config) -> (TextTable, ObsContext) {
 /// re-planning faulted. The invariants are the chaos archetype's, one
 /// level up: zero aborts (a faulted re-plan degrades to continuing the
 /// original plan, visible as `degrade:*` checkpoint actions), and every
-/// query returns the fault-free serial answer — byte-identical rows when
-/// the plan was kept, the identical normalized tuple multiset when a
-/// switch happened.
+/// query returns the fault-free serial answer — the same count and
+/// intermediates when the plan was kept, and when a switch happened the
+/// executed plan yields the identical normalized tuple multiset.
 pub fn run_reopt_chaos(cfg: &Config) -> (TextTable, ObsContext) {
     use lqo_engine::optimizer::InjectedCardSource;
     use lqo_engine::{ExecConfig, TableSet};
@@ -410,16 +410,17 @@ pub fn run_reopt_chaos(cfg: &Config) -> (TextTable, ObsContext) {
         .map(|q| optimizer.optimize_default(q, native.as_ref()).unwrap().plan)
         .collect();
 
-    // Fault-free serial reference: raw digests for kept plans, normalized
-    // digests for switched ones.
+    // Fault-free serial reference: count and intermediates for kept
+    // plans, the normalized digest for switched ones.
     let serial = Executor::with_defaults(&catalog);
-    let baseline: Vec<(u64, u64, u64)> = queries
+    let normalized = |q: &_, p: &_| {
+        let (_, rel) = serial.execute_collect(q, p).unwrap();
+        rel.normalize().canonical_digest()
+    };
+    let baseline: Vec<_> = queries
         .iter()
         .zip(&plans)
-        .map(|(q, p)| {
-            let (r, rel) = serial.execute_collect(q, p).unwrap();
-            (r.count, rel.digest(), rel.normalize().canonical_digest())
-        })
+        .map(|(q, p)| (serial.execute(q, p).unwrap(), normalized(q, p)))
         .collect();
 
     let mut table = TextTable::new(
@@ -469,19 +470,20 @@ pub fn run_reopt_chaos(cfg: &Config) -> (TextTable, ObsContext) {
             )
             .with_telemetry(obs.clone());
             let (mut checkpoints, mut triggers, mut switches, mut degraded) = (0, 0, 0, 0);
-            for ((q, p), (count, raw, normalized)) in queries.iter().zip(&plans).zip(&baseline) {
+            for ((q, p), (base, digest)) in queries.iter().zip(&plans).zip(&baseline) {
                 obs.begin_query(&q.to_string());
-                let (r, rel, report) = reopt_exec
-                    .execute_collect(q, p)
-                    .expect("degradation, not failure");
+                let (r, report) = reopt_exec.execute(q, p).expect("degradation, not failure");
                 obs.end_query();
-                assert_eq!(r.count, *count, "reopt chaos changed a result");
+                assert_eq!(r.count, base.count, "reopt chaos changed a result");
                 if report.switches == 0 {
-                    assert_eq!(rel.digest(), *raw, "kept plan changed rows");
+                    assert_eq!(
+                        r.intermediates, base.intermediates,
+                        "kept plan changed rows"
+                    );
                 } else {
                     assert_eq!(
-                        rel.normalize().canonical_digest(),
-                        *normalized,
+                        normalized(q, &report.plan),
+                        *digest,
                         "switched plan changed the answer"
                     );
                 }
@@ -581,10 +583,10 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                 .plan
         })
         .collect();
-    // Fault-free serial reference: count, exact work bits, and both row
-    // digests (raw for kept plans, normalized for switched ones).
+    // Fault-free serial reference: count, exact work bits, and the
+    // normalized row digest a switched plan must reproduce.
     let serial = Executor::with_defaults(&catalog);
-    let baseline: Vec<(u64, u64, u64, u64)> = queries
+    let baseline: Vec<(u64, u64, u64)> = queries
         .iter()
         .zip(&plans)
         .map(|(q, p)| {
@@ -592,7 +594,6 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
             (
                 r.count,
                 r.work.to_bits(),
-                rel.digest(),
                 rel.normalize().canonical_digest(),
             )
         })
@@ -814,8 +815,8 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
                     make_faulty(i),
                     reopt_cfg.clone(),
                 );
-                let (_, _, report) = exec
-                    .execute_collect(&queries[i], &plans[i])
+                let (_, report) = exec
+                    .execute(&queries[i], &plans[i])
                     .expect("degradation, not failure");
                 report
                     .events
@@ -834,16 +835,17 @@ pub fn run_incident_chaos(cfg: &Config) -> (TextTable, Vec<lqo_flight::IncidentB
         for (i, q) in queries.iter().enumerate() {
             let scope = telemetry.begin_query(q);
             if i == designated {
-                let (r, rel, report) = faulty
-                    .execute_collect(q, &plans[i])
+                let (r, report) = faulty
+                    .execute(q, &plans[i])
                     .expect("degradation, not failure");
                 assert_eq!(r.count, baseline[i].0, "reopt fault changed a result");
                 if report.switches == 0 {
-                    assert_eq!(rel.digest(), baseline[i].2, "kept plan changed rows");
+                    assert_eq!(report.plan, plans[i], "kept plan was replaced");
                 } else {
+                    let (_, rel) = serial.execute_collect(q, &report.plan).unwrap();
                     assert_eq!(
                         rel.normalize().canonical_digest(),
-                        baseline[i].3,
+                        baseline[i].2,
                         "switched plan changed the answer"
                     );
                 }

@@ -17,12 +17,25 @@
 //! same work charges in the same order (charges read the logical width
 //! and the counted tuples, never the stored slots), so their
 //! [`ExecResult`]s — count, work bits, intermediates, errors — are equal;
-//! the differential harness asserts it in every cell it sweeps. The step
-//! seam ([`Executor::exec_scan_step`] / [`Executor::exec_join_step`])
-//! materializes full width for callers that inspect intermediates; its
-//! `_keeping` forms take the slots a step keeps, so a caller stepping a
-//! plan only to count it (serving) prunes and counts exactly like
-//! `execute`.
+//! the differential harness asserts it in every cell it sweeps.
+//!
+//! # The step seam
+//!
+//! [`Executor::exec_scan_step_keeping`] /
+//! [`Executor::exec_join_step_keeping`] run one operator against a
+//! caller-owned [`WorkMeter`], keeping the slots of the tables the caller
+//! names. Every production caller (serving, re-optimization) passes
+//! `keep_for_child(query, step_tables, ∅)`: the positions with a join
+//! condition leaving the step. That is the keep `execute` derives
+//! top-down at that node of any plan, since a parent's keep is its own
+//! leaving positions and those inside the child leave the child too; at
+//! the root it is empty, so the root counts. A stepped plan therefore
+//! prunes and counts exactly like `execute`. A step-wise driver that
+//! wants the query wrapper — validation, spans, metrics, the
+//! [`ExecResult`] — runs its steps inside [`Executor::run_query`]
+//! through [`Executor::run_step`]. The full-width forms
+//! ([`Executor::exec_scan_step`] / [`Executor::exec_join_step`]) are
+//! one-line wrappers kept for tests and the benchmark's probe.
 //!
 //! # One walker, one body per operator, two runners
 //!
@@ -116,10 +129,9 @@ pub struct ExecResult {
 
 /// Deterministic work accounting with an optional abort budget.
 ///
-/// Public so step-wise drivers (the adaptive re-optimization executor)
-/// can thread the same meter through a sequence of
-/// [`Executor::exec_scan_step`] / [`Executor::exec_join_step`] calls and
-/// reproduce the exact charge sequence of [`Executor::execute`].
+/// Public so step-wise drivers (serving, re-optimization) can thread the
+/// same meter through a sequence of step-seam calls and reproduce the
+/// exact charge sequence of [`Executor::execute`].
 #[derive(Debug)]
 pub struct WorkMeter {
     /// Accumulated work units.
@@ -160,6 +172,20 @@ impl WorkMeter {
     pub fn remaining(&self) -> Option<f64> {
         self.limit.map(|lim| (lim - self.work).max(0.0))
     }
+}
+
+/// One query's running account, which [`Executor::run_query`] hands to
+/// the driver executing the query's operators.
+#[derive(Debug)]
+pub struct QueryRun {
+    /// The query's work meter, budgeted by [`ExecConfig::max_work`].
+    pub meter: WorkMeter,
+    /// Whether this query's operators open sampled profiler phases.
+    pub detail: bool,
+    /// Output cardinality of every finished operator, in finish order.
+    intermediates: Vec<(TableSet, u64)>,
+    /// Operator events for the query trace (obs on only).
+    events: Vec<OperatorEvent>,
 }
 
 /// The plan executor. Stateless across queries; cheap to construct.
@@ -238,6 +264,28 @@ impl<'a> Executor<'a> {
         plan: &PhysNode,
         keep: TableSet,
     ) -> Result<(ExecResult, Relation)> {
+        self.run_query(query, plan, |run| {
+            self.with_pool(run.detail, |par| {
+                self.exec_node(query, plan, keep, par, run)
+            })
+        })
+    }
+
+    /// The one query wrapper: check `plan`, then run `drive` — which
+    /// executes the plan's operators against the [`QueryRun`] it is
+    /// handed and returns the root relation — inside the `exec.query`
+    /// span (obs and flight ring) and the profiler `execute` phase.
+    /// Publishes a work-budget trip onto the flight ring, records the
+    /// `lqo.exec.*` metrics and the operator events on the query trace,
+    /// and builds the [`ExecResult`] from the root relation's count.
+    /// [`Executor::execute`] drives the plan walker through it; a
+    /// step-wise driver runs each operator with [`Executor::run_step`].
+    pub fn run_query(
+        &self,
+        query: &SpjQuery,
+        plan: &PhysNode,
+        drive: impl FnOnce(&mut QueryRun) -> Result<Relation>,
+    ) -> Result<(ExecResult, Relation)> {
         check_plan(query, plan)?;
         let _span = self.telemetry.obs.span("exec.query");
         let _prof_exec = self.telemetry.prof.phase("execute");
@@ -250,27 +298,18 @@ impl<'a> Executor<'a> {
                 },
             );
         }
+        let start = Instant::now();
         // One detail decision per query: per-operator phases are only
         // opened on sampled queries (weighted by the stride), keeping
         // sampling-mode overhead flat. Work charges stay exact either
         // way — on unsampled queries they attribute to `execute`.
-        let detail = self.telemetry.prof.sample_detail();
-        let start = Instant::now();
-        let mut meter = WorkMeter::new(self.config.max_work);
-        let mut intermediates = Vec::new();
-        let mut events = Vec::new();
-        let attempt = self.with_pool(detail, |par| {
-            self.exec_node(
-                query,
-                plan,
-                keep,
-                detail,
-                par,
-                &mut meter,
-                &mut intermediates,
-                &mut events,
-            )
-        });
+        let mut run = QueryRun {
+            meter: WorkMeter::new(self.config.max_work),
+            detail: self.telemetry.prof.sample_detail(),
+            intermediates: Vec::new(),
+            events: Vec::new(),
+        };
+        let attempt = drive(&mut run);
         if self.telemetry.flight.is_enabled() {
             if let Err(EngineError::WorkLimitExceeded { limit }) = &attempt {
                 self.telemetry.flight.publish(
@@ -295,16 +334,16 @@ impl<'a> Executor<'a> {
                     self.telemetry.obs.count("lqo.exec.queries", 1);
                     self.telemetry
                         .obs
-                        .observe("lqo.exec.work_units", meter.work);
+                        .observe("lqo.exec.work_units", run.meter.work);
                     self.telemetry
                         .obs
-                        .with_query(|t| t.exec.operators.extend(events));
+                        .with_query(|t| t.exec.operators.extend(run.events));
                 }
                 let result = ExecResult {
                     count: rel.len() as u64,
-                    work: meter.work,
+                    work: run.meter.work,
                     wall: start.elapsed(),
-                    intermediates,
+                    intermediates: run.intermediates,
                 };
                 Ok((result, rel))
             }
@@ -314,7 +353,7 @@ impl<'a> Executor<'a> {
                         self.telemetry.obs.count("lqo.exec.timeouts", 1);
                         self.telemetry.obs.with_query(|t| {
                             t.exec.timeout = true;
-                            t.exec.operators.extend(events);
+                            t.exec.operators.extend(run.events);
                         });
                     }
                     self.telemetry.obs.count("lqo.exec.errors", 1);
@@ -324,14 +363,43 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Run one step-seam operator `op` of a query driven through
+    /// [`Executor::run_query`], under a sampled profiler phase `label`,
+    /// and account it as the plan walker accounts its operators.
+    pub fn run_step(
+        &self,
+        run: &mut QueryRun,
+        label: &'static str,
+        op: impl FnOnce(&mut WorkMeter) -> Result<Relation>,
+    ) -> Result<Relation> {
+        let _p = run.detail.then(|| self.telemetry.prof.phase_sampled(label));
+        let before = run.meter.work;
+        let rel = op(&mut run.meter)?;
+        self.record_op(run, label, &rel, run.meter.work - before);
+        Ok(rel)
+    }
+
+    /// Account one finished operator of `run`: its intermediate, its own
+    /// work as a profiler charge, and (obs on) its operator event.
+    fn record_op(&self, run: &mut QueryRun, op: &'static str, rel: &Relation, own_work: f64) {
+        run.intermediates.push((rel.tables(), rel.len() as u64));
+        self.telemetry.prof.charge(own_work);
+        if self.telemetry.obs.is_enabled() {
+            run.events.push(OperatorEvent {
+                op: op.to_string(),
+                tables: rel.tables().0,
+                true_rows: rel.len() as u64,
+                est_rows: None,
+                work: own_work,
+            });
+        }
+    }
+
     /// Execute a single scan operator as a standalone step, charging
     /// `meter` exactly as [`Executor::execute`] would (same charge
     /// sequence, same row-ordering contract), and materialize its full
-    /// width. This is the materialization checkpoint seam used by
-    /// adaptive re-optimization: its executor runs one operator at a time
-    /// in the serial post-order and inspects each materialized
-    /// intermediate before continuing. The monolithic path never calls
-    /// it, so the seam costs nothing when re-optimization is disabled.
+    /// width: the test-and-probe form of
+    /// [`Executor::exec_scan_step_keeping`].
     pub fn exec_scan_step(
         &self,
         query: &SpjQuery,
@@ -341,13 +409,11 @@ impl<'a> Executor<'a> {
         self.exec_scan_step_keeping(query, pos, TableSet::singleton(pos), meter)
     }
 
-    /// [`Executor::exec_scan_step`] keeping the slots of the tables in
+    /// Execute a single scan operator as a standalone step (see the
+    /// module docs on the step seam), keeping the slots of the tables in
     /// `keep`: a scan no later join reads (`keep` without `pos`) counts
-    /// instead of materializing. A caller that only needs the answer
-    /// derives each step's `keep` with [`keep_for_child`], exactly as
-    /// [`Executor::execute`] does, and the root step keeps nothing.
-    /// Charges read the logical width, so the meter ends where
-    /// `execute`'s does.
+    /// instead of materializing. Charges read the logical width, so the
+    /// meter ends where `execute`'s does.
     pub fn exec_scan_step_keeping(
         &self,
         query: &SpjQuery,
@@ -360,7 +426,8 @@ impl<'a> Executor<'a> {
 
     /// Execute a single join operator over two already-materialized
     /// inputs as a standalone step, materializing every stored slot of
-    /// both (see [`Executor::exec_scan_step`]).
+    /// both: the test-and-probe form of
+    /// [`Executor::exec_join_step_keeping`].
     pub fn exec_join_step(
         &self,
         query: &SpjQuery,
@@ -373,9 +440,10 @@ impl<'a> Executor<'a> {
         self.exec_join_step_keeping(query, algo, left, right, keep, meter)
     }
 
-    /// [`Executor::exec_join_step`] keeping the slots of the tables in
-    /// `keep` (see [`Executor::exec_scan_step_keeping`]); an empty `keep`
-    /// counts the matches.
+    /// Execute a single join operator over two inputs as a standalone
+    /// step, keeping the slots of the tables in `keep` (see
+    /// [`Executor::exec_scan_step_keeping`]); an empty `keep` counts the
+    /// matches. The inputs are consumed.
     pub fn exec_join_step_keeping(
         &self,
         query: &SpjQuery,
@@ -456,74 +524,41 @@ impl<'a> Executor<'a> {
     /// Execute the subtree `node`, keeping the slots of the tables in
     /// `keep` (a subset of `node`'s tables) in its output; operators go to
     /// the pool run `par` when there is one.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_node(
         &self,
         query: &SpjQuery,
         node: &PhysNode,
         keep: TableSet,
-        detail: bool,
         par: Option<&ParRun<'_>>,
-        meter: &mut WorkMeter,
-        intermediates: &mut Vec<(TableSet, u64)>,
-        events: &mut Vec<OperatorEvent>,
+        run: &mut QueryRun,
     ) -> Result<Relation> {
         // `meter.work` snapshots bracket only this node's own operator
         // (children account for themselves first), so per-operator work
         // attribution is exact even for bushy plans. The profiler phase
         // opens before recursing, so the phase tree mirrors the plan
         // tree (`execute;HashJoin;Scan`).
-        let _prof_op = detail.then(|| {
-            self.telemetry.prof.phase_sampled(match node {
-                PhysNode::Scan { .. } => "Scan",
-                PhysNode::Join { algo, .. } => algo.label(),
-            })
-        });
-        let (rel, op, own_work) = match node {
+        let label = match node {
+            PhysNode::Scan { .. } => "Scan",
+            PhysNode::Join { algo, .. } => algo.label(),
+        };
+        let _prof_op = run.detail.then(|| self.telemetry.prof.phase_sampled(label));
+        let (rel, own_work) = match node {
             PhysNode::Scan { pos } => {
-                let before = meter.work;
-                let rel = self.scan_op(query, *pos, keep, par, meter)?;
-                (rel, "Scan", meter.work - before)
+                let before = run.meter.work;
+                let rel = self.scan_op(query, *pos, keep, par, &mut run.meter)?;
+                (rel, run.meter.work - before)
             }
             PhysNode::Join { algo, left, right } => {
                 let lkeep = keep_for_child(query, left.tables(), keep);
                 let rkeep = keep_for_child(query, right.tables(), keep);
-                let l = self.exec_node(
-                    query,
-                    left,
-                    lkeep,
-                    detail,
-                    par,
-                    meter,
-                    intermediates,
-                    events,
-                )?;
-                let r = self.exec_node(
-                    query,
-                    right,
-                    rkeep,
-                    detail,
-                    par,
-                    meter,
-                    intermediates,
-                    events,
-                )?;
-                let before = meter.work;
-                let rel = self.join_op(query, *algo, l, r, keep, par, meter)?;
-                (rel, algo.label(), meter.work - before)
+                let l = self.exec_node(query, left, lkeep, par, run)?;
+                let r = self.exec_node(query, right, rkeep, par, run)?;
+                let before = run.meter.work;
+                let rel = self.join_op(query, *algo, l, r, keep, par, &mut run.meter)?;
+                (rel, run.meter.work - before)
             }
         };
-        intermediates.push((rel.tables(), rel.len() as u64));
-        self.telemetry.prof.charge(own_work);
-        if self.telemetry.obs.is_enabled() {
-            events.push(OperatorEvent {
-                op: op.to_string(),
-                tables: rel.tables().0,
-                true_rows: rel.len() as u64,
-                est_rows: None,
-                work: own_work,
-            });
-        }
+        self.record_op(run, label, &rel, own_work);
         Ok(rel)
     }
 
@@ -1142,18 +1177,14 @@ mod tests {
     /// The relation `execute` ends with, for inspecting what it stored.
     fn counted_root(c: &Catalog, q: &SpjQuery, plan: &PhysNode) -> Relation {
         let ex = Executor::with_defaults(c);
-        let mut meter = WorkMeter::new(None);
-        ex.exec_node(
-            q,
-            plan,
-            TableSet::EMPTY,
-            false,
-            None,
-            &mut meter,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        )
-        .unwrap()
+        let mut run = QueryRun {
+            meter: WorkMeter::new(None),
+            detail: false,
+            intermediates: Vec::new(),
+            events: Vec::new(),
+        };
+        ex.exec_node(q, plan, TableSet::EMPTY, None, &mut run)
+            .unwrap()
     }
 
     /// A chain `w - x - y - z` of many-to-one links with fan-out 2

@@ -11,7 +11,7 @@ pub mod relation;
 pub(crate) mod runner;
 pub mod workunits;
 
-pub use executor::{ExecConfig, ExecResult, Executor, WorkMeter};
+pub use executor::{ExecConfig, ExecResult, Executor, QueryRun, WorkMeter};
 pub use oracle::TrueCardOracle;
 pub use parallel::{ExecMode, ParallelConfig};
 pub use relation::{check_row_ids, keep_for_child, Relation, MAX_ROW_IDS};

@@ -12,13 +12,14 @@
 //! **physical** one: the row-id slots it actually stores
 //! ([`Relation::slots`], [`Relation::rows`]). The two agree for relations
 //! produced by [`crate::exec::Executor::execute_collect`] and the
-//! full-width step seam. [`crate::exec::Executor::execute`] only answers
-//! `COUNT(*)`, so each operator keeps just the slots a later join key
-//! reads (see [`keep_for_child`]); a relation no later operator reads
-//! keeps none and is nothing but its count. Everything charged or
-//! reported — work units, intermediate cardinalities, the answer — reads
-//! the logical shape, never the physical one, so pruning cannot change an
-//! account.
+//! full-width step forms, which only tests and the benchmark's probe
+//! use. [`crate::exec::Executor::execute`] and every production caller of
+//! the step seam (serving, re-optimization) only answer `COUNT(*)`, so
+//! each operator keeps just the slots a later join key reads (see
+//! [`keep_for_child`]); a relation no later operator reads keeps none and
+//! is nothing but its count. Everything charged or reported — work
+//! units, intermediate cardinalities, the answer — reads the logical
+//! shape, never the physical one, so pruning cannot change an account.
 //!
 //! Relations carry the executor's **stable row-ordering contract** (see
 //! [`crate::exec::executor`]): operators emit tuples in a canonical order
@@ -213,7 +214,10 @@ impl Relation {
 /// parent keeps, plus every position with a join condition leaving
 /// `child` — a later join reads that position's key. The one rule behind
 /// [`crate::exec::Executor::execute`]'s pruning and the keep sets a
-/// caller stepping a plan passes to the `_keeping` step seam.
+/// caller stepping a plan passes to the `_keeping` step seam. Derived
+/// top-down from an empty root keep, it equals
+/// `keep_for_child(query, child, TableSet::EMPTY)` at every node, so a
+/// step-wise caller computes each step's keep from the step alone.
 pub fn keep_for_child(query: &SpjQuery, child: TableSet, parent_keep: TableSet) -> TableSet {
     let mut keep = parent_keep.intersect(child);
     for cond in query.joins_between(child, query.all_tables().minus(child)) {

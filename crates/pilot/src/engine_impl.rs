@@ -240,7 +240,7 @@ impl DbInteractor for EngineInteractor {
                     if let Some(cache) = self.cache.lock().clone() {
                         reopt = reopt.with_cache(cache);
                     }
-                    reopt.execute(&query, &plan)?
+                    reopt.execute(&query, &plan)?.0
                 } else {
                     Executor::new(&self.catalog, exec_config)
                         .with_telemetry(self.telemetry())

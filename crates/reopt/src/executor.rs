@@ -1,30 +1,30 @@
 //! The checkpointed step-wise executor.
 //!
 //! Drives a physical plan one operator at a time in the exact serial
-//! post-order, materializing every intermediate, and re-optimizes the
-//! remaining sub-plan when observed cardinalities contradict the
-//! estimates the plan was built on. See the crate docs for the full
-//! contract; the load-bearing invariant is that with no trigger the
-//! operator sequence, row order, and work-unit charge sequence are
-//! byte-identical to [`Executor::execute_collect`].
+//! post-order through the counting, slot-pruned step seam, and
+//! re-optimizes the remaining sub-plan when observed cardinalities
+//! contradict the estimates the plan was built on. Each executed
+//! sub-tree is held only until its consumer runs, at the key slots a
+//! later join reads. See the crate docs for the full contract; the
+//! load-bearing invariant is that with no trigger the operator sequence
+//! and work-unit charge sequence are those of [`Executor::execute`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::calibrate::CalibratedCardSource;
 use lqo_cache::{residual_key, CachedResidual, LqoCache, OptMemo};
-use lqo_engine::exec::relation::Relation;
+use lqo_engine::exec::{keep_for_child, QueryRun, Relation};
 use lqo_engine::optimizer::residual::{
     enumerate_residual, residual_cost, ResidualChoice, ResidualLeaf, ResidualNode,
 };
 use lqo_engine::{
     CardSource, Catalog, EngineError, ExecConfig, ExecResult, Executor, HintSet, JoinAlgo,
-    PhysNode, Result, SpjQuery, Telemetry, WorkMeter,
+    PhysNode, Result, SpjQuery, TableSet, Telemetry, WorkMeter,
 };
 use lqo_flight::{FlightEvent, Producer};
 use lqo_guard::{ReoptGuard, ReoptGuardConfig};
-use lqo_obs::trace::{OperatorEvent, ReoptEvent};
+use lqo_obs::trace::ReoptEvent;
 
 /// Re-optimization tuning.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl Default for ReoptConfig {
 }
 
 /// Per-query summary of checkpoint activity.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ReoptReport {
     /// Materialization checkpoints inspected.
     pub checkpoints: u64,
@@ -66,16 +66,21 @@ pub struct ReoptReport {
     pub replan_work: f64,
     /// One event per re-planning pass, in order.
     pub events: Vec<ReoptEvent>,
+    /// The plan actually executed: the sub-trees that ran before each
+    /// switch with the residual spliced in over them. The input plan
+    /// when nothing switched.
+    pub plan: PhysNode,
 }
 
 /// The residual runtime tree: the not-yet-finished part of the plan,
 /// with executed sub-trees collapsed into materialized leaves.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum RtNode {
     /// A pending base-table scan.
     Scan { pos: usize },
-    /// An already-materialized relation (index into the mat store).
-    Mat { id: usize },
+    /// An executed sub-tree: the plan it ran and its output, which keeps
+    /// the key slots a later join reads.
+    Mat { plan: PhysNode, rel: Relation },
     /// A pending join of two residual sub-trees.
     Join {
         algo: JoinAlgo,
@@ -96,38 +101,27 @@ impl RtNode {
         }
     }
 
-    /// Leaves in left-to-right order.
-    fn collect_leaves<'n>(&'n self, out: &mut Vec<&'n RtNode>) {
+    /// Dismantle the tree into its leaves, moved out in left-to-right
+    /// order, and its shape over their indices.
+    fn into_residual(self, leaves: &mut Vec<Option<RtNode>>) -> ResidualNode {
         match self {
-            RtNode::Scan { .. } | RtNode::Mat { .. } => out.push(self),
-            RtNode::Join { left, right, .. } => {
-                left.collect_leaves(out);
-                right.collect_leaves(out);
-            }
-        }
-    }
-
-    /// The tree as a [`ResidualNode`] over its in-order leaf indices.
-    fn to_residual(&self, next: &mut usize) -> ResidualNode {
-        match self {
-            RtNode::Scan { .. } | RtNode::Mat { .. } => {
-                let i = *next;
-                *next += 1;
-                ResidualNode::Leaf(i)
-            }
             RtNode::Join { algo, left, right } => ResidualNode::Join {
-                algo: *algo,
-                left: Box::new(left.to_residual(next)),
-                right: Box::new(right.to_residual(next)),
+                algo,
+                left: Box::new(left.into_residual(leaves)),
+                right: Box::new(right.into_residual(leaves)),
             },
+            leaf => {
+                leaves.push(Some(leaf));
+                ResidualNode::Leaf(leaves.len() - 1)
+            }
         }
     }
 
-    /// Rebuild a runtime tree from a residual plan, resolving leaf
-    /// indices against the current leaf list.
-    fn from_residual(plan: &ResidualNode, leaves: &[&RtNode]) -> RtNode {
+    /// Rebuild a runtime tree from a residual plan, moving each leaf back
+    /// in from the leaf list.
+    fn from_residual(plan: &ResidualNode, leaves: &mut [Option<RtNode>]) -> RtNode {
         match plan {
-            ResidualNode::Leaf(i) => leaves[*i].clone(),
+            ResidualNode::Leaf(i) => leaves[*i].take().expect("each leaf used once"),
             ResidualNode::Join { algo, left, right } => RtNode::Join {
                 algo: *algo,
                 left: Box::new(RtNode::from_residual(left, leaves)),
@@ -142,7 +136,6 @@ impl RtNode {
 pub struct ReoptExecutor<'a> {
     catalog: &'a Catalog,
     exec: Executor<'a>,
-    max_work: Option<f64>,
     card: Arc<dyn CardSource>,
     hints: HintSet,
     cfg: ReoptConfig,
@@ -162,11 +155,9 @@ impl<'a> ReoptExecutor<'a> {
         cfg: ReoptConfig,
     ) -> ReoptExecutor<'a> {
         let guard = ReoptGuard::new(cfg.guard.clone());
-        let max_work = exec_config.max_work;
         ReoptExecutor {
             catalog,
             exec: Executor::new(catalog, exec_config),
-            max_work,
             card,
             hints: HintSet::default(),
             cfg,
@@ -177,10 +168,11 @@ impl<'a> ReoptExecutor<'a> {
     }
 
     /// Attach telemetry, shared with the inner executor: exec metrics,
-    /// operator events, [`ReoptEvent`]s and `lqo.reopt.*` counters on its
-    /// obs context; re-planning under a profiler `reopt` phase; and
-    /// checkpoint decisions (switch, keep, degrade — a switch or degrade
-    /// is an incident trigger) on its flight ring.
+    /// operator events, the `exec.query` span and budget trips,
+    /// [`ReoptEvent`]s and `lqo.reopt.*` counters on its obs context;
+    /// re-planning under a profiler `reopt` phase; and checkpoint
+    /// decisions (switch, keep, degrade — a switch or degrade is an
+    /// incident trigger) on its flight ring.
     pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> ReoptExecutor<'a> {
         self.telemetry = telemetry.into();
         self.exec = self.exec.with_telemetry(self.telemetry.clone());
@@ -201,173 +193,56 @@ impl<'a> ReoptExecutor<'a> {
         self
     }
 
-    /// Execute `plan` for `query` under checkpointing.
-    pub fn execute(&self, query: &SpjQuery, plan: &PhysNode) -> Result<ExecResult> {
-        self.execute_collect(query, plan).map(|(r, _, _)| r)
-    }
-
-    /// Execute, also returning the final output relation and the
-    /// checkpoint report. With no trigger, the result and relation are
-    /// byte-identical to [`Executor::execute_collect`]; after a switch,
-    /// the relation is plan-order for the *new* plan (compare
-    /// [`Relation::normalize`]d forms across plans).
-    pub fn execute_collect(
-        &self,
-        query: &SpjQuery,
-        plan: &PhysNode,
-    ) -> Result<(ExecResult, Relation, ReoptReport)> {
-        // Same validation as the monolithic executor.
-        let mut scans = 0usize;
-        plan.visit_bottom_up(&mut |n| {
-            if matches!(n, PhysNode::Scan { .. }) {
-                scans += 1;
+    /// Execute `plan` for `query` under checkpointing, counting the
+    /// answer, and report the checkpoint activity and the plan actually
+    /// executed. With no trigger, the result equals
+    /// [`Executor::execute`]'s; after a switch, executing
+    /// [`ReoptReport::plan`] gives the same answer and intermediates.
+    pub fn execute(&self, query: &SpjQuery, plan: &PhysNode) -> Result<(ExecResult, ReoptReport)> {
+        let mut report = ReoptReport {
+            checkpoints: 0,
+            triggers: 0,
+            switches: 0,
+            replan_work: 0.0,
+            events: Vec::new(),
+            plan: plan.clone(),
+        };
+        let (result, _) = self.exec.run_query(query, plan, |run| {
+            let root = self.drive(query, plan, run, &mut report);
+            let obs = &self.telemetry.obs;
+            if obs.is_enabled() {
+                obs.count("lqo.reopt.checkpoints", report.checkpoints);
+                obs.count("lqo.reopt.triggers", report.triggers);
+                obs.count("lqo.reopt.switches", report.switches);
             }
-        });
-        if plan.tables() != query.all_tables() || scans != query.num_tables() {
-            return Err(EngineError::InvalidPlan(format!(
-                "plan covers {} with {} scans; query has {} tables",
-                plan.tables(),
-                scans,
-                query.num_tables()
-            )));
-        }
-        let _span = self.telemetry.obs.span("exec.query");
-        let _prof_exec = self.telemetry.prof.phase("execute");
-        let detail = self.telemetry.prof.sample_detail();
-        let start = Instant::now();
-        let mut meter = WorkMeter::new(self.max_work);
-        let mut intermediates = Vec::new();
-        let mut events = Vec::new();
-        let mut report = ReoptReport::default();
-        let attempt = self.drive(
-            query,
-            plan,
-            detail,
-            &mut meter,
-            &mut intermediates,
-            &mut events,
-            &mut report,
-        );
-        if self.telemetry.flight.is_enabled() {
-            for ev in &report.events {
-                self.telemetry.flight.publish(
-                    Producer::Reopt,
-                    FlightEvent::Reopt {
-                        tables: ev.tables,
-                        action: ev.action.clone(),
-                        q_error: ev.q_error,
-                    },
-                );
-            }
-        }
-        if self.telemetry.obs.is_enabled() {
-            let r = &report;
-            self.telemetry
-                .obs
-                .count("lqo.reopt.checkpoints", r.checkpoints);
-            self.telemetry.obs.count("lqo.reopt.triggers", r.triggers);
-            self.telemetry.obs.count("lqo.reopt.switches", r.switches);
-            for ev in &r.events {
-                match ev.action.as_str() {
-                    "switch" => {}
-                    a if a.starts_with("degrade") => {
-                        self.telemetry.obs.count("lqo.reopt.degraded", 1)
-                    }
-                    "keep:identical" => self.telemetry.obs.count("lqo.reopt.noop", 1),
-                    _ => {}
-                }
-                self.telemetry
-                    .obs
-                    .observe("lqo.reopt.replan_work", ev.replan_work);
-            }
-            let evs = report.events.clone();
-            self.telemetry.obs.with_query(move |t| {
-                for ev in evs {
-                    t.push_reopt(ev);
-                }
-            });
-        }
-        match attempt {
-            Ok(rel) => {
-                if self.telemetry.obs.is_enabled() {
-                    self.telemetry.obs.count("lqo.exec.queries", 1);
-                    self.telemetry
-                        .obs
-                        .observe("lqo.exec.work_units", meter.work());
-                    self.telemetry
-                        .obs
-                        .with_query(|t| t.exec.operators.extend(events));
-                }
-                let result = ExecResult {
-                    count: rel.len() as u64,
-                    work: meter.work(),
-                    wall: start.elapsed(),
-                    intermediates,
-                };
-                Ok((result, rel, report))
-            }
-            Err(e) => {
-                if self.telemetry.obs.is_enabled() {
-                    if matches!(e, EngineError::WorkLimitExceeded { .. }) {
-                        self.telemetry.obs.count("lqo.exec.timeouts", 1);
-                        self.telemetry.obs.with_query(|t| {
-                            t.exec.timeout = true;
-                            t.exec.operators.extend(events);
-                        });
-                    }
-                    self.telemetry.obs.count("lqo.exec.errors", 1);
-                }
-                Err(e)
-            }
-        }
+            root
+        })?;
+        Ok((result, report))
     }
 
     /// The step loop: execute the leftmost ready operator, checkpoint,
-    /// maybe re-plan, repeat.
-    #[allow(clippy::too_many_arguments)]
+    /// maybe re-plan, repeat; returns the (counting) root relation.
     fn drive(
         &self,
         query: &SpjQuery,
         plan: &PhysNode,
-        detail: bool,
-        meter: &mut WorkMeter,
-        intermediates: &mut Vec<(lqo_engine::TableSet, u64)>,
-        events: &mut Vec<OperatorEvent>,
+        run: &mut QueryRun,
         report: &mut ReoptReport,
     ) -> Result<Relation> {
         let mut tree = RtNode::from_phys(plan);
-        let mut mats: Vec<Relation> = Vec::new();
         let mut streak = 0usize;
-        let mut switches = 0usize;
         loop {
-            let done_id = match &tree {
-                RtNode::Mat { id } => Some(*id),
-                _ => None,
-            };
-            if let Some(id) = done_id {
-                return Ok(mats[id].clone());
-            }
-            let (id, op, own_work) = self
-                .exec_next(query, &mut tree, detail, meter, &mut mats)?
+            let (set, rows) = self
+                .step(query, &mut tree, run)?
                 .expect("unfinished tree has a ready operator");
-            let rel = &mats[id];
-            intermediates.push((rel.tables(), rel.len() as u64));
-            if self.telemetry.obs.is_enabled() {
-                events.push(OperatorEvent {
-                    op: op.to_string(),
-                    tables: rel.tables().0,
-                    true_rows: rel.len() as u64,
-                    est_rows: None,
-                    work: own_work,
-                });
+            if let RtNode::Mat { plan, rel } = tree {
+                // The final operator: nothing left to re-plan.
+                report.plan = plan;
+                return Ok(rel);
             }
             // -- materialization checkpoint --
-            if matches!(tree, RtNode::Mat { .. }) {
-                continue; // final operator: nothing left to re-plan
-            }
             report.checkpoints += 1;
-            let observed = rel.len() as f64;
-            let set = rel.tables();
+            let observed = rows as f64;
             let est = match catch_unwind(AssertUnwindSafe(|| self.card.cardinality(query, set))) {
                 Ok(v) if v.is_finite() && v >= 0.0 => v,
                 // A faulty estimator must not take the query down; an
@@ -380,71 +255,99 @@ impl<'a> ReoptExecutor<'a> {
             } else {
                 streak = 0;
             }
-            if streak < self.cfg.confirm_streak || switches >= self.cfg.max_reopts {
+            if streak < self.cfg.confirm_streak || report.switches >= self.cfg.max_reopts as u64 {
                 continue;
             }
             streak = 0;
             report.triggers += 1;
             let _reopt_phase = self.telemetry.prof.phase("reopt");
-            let event = self.replan(query, &mut tree, &mats, (set.0, observed, est, q), meter);
+            let event = self.replan(query, &mut tree, (set.0, observed, est, q), &mut run.meter);
             report.replan_work += event.replan_work;
             if event.action == "switch" {
                 report.switches += 1;
-                switches += 1;
             }
+            self.publish(&event);
             report.events.push(event);
         }
     }
 
-    /// Execute the leftmost ready operator in `tree`, returning the id
-    /// of the relation it materialized, its operator label, and its own
-    /// work charge. `None` if the tree is finished.
-    fn exec_next(
+    /// Execute the leftmost ready operator in `tree`, keeping the key
+    /// slots a later join reads, and return its output's tables and
+    /// rows; `None` if the tree is finished. The operator's inputs are
+    /// moved into it and dropped once it has run.
+    fn step(
         &self,
         query: &SpjQuery,
         tree: &mut RtNode,
-        detail: bool,
-        meter: &mut WorkMeter,
-        mats: &mut Vec<Relation>,
-    ) -> Result<Option<(usize, &'static str, f64)>> {
-        match tree {
-            RtNode::Mat { .. } => Ok(None),
+        run: &mut QueryRun,
+    ) -> Result<Option<(TableSet, usize)>> {
+        let (plan, rel) = match tree {
+            RtNode::Mat { .. } => return Ok(None),
             RtNode::Scan { pos } => {
-                let _p = detail.then(|| self.telemetry.prof.phase_sampled("Scan"));
-                let before = meter.work();
-                let rel = self.exec.exec_scan_step(query, *pos, meter)?;
-                let own = meter.work() - before;
-                self.telemetry.prof.charge(own);
-                let id = mats.len();
-                mats.push(rel);
-                *tree = RtNode::Mat { id };
-                Ok(Some((id, "Scan", own)))
+                let pos = *pos;
+                let keep = keep_for_child(query, TableSet::singleton(pos), TableSet::EMPTY);
+                let rel = self.exec.run_step(run, "Scan", |meter| {
+                    self.exec.exec_scan_step_keeping(query, pos, keep, meter)
+                })?;
+                (PhysNode::scan(pos), rel)
             }
-            RtNode::Join { algo, left, right } => {
-                if let Some(step) = self.exec_next(query, left, detail, meter, mats)? {
-                    return Ok(Some(step));
+            RtNode::Join { left, right, .. } => {
+                if let Some(done) = self.step(query, left, run)? {
+                    return Ok(Some(done));
                 }
-                if let Some(step) = self.exec_next(query, right, detail, meter, mats)? {
-                    return Ok(Some(step));
+                if let Some(done) = self.step(query, right, run)? {
+                    return Ok(Some(done));
                 }
-                let (l, r) = match (left.as_ref(), right.as_ref()) {
-                    (RtNode::Mat { id: l }, RtNode::Mat { id: r }) => {
-                        (mats[*l].clone(), mats[*r].clone())
-                    }
-                    _ => unreachable!("children just finished"),
+                // Both inputs are materialized: move them out of the tree
+                // (the placeholder is overwritten once the join has run).
+                let RtNode::Join { algo, left, right } =
+                    std::mem::replace(tree, RtNode::Scan { pos: usize::MAX })
+                else {
+                    unreachable!("matched a join")
                 };
-                let algo = *algo;
-                let _p = detail.then(|| self.telemetry.prof.phase_sampled(algo.label()));
-                let before = meter.work();
-                let rel = self.exec.exec_join_step(query, algo, l, r, meter)?;
-                let own = meter.work() - before;
-                self.telemetry.prof.charge(own);
-                let id = mats.len();
-                mats.push(rel);
-                *tree = RtNode::Mat { id };
-                Ok(Some((id, algo.label(), own)))
+                let (RtNode::Mat { plan: lp, rel: l }, RtNode::Mat { plan: rp, rel: r }) =
+                    (*left, *right)
+                else {
+                    unreachable!("children just finished")
+                };
+                let keep = keep_for_child(query, l.tables().union(r.tables()), TableSet::EMPTY);
+                let rel = self.exec.run_step(run, algo.label(), |meter| {
+                    self.exec
+                        .exec_join_step_keeping(query, algo, l, r, keep, meter)
+                })?;
+                (PhysNode::join(algo, lp, rp), rel)
             }
+        };
+        let done = (rel.tables(), rel.len());
+        *tree = RtNode::Mat { plan, rel };
+        Ok(Some(done))
+    }
+
+    /// Publish one checkpoint decision on the flight ring, the query
+    /// trace and the `lqo.reopt.*` metrics.
+    fn publish(&self, ev: &ReoptEvent) {
+        let Telemetry { obs, flight, .. } = &self.telemetry;
+        if flight.is_enabled() {
+            flight.publish(
+                Producer::Reopt,
+                FlightEvent::Reopt {
+                    tables: ev.tables,
+                    action: ev.action.clone(),
+                    q_error: ev.q_error,
+                },
+            );
         }
+        if !obs.is_enabled() {
+            return;
+        }
+        if ev.action.starts_with("degrade") {
+            obs.count("lqo.reopt.degraded", 1);
+        } else if ev.action == "keep:identical" {
+            obs.count("lqo.reopt.noop", 1);
+        }
+        obs.observe("lqo.reopt.replan_work", ev.replan_work);
+        let ev = ev.clone();
+        obs.with_query(move |t| t.push_reopt(ev));
     }
 
     /// One guarded re-planning pass over the residual tree. Never
@@ -453,7 +356,6 @@ impl<'a> ReoptExecutor<'a> {
         &self,
         query: &SpjQuery,
         tree: &mut RtNode,
-        mats: &[Relation],
         checkpoint: (u64, f64, f64, f64),
         meter: &mut WorkMeter,
     ) -> ReoptEvent {
@@ -468,15 +370,17 @@ impl<'a> ReoptExecutor<'a> {
             old_cost: None,
             new_cost: None,
         };
-        // Residual leaves, left-to-right: materialized intermediates
-        // carry their exact observed rows at zero acquisition cost;
-        // pending scans carry calibrated estimates and their scan cost.
+        // The tree is taken apart into its leaves and rebuilt below over
+        // the kept or the chosen shape. Executed sub-trees carry their
+        // exact observed rows at zero acquisition cost; pending scans
+        // carry calibrated estimates and their scan cost.
         let mut rt_leaves = Vec::new();
-        tree.collect_leaves(&mut rt_leaves);
+        let current =
+            std::mem::replace(tree, RtNode::Scan { pos: usize::MAX }).into_residual(&mut rt_leaves);
         let mut anchors = Vec::new();
-        for leaf in &rt_leaves {
-            if let RtNode::Mat { id } = leaf {
-                anchors.push((mats[*id].tables(), mats[*id].len() as f64));
+        for leaf in rt_leaves.iter().flatten() {
+            if let RtNode::Mat { rel, .. } = leaf {
+                anchors.push((rel.tables(), rel.len() as f64));
             }
         }
         let calibrated = CalibratedCardSource::new(self.card.as_ref(), anchors);
@@ -486,11 +390,11 @@ impl<'a> ReoptExecutor<'a> {
         let mut replan_meter = WorkMeter::new(Some(allowance));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut leaves = Vec::with_capacity(rt_leaves.len());
-            for leaf in &rt_leaves {
+            for leaf in rt_leaves.iter().flatten() {
                 leaves.push(match leaf {
-                    RtNode::Mat { id } => ResidualLeaf {
-                        set: mats[*id].tables(),
-                        rows: mats[*id].len() as f64,
+                    RtNode::Mat { rel, .. } => ResidualLeaf {
+                        set: rel.tables(),
+                        rows: rel.len() as f64,
                         cost: 0.0,
                         materialized: true,
                     },
@@ -502,17 +406,15 @@ impl<'a> ReoptExecutor<'a> {
                             .unwrap_or(0) as f64;
                         let npreds = query.predicates_on(*pos).len();
                         ResidualLeaf {
-                            set: lqo_engine::TableSet::singleton(*pos),
-                            rows: memo.cardinality(query, lqo_engine::TableSet::singleton(*pos)),
+                            set: TableSet::singleton(*pos),
+                            rows: memo.cardinality(query, TableSet::singleton(*pos)),
                             cost: params.scan_work(nrows, npreds),
                             materialized: false,
                         }
                     }
-                    RtNode::Join { .. } => unreachable!("collect_leaves returns leaves"),
+                    RtNode::Join { .. } => unreachable!("leaves are scans or executed sub-trees"),
                 });
             }
-            let mut next = 0usize;
-            let current = tree.to_residual(&mut next);
             let old_cost = residual_cost(
                 query,
                 &leaves,
@@ -560,45 +462,39 @@ impl<'a> ReoptExecutor<'a> {
                     &mut replan_meter,
                 )?,
             };
-            Ok::<_, EngineError>((current, old_cost, choice, key, from_cache))
+            Ok::<_, EngineError>((old_cost, choice, key, from_cache))
         }));
         event.replan_work = replan_meter.work();
         // Charging the pass against the query's own meter cannot trip it:
         // the allowance never exceeds the remaining budget.
         let _ = meter.add(replan_meter.work());
-        match outcome {
-            Err(_) => {
-                event.action = "degrade:panic".to_string();
-            }
-            Ok(Err(EngineError::WorkLimitExceeded { .. })) => {
-                event.action = "keep:budget".to_string();
-            }
-            Ok(Err(_)) => {
-                event.action = "degrade:error".to_string();
-            }
-            Ok(Ok((current, old_cost, choice, key, from_cache))) => {
+        let mut chosen = None;
+        event.action = match outcome {
+            Err(_) => "degrade:panic",
+            Ok(Err(EngineError::WorkLimitExceeded { .. })) => "keep:budget",
+            Ok(Err(_)) => "degrade:error",
+            Ok(Ok((old_cost, choice, key, from_cache))) => {
                 event.old_cost = Some(old_cost);
                 event.new_cost = Some(choice.cost);
                 if choice.plan == current {
-                    event.action = "keep:identical".to_string();
+                    "keep:identical"
                 } else if self.guard.accepts(old_cost, choice.cost) {
-                    *tree = RtNode::from_residual(&choice.plan, &rt_leaves);
-                    event.action = "switch".to_string();
                     if let (Some(cache), Some(key), false) = (&self.cache, key, from_cache) {
-                        cache.residual_store(
-                            key,
-                            CachedResidual {
-                                plan: choice.plan,
-                                cost: choice.cost,
-                            },
-                            calibrated.name(),
-                        );
+                        let cached = CachedResidual {
+                            plan: choice.plan.clone(),
+                            cost: choice.cost,
+                        };
+                        cache.residual_store(key, cached, calibrated.name());
                     }
+                    chosen = Some(choice.plan);
+                    "switch"
                 } else {
-                    event.action = "keep:cost".to_string();
+                    "keep:cost"
                 }
             }
         }
+        .to_string();
+        *tree = RtNode::from_residual(chosen.as_ref().unwrap_or(&current), &mut rt_leaves);
         event
     }
 }
@@ -617,7 +513,8 @@ mod tests {
     use lqo_engine::query::parse_query;
     use lqo_engine::stats::table_stats::{CatalogStats, StatsConfig};
     use lqo_engine::table::TableBuilder;
-    use lqo_engine::{ExecMode, TableSet, TraditionalCardSource};
+    use lqo_engine::{ExecMode, TraditionalCardSource};
+    use lqo_flight::FlightContext;
     use lqo_obs::ObsContext;
 
     /// Chain a -> b -> d (same shape as the optimizer tests): 50, 500,
@@ -692,58 +589,40 @@ mod tests {
         }
     }
 
+    /// `plan`'s plain counting execution: the untriggered reference.
+    fn baseline(c: &Catalog, q: &SpjQuery, plan: &PhysNode) -> ExecResult {
+        Executor::with_defaults(c).execute(q, plan).unwrap()
+    }
+
+    /// Equal count, work bits and intermediates.
+    fn assert_same_run(out: &ExecResult, base: &ExecResult, cell: &str) {
+        assert_eq!(out.count, base.count, "{cell}");
+        assert_eq!(out.work.to_bits(), base.work.to_bits(), "{cell}");
+        assert_eq!(out.intermediates, base.intermediates, "{cell}");
+    }
+
     #[test]
-    fn untriggered_execution_is_byte_identical_to_serial() {
+    fn untriggered_execution_matches_execute() {
         let (c, q) = chain();
         let card = traditional(&c);
         for plan in [good_plan(), bad_plan()] {
-            let (base, base_rel) = Executor::with_defaults(&c)
-                .execute_collect(&q, &plan)
-                .unwrap();
             let re = ReoptExecutor::new(&c, ExecConfig::default(), card.clone(), never_reopt());
-            let (out, rel, report) = re.execute_collect(&q, &plan).unwrap();
+            let (out, report) = re.execute(&q, &plan).unwrap();
             assert_eq!(report.triggers, 0);
-            assert_eq!(out.count, base.count);
-            assert_eq!(out.work.to_bits(), base.work.to_bits());
-            assert_eq!(out.intermediates, base.intermediates);
-            assert_eq!(rel.digest(), base_rel.digest());
+            assert_eq!(report.plan, plan);
+            assert_same_run(&out, &baseline(&c, &q, &plan), "serial");
         }
     }
 
     #[test]
-    fn untriggered_parallel_matches_serial_baseline() {
+    fn untriggered_modes_match_serial_baseline() {
         let (c, q) = chain();
         let card = traditional(&c);
         let plan = good_plan();
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
-        for threads in [2, 4] {
-            let re = ReoptExecutor::new(
-                &c,
-                ExecConfig {
-                    mode: ExecMode::Parallel { threads },
-                    ..Default::default()
-                },
-                card.clone(),
-                never_reopt(),
-            );
-            let (out, rel, _) = re.execute_collect(&q, &plan).unwrap();
-            assert_eq!(out.count, base.count);
-            assert_eq!(out.work.to_bits(), base.work.to_bits());
-            assert_eq!(rel.digest(), base_rel.digest());
-        }
-    }
-
-    #[test]
-    fn untriggered_batched_matches_serial_baseline() {
-        let (c, q) = chain();
-        let card = traditional(&c);
-        let plan = good_plan();
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
+        let base = baseline(&c, &q, &plan);
         let modes = [
+            ExecMode::Parallel { threads: 2 },
+            ExecMode::Parallel { threads: 4 },
             ExecMode::Batched { batch_size: 1 },
             ExecMode::Batched { batch_size: 64 },
         ];
@@ -757,10 +636,8 @@ mod tests {
                 card.clone(),
                 never_reopt(),
             );
-            let (out, rel, _) = re.execute_collect(&q, &plan).unwrap();
-            assert_eq!(out.count, base.count, "{mode}");
-            assert_eq!(out.work.to_bits(), base.work.to_bits(), "{mode}");
-            assert_eq!(rel.digest(), base_rel.digest(), "{mode}");
+            let (out, _) = re.execute(&q, &plan).unwrap();
+            assert_same_run(&out, &base, &mode.to_string());
         }
     }
 
@@ -774,11 +651,9 @@ mod tests {
         injected.inject(&q, TableSet::singleton(0), 1.0); // actually 50
         let card: Arc<dyn CardSource> = injected;
         let plan = bad_plan();
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
+        let base = baseline(&c, &q, &plan);
         let re = ReoptExecutor::new(&c, ExecConfig::default(), card, eager_reopt());
-        let (out, rel, report) = re.execute_collect(&q, &plan).unwrap();
+        let (out, report) = re.execute(&q, &plan).unwrap();
         assert_eq!(report.switches, 1, "events: {:?}", report.events);
         assert_eq!(report.events[0].action, "switch");
         let (old_c, new_c) = (
@@ -786,12 +661,17 @@ mod tests {
             report.events[0].new_cost.unwrap(),
         );
         assert!(new_c < old_c, "switch must be strictly cheaper");
-        // The answer is plan-invariant: same count, same tuple multiset.
+        // The answer is plan-invariant, and the executed plan accounts
+        // for every operator that ran (`reopt_diff` also checks its
+        // tuple multiset).
         assert_eq!(out.count, base.count);
-        assert_eq!(
-            rel.normalize().canonical_digest(),
-            base_rel.normalize().canonical_digest()
-        );
+        assert_ne!(report.plan, plan);
+        let sorted = |r: &ExecResult| {
+            let mut v = r.intermediates.clone();
+            v.sort_unstable_by_key(|&(t, n)| (t.0, n));
+            v
+        };
+        assert_eq!(sorted(&out), sorted(&baseline(&c, &q, &report.plan)));
         // The switch avoided the 75k-row cross product.
         assert!(out.work < base.work);
     }
@@ -805,7 +685,7 @@ mod tests {
         // Observed 50 rows, injected 50/8 -> q-error exactly 8.0.
         injected.inject(&q, TableSet::singleton(0), 50.0 / 8.0);
         let re = ReoptExecutor::new(&c, ExecConfig::default(), injected, eager_reopt());
-        let (_, _, report) = re.execute_collect(&q, &good_plan()).unwrap();
+        let (_, report) = re.execute(&q, &good_plan()).unwrap();
         assert!(report.triggers >= 1, "q == threshold must trigger");
     }
 
@@ -818,9 +698,7 @@ mod tests {
         injected.inject(&q, TableSet::singleton(0), 1.0);
         let card: Arc<dyn CardSource> = injected;
         let plan = bad_plan();
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
+        let base = baseline(&c, &q, &plan);
         let cfg = ReoptConfig {
             guard: ReoptGuardConfig {
                 replan_work_cap: 0.0,
@@ -828,13 +706,14 @@ mod tests {
             ..eager_reopt()
         };
         let re = ReoptExecutor::new(&c, ExecConfig::default(), card, cfg);
-        let (out, rel, report) = re.execute_collect(&q, &plan).unwrap();
+        let (out, report) = re.execute(&q, &plan).unwrap();
         assert!(report.triggers >= 1);
         assert_eq!(report.switches, 0);
         assert!(report.events.iter().all(|e| e.action == "keep:budget"));
-        // Plan-as-is: the run is byte-identical to the baseline.
+        // Plan-as-is: the baseline's answer and intermediates.
+        assert_eq!(report.plan, plan);
         assert_eq!(out.count, base.count);
-        assert_eq!(rel.digest(), base_rel.digest());
+        assert_eq!(out.intermediates, base.intermediates);
     }
 
     /// When enumeration re-selects the current sub-plan, the splice is a
@@ -852,11 +731,9 @@ mod tests {
         injected.inject(&q, TableSet::singleton(0), 1.0); // trigger on a
         let card: Arc<dyn CardSource> = injected;
         let plan = PhysNode::join(JoinAlgo::Hash, PhysNode::scan(0), PhysNode::scan(1));
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
+        let base = baseline(&c, &q, &plan);
         let re = ReoptExecutor::new(&c, ExecConfig::default(), card, eager_reopt());
-        let (out, rel, report) = re.execute_collect(&q, &plan).unwrap();
+        let (out, report) = re.execute(&q, &plan).unwrap();
         assert!(report.triggers >= 1);
         assert_eq!(report.switches, 0, "events: {:?}", report.events);
         assert!(
@@ -864,8 +741,9 @@ mod tests {
             "events: {:?}",
             report.events
         );
+        assert_eq!(report.plan, plan);
         assert_eq!(out.count, base.count);
-        assert_eq!(rel.digest(), base_rel.digest());
+        assert_eq!(out.intermediates, base.intermediates);
     }
 
     /// An estimator that panics on multi-table lookups: checkpoints on
@@ -894,19 +772,18 @@ mod tests {
         injected.inject(&q, TableSet::singleton(0), 1.0);
         let card: Arc<dyn CardSource> = Arc::new(PanicOnJoin { inner: injected });
         let plan = bad_plan();
-        let (base, base_rel) = Executor::with_defaults(&c)
-            .execute_collect(&q, &plan)
-            .unwrap();
+        let base = baseline(&c, &q, &plan);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence expected panics
         let re = ReoptExecutor::new(&c, ExecConfig::default(), card, eager_reopt());
-        let out = re.execute_collect(&q, &plan);
+        let out = re.execute(&q, &plan);
         std::panic::set_hook(prev);
-        let (out, rel, report) = out.unwrap();
+        let (out, report) = out.unwrap();
         assert!(report.triggers >= 1);
         assert!(report.events.iter().all(|e| e.action == "degrade:panic"));
+        assert_eq!(report.plan, plan);
         assert_eq!(out.count, base.count);
-        assert_eq!(rel.digest(), base_rel.digest());
+        assert_eq!(out.intermediates, base.intermediates);
     }
 
     /// Re-planned residual sub-plans are reused through the cache: the
@@ -922,7 +799,7 @@ mod tests {
         let run = |expect_hit: bool| {
             let re = ReoptExecutor::new(&c, ExecConfig::default(), card.clone(), eager_reopt())
                 .with_cache(cache.clone());
-            let (_, _, report) = re.execute_collect(&q, &plan).unwrap();
+            let (_, report) = re.execute(&q, &plan).unwrap();
             assert_eq!(report.switches, 1);
             if expect_hit {
                 assert!(cache.stats().residual_hits >= 1);
@@ -954,6 +831,45 @@ mod tests {
             ) => assert_eq!(a.to_bits(), b.to_bits()),
             other => panic!("expected matching work-limit errors, got {other:?}"),
         }
+    }
+
+    /// A budget-tripping reopt run publishes the `exec.query` span edges
+    /// and the budget trip onto the flight ring, as `execute` does.
+    #[test]
+    fn budget_trip_reaches_the_flight_ring() {
+        let (c, q) = chain();
+        let cfg = ExecConfig {
+            max_work: Some(1000.0),
+            ..Default::default()
+        };
+        let ring = |run: &dyn Fn(Telemetry)| {
+            let telemetry = Telemetry {
+                flight: FlightContext::enabled(),
+                ..Telemetry::default()
+            };
+            run(telemetry.clone());
+            let events = telemetry.flight.ring_snapshot().into_iter();
+            events
+                .filter(|r| {
+                    matches!(
+                        r.event,
+                        FlightEvent::Span { .. } | FlightEvent::BudgetTrip { .. }
+                    )
+                })
+                .map(|r| (r.producer, r.event))
+                .collect::<Vec<_>>()
+        };
+        let plain = ring(&|t| {
+            let ex = Executor::new(&c, cfg.clone()).with_telemetry(t);
+            assert!(ex.execute(&q, &bad_plan()).is_err());
+        });
+        let reopt = ring(&|t| {
+            let re = ReoptExecutor::new(&c, cfg.clone(), traditional(&c), eager_reopt())
+                .with_telemetry(t);
+            assert!(re.execute(&q, &bad_plan()).is_err());
+        });
+        assert_eq!(plain.len(), 3, "{plain:?}");
+        assert_eq!(reopt, plain);
     }
 
     /// Reopt events land on the query trace and `lqo.reopt.*` metrics.

@@ -6,20 +6,28 @@
 //! the only unimpeachable cardinality is the one you just materialized.
 //!
 //! The [`ReoptExecutor`] drives a physical plan one operator at a time
-//! through the engine's step seam ([`lqo_engine::Executor::exec_scan_step`]
-//! / [`lqo_engine::Executor::exec_join_step`]), replicating the serial
-//! post-order exactly — same operators, same canonical row order, same
-//! work-unit charge sequence — so when nothing triggers, execution is
-//! **byte-identical** to the monolithic executor. After every operator
-//! (a materialization checkpoint: hash-join build completion,
-//! intermediate relation materialization) it compares the observed
-//! cardinality with the estimate the plan was built on. When the q-error
-//! crosses a configurable threshold for a confirm-streak of consecutive
-//! checkpoints (mirroring `lqo-watch` alarm debouncing), it re-optimizes
-//! only the *remaining* sub-plan:
+//! through the engine's counting, slot-pruned step seam
+//! ([`lqo_engine::Executor::exec_scan_step_keeping`] /
+//! [`lqo_engine::Executor::exec_join_step_keeping`]) inside the
+//! executor's one query wrapper ([`lqo_engine::Executor::run_query`]),
+//! replicating the serial post-order exactly — same operators, same
+//! work-unit charge sequence — so when nothing triggers, the result
+//! (count, work bits, intermediates, error) is **identical** to
+//! [`lqo_engine::Executor::execute`]'s. Each step keeps
+//! `keep_for_child(query, step_tables, ∅)`: the positions with a join
+//! condition leaving the step, which is exactly the keep `execute`
+//! derives top-down at that node of *any* plan, so the root counts and
+//! a re-planned residual can join already-executed sub-trees on the keys
+//! they kept. Each intermediate is moved into its consumer and dropped
+//! once that has run. After every operator (a materialization
+//! checkpoint) it compares the observed cardinality with the estimate
+//! the plan was built on. When the q-error crosses a configurable
+//! threshold for a confirm-streak of consecutive checkpoints (mirroring
+//! `lqo-watch` alarm debouncing), it re-optimizes only the *remaining*
+//! sub-plan:
 //!
-//! * already-materialized relations become leaf inputs — exact rows,
-//!   zero acquisition cost — to a fresh enumeration over the residual
+//! * already-executed sub-trees become leaf inputs — exact rows, zero
+//!   acquisition cost — to a fresh enumeration over the residual
 //!   join graph ([`lqo_engine::enumerate_residual`]);
 //! * estimates for not-yet-built sub-queries are calibrated by the
 //!   observed/estimated ratios of the materialized anchors
@@ -36,7 +44,10 @@
 //!   epoch-tagged residual cache in [`lqo_cache::LqoCache`].
 //!
 //! Every checkpoint decision lands on the query trace as a
-//! [`lqo_obs::trace::ReoptEvent`] and on the `lqo.reopt.*` metrics.
+//! [`lqo_obs::trace::ReoptEvent`], on the `lqo.reopt.*` metrics and on
+//! the flight ring. The [`ReoptReport`] names the plan actually executed
+//! — the sub-trees that ran before a switch with the residual spliced in
+//! over them — which is the evidence that a switch kept the answer.
 
 #![warn(missing_docs)]
 

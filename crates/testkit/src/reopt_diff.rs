@@ -1,31 +1,33 @@
 //! Differential harness for the checkpointed re-optimizing executor.
 //!
-//! The contract `lqo-reopt` must keep is two-tiered:
+//! `lqo-reopt` steps a plan through the counting, slot-pruned step seam,
+//! so its answer is a count, its work account and its intermediates. The
+//! contract it must keep has three tiers:
 //!
-//! * **Untriggered** (no checkpoint ever switched the plan): execution is
-//!   **byte-identical** to the monolithic executor — equal counts,
-//!   bit-identical work units, equal intermediates, identical output
-//!   relations (slots and row order), and identical errors on budget
-//!   trips. The step-driven path must be invisible.
+//! * **Untriggered** (no checkpoint ever tripped): execution is
+//!   identical to the monolithic [`Executor::execute`] — equal counts,
+//!   bit-identical work units, equal intermediates, and identical errors
+//!   on budget trips. The step-driven path must be invisible.
 //! * **Triggered, kept** (a checkpoint tripped but re-planning kept the
-//!   original plan): rows, order, counts, and intermediates are still
-//!   the original plan's; only the bounded re-planning work charge may
-//!   (and must, upward) move the work account.
+//!   original plan): counts and intermediates are still the original
+//!   plan's; only the bounded re-planning work charge may (and must,
+//!   upward) move the work account.
 //! * **Switched** (one or more sub-plan switches): the plan changed, so
-//!   plan-dependent observables (work, operator order, row order) may
-//!   legitimately differ — but the *answer* may not. The harness then
-//!   requires equal counts and equal [`Relation::normalize`]d canonical
-//!   digests: the same tuple multiset, plan-invariantly ordered.
+//!   work and operator order may legitimately differ — but the *answer*
+//!   may not. The harness requires equal counts, and runs the plan the
+//!   report says was executed ([`lqo_reopt::ReoptReport::plan`]) through
+//!   [`Executor::execute_collect`]: its `Relation::normalize`d
+//!   canonical digest must be the baseline's (the same tuple multiset),
+//!   and its intermediates, as a sorted multiset, must be the reopt
+//!   run's.
 //!
-//! Both tiers are swept across thread counts, because re-optimization
+//! Every tier is swept across thread counts, because re-optimization
 //! composes with morsel-driven parallel operator execution.
 
 use std::sync::Arc;
 
-use lqo_engine::exec::relation::Relation;
 use lqo_engine::{
-    CardSource, Catalog, EngineError, ExecConfig, ExecMode, ExecResult, Executor, PhysNode,
-    SpjQuery,
+    CardSource, Catalog, ExecConfig, ExecMode, ExecResult, Executor, PhysNode, SpjQuery,
 };
 use lqo_reopt::{ReoptConfig, ReoptExecutor};
 
@@ -72,10 +74,29 @@ fn fingerprint(r: &ExecResult) -> (u64, u64, Vec<(lqo_engine::TableSet, u64)>) {
     (r.count, r.work.to_bits(), r.intermediates.clone())
 }
 
+/// `plan`'s answer as a plan-invariant tuple multiset digest, and its
+/// intermediates as a sorted multiset (unbudgeted, serial).
+fn collected(
+    catalog: &Catalog,
+    query: &SpjQuery,
+    plan: &PhysNode,
+) -> Result<(u64, Vec<(u64, u64)>), String> {
+    let (r, rel) = Executor::with_defaults(catalog)
+        .execute_collect(query, plan)
+        .map_err(|e| format!("executing {plan:?} for `{query}` failed: {e}"))?;
+    Ok((rel.normalize().canonical_digest(), sorted_intermediates(&r)))
+}
+
+fn sorted_intermediates(r: &ExecResult) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = r.intermediates.iter().map(|&(t, n)| (t.0, n)).collect();
+    v.sort_unstable();
+    v
+}
+
 /// Execute `plan` with the plain serial executor (the reference), then
 /// with the checkpointed executor in serial mode and at every thread
 /// count in `cfg`, holding each cell to the tier its report earns:
-/// byte identity when untriggered, answer identity after a switch.
+/// execute identity when untriggered, answer identity after a switch.
 ///
 /// `card` is the estimator the plan was (nominally) built on — poison it
 /// to force triggers, pass the real one to prove invisibility.
@@ -93,7 +114,7 @@ pub fn diff_reopt_plan(
             ..Default::default()
         },
     )
-    .execute_collect(query, plan);
+    .execute(query, plan);
     let mut cells = 0;
     let mut triggers = 0;
     let mut switches = 0;
@@ -117,9 +138,8 @@ pub fn diff_reopt_plan(
             card.clone(),
             cfg.reopt.clone(),
         );
-        let attempt = reopt.execute_collect(query, plan);
-        match (&baseline, &attempt) {
-            (Ok((br, brel)), Ok((rr, rrel, report))) => {
+        match (&baseline, &reopt.execute(query, plan)) {
+            (Ok(br), Ok((rr, report))) => {
                 triggers += report.triggers;
                 switches += report.switches;
                 if report.triggers == 0 {
@@ -134,20 +154,13 @@ pub fn diff_reopt_plan(
                             rr.work.to_bits(),
                         ));
                     }
-                    if brel.slots() != rrel.slots() || brel.rows() != rrel.rows() {
-                        return Err(format!(
-                            "untriggered relation divergence at {cell} for `{query}`"
-                        ));
-                    }
                 } else if report.switches == 0 {
                     // Tier 1.5: triggered but kept the original plan — the
                     // only legitimate delta is the bounded re-planning
-                    // work charged to the meter. Rows, order, counts, and
-                    // intermediates are still the original plan's.
+                    // work charged to the meter.
                     if br.count != rr.count
                         || br.intermediates != rr.intermediates
-                        || brel.slots() != rrel.slots()
-                        || brel.rows() != rrel.rows()
+                        || report.plan != *plan
                     {
                         return Err(format!("kept-plan divergence at {cell} for `{query}`"));
                     }
@@ -167,15 +180,22 @@ pub fn diff_reopt_plan(
                             br.count, rr.count
                         ));
                     }
-                    if normalized_digest(brel) != normalized_digest(rrel) {
+                    let (want, _) = collected(catalog, query, plan)?;
+                    let (got, ran) = collected(catalog, query, &report.plan)?;
+                    if got != want {
                         return Err(format!(
                             "tuple-multiset divergence after switch at {cell} for `{query}`"
+                        ));
+                    }
+                    if ran != sorted_intermediates(rr) {
+                        return Err(format!(
+                            "intermediates of the executed plan diverge at {cell} for `{query}`"
                         ));
                     }
                 }
             }
             (Err(be), Err(re)) => {
-                if !same_error(be, re) {
+                if be != re {
                     return Err(format!(
                         "error divergence at {cell} for `{query}`: baseline {be}, reopt {re}"
                     ));
@@ -194,7 +214,7 @@ pub fn diff_reopt_plan(
         }
     }
     match baseline {
-        Ok((result, _)) => Ok(ReoptDiffOutcome {
+        Ok(result) => Ok(ReoptDiffOutcome {
             serial: result,
             triggers,
             switches,
@@ -202,14 +222,6 @@ pub fn diff_reopt_plan(
         }),
         Err(e) => Err(format!("baseline execution failed for `{query}`: {e}")),
     }
-}
-
-fn normalized_digest(rel: &Relation) -> u64 {
-    rel.normalize().canonical_digest()
-}
-
-fn same_error(a: &EngineError, b: &EngineError) -> bool {
-    a == b
 }
 
 /// Run [`diff_reopt_plan`] for every `(query, plan)` pair, panicking on

@@ -4,9 +4,10 @@
 //! serial executor.
 //!
 //! With the estimator the plans were built on, nothing may trigger and
-//! the comparison is byte identity. With deliberately poisoned
-//! estimates, checkpoints trip and the comparison is answer identity
-//! (equal counts, equal normalized tuple-multiset digests).
+//! the comparison is execute identity (count, work bits, intermediates).
+//! With deliberately poisoned estimates, checkpoints trip, plans switch,
+//! and the comparison is answer identity (equal counts; the executed
+//! plan's normalized tuple-multiset digest and intermediates).
 
 use std::sync::Arc;
 
@@ -81,7 +82,7 @@ fn poisoned_workload_recovers_to_identical_answers() {
         },
         ..Default::default()
     };
-    let mut triggers = 0;
+    let (mut triggers, mut switches) = (0, 0);
     for (query, plan) in &pairs {
         // Poison the session's belief about every base table: each scan
         // checkpoint then sees a huge q-error and the executor must
@@ -94,6 +95,8 @@ fn poisoned_workload_recovers_to_identical_answers() {
         let out = diff_reopt_plan(&catalog, query, plan, &poisoned, &cfg)
             .unwrap_or_else(|msg| panic!("reopt differential harness: {msg}"));
         triggers += out.triggers;
+        switches += out.switches;
     }
     assert!(triggers > 0, "poisoned workload never tripped a checkpoint");
+    assert!(switches > 0, "poisoned workload never switched a plan");
 }
