@@ -149,9 +149,10 @@ impl PilotConsole {
     /// through this console: plans execute under materialization
     /// checkpoints, and a confirmed cardinality misestimate re-plans the
     /// remaining sub-plan within the guard budget (see `lqo-reopt`).
-    /// Untriggered execution is byte-identical to the plain path, and a
-    /// switched query still returns the same tuple multiset, so driver
-    /// feedback signals stay comparable.
+    /// Untriggered execution reports exactly what the plain path does
+    /// (count, work bits, intermediates), and a switched query still
+    /// returns the same answer, so driver feedback signals stay
+    /// comparable.
     pub fn with_reopt(self, cfg: lqo_reopt::ReoptConfig) -> PilotConsole {
         self.interactor.set_reopt(Some(cfg));
         self

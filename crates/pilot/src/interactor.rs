@@ -122,9 +122,9 @@ pub trait DbInteractor: Send + Sync {
     /// re-optimization for subsequent executions: plans run under
     /// materialization checkpoints, and a confirmed cardinality
     /// misestimate re-plans the remaining sub-plan under the guard
-    /// budget. Checkpointed execution is byte-identical to the plain
-    /// path when nothing triggers, and answer-identical (same tuple
-    /// multiset) after a switch. Default: ignored, so interactors
+    /// budget. Checkpointed execution reports exactly what the plain
+    /// path does when nothing triggers, and the same answer after a
+    /// switch. Default: ignored, so interactors
     /// without a checkpointed executor keep working unchanged.
     fn set_reopt(&self, _cfg: Option<ReoptConfig>) {}
 }

@@ -10,9 +10,9 @@
 //! The engine's morsel pool ([`lqo_engine::ExecMode::Parallel`])
 //! parallelizes *within* one operator. This crate adds the level above:
 //! each admitted query is decomposed into its serial post-order of
-//! operator **steps** through the engine's materialization-checkpoint
-//! seam ([`lqo_engine::Executor::exec_scan_step`] /
-//! [`lqo_engine::Executor::exec_join_step`]), and a shared worker pool
+//! operator **steps** through the engine's counting, slot-pruned step
+//! seam ([`lqo_engine::Executor::exec_scan_step_keeping`] /
+//! [`lqo_engine::Executor::exec_join_step_keeping`]), and a shared worker pool
 //! interleaves steps *across* queries. One query's steps never run
 //! concurrently with each other (a task is owned by exactly one worker
 //! at a time), so every query's rows, row order, and bit-exact f64 work
