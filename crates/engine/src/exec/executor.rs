@@ -175,13 +175,13 @@ impl WorkMeter {
 }
 
 /// One query's running account, which [`Executor::run_query`] hands to
-/// the driver executing the query's operators.
+/// the driver executing the query's operators. Their profiler phases
+/// nest in the query's `execute` phase and follow its sampling decision
+/// (see `lqo_prof`); their work is charged exactly either way.
 #[derive(Debug)]
 pub struct QueryRun {
     /// The query's work meter, budgeted by [`ExecConfig::max_work`].
     pub meter: WorkMeter,
-    /// Whether this query's operators open sampled profiler phases.
-    pub detail: bool,
     /// Output cardinality of every finished operator, in finish order.
     intermediates: Vec<(TableSet, u64)>,
     /// Operator events for the query trace (obs on only).
@@ -265,9 +265,7 @@ impl<'a> Executor<'a> {
         keep: TableSet,
     ) -> Result<(ExecResult, Relation)> {
         self.run_query(query, plan, |run| {
-            self.with_pool(run.detail, |par| {
-                self.exec_node(query, plan, keep, par, run)
-            })
+            self.with_pool(|par| self.exec_node(query, plan, keep, par, run))
         })
     }
 
@@ -299,13 +297,8 @@ impl<'a> Executor<'a> {
             );
         }
         let start = Instant::now();
-        // One detail decision per query: per-operator phases are only
-        // opened on sampled queries (weighted by the stride), keeping
-        // sampling-mode overhead flat. Work charges stay exact either
-        // way — on unsampled queries they attribute to `execute`.
         let mut run = QueryRun {
             meter: WorkMeter::new(self.config.max_work),
-            detail: self.telemetry.prof.sample_detail(),
             intermediates: Vec::new(),
             events: Vec::new(),
         };
@@ -364,15 +357,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Run one step-seam operator `op` of a query driven through
-    /// [`Executor::run_query`], under a sampled profiler phase `label`,
-    /// and account it as the plan walker accounts its operators.
+    /// [`Executor::run_query`], under a profiler phase `label`, and
+    /// account it as the plan walker accounts its operators.
     pub fn run_step(
         &self,
         run: &mut QueryRun,
         label: &'static str,
         op: impl FnOnce(&mut WorkMeter) -> Result<Relation>,
     ) -> Result<Relation> {
-        let _p = run.detail.then(|| self.telemetry.prof.phase_sampled(label));
+        let _p = self.telemetry.prof.phase(label);
         let before = run.meter.work;
         let rel = op(&mut run.meter)?;
         self.record_op(run, label, &rel, run.meter.work - before);
@@ -421,7 +414,7 @@ impl<'a> Executor<'a> {
         keep: TableSet,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        self.with_pool(false, |par| self.scan_op(query, pos, keep, par, meter))
+        self.with_pool(|par| self.scan_op(query, pos, keep, par, meter))
     }
 
     /// Execute a single join operator over two already-materialized
@@ -453,20 +446,18 @@ impl<'a> Executor<'a> {
         keep: TableSet,
         meter: &mut WorkMeter,
     ) -> Result<Relation> {
-        self.with_pool(false, |par| {
-            self.join_op(query, algo, left, right, keep, par, meter)
-        })
+        self.with_pool(|par| self.join_op(query, algo, left, right, keep, par, meter))
     }
 
     /// Run `f` with the morsel pool run of one query (or one step): a run
     /// when the mode has more than one worker, `None` otherwise. One run
     /// spans every operator `f` executes, so its morsel sequence,
     /// approximate budget and utilization cover the whole query.
-    fn with_pool<T>(&self, detail: bool, f: impl FnOnce(Option<&ParRun<'_>>) -> T) -> T {
+    fn with_pool<T>(&self, f: impl FnOnce(Option<&ParRun<'_>>) -> T) -> T {
         if self.config.mode.threads() == 1 {
             return f(None);
         }
-        let run = ParRun::new(self, detail);
+        let run = ParRun::new(self);
         let out = f(Some(&run));
         run.finish();
         out
@@ -541,7 +532,7 @@ impl<'a> Executor<'a> {
             PhysNode::Scan { .. } => "Scan",
             PhysNode::Join { algo, .. } => algo.label(),
         };
-        let _prof_op = run.detail.then(|| self.telemetry.prof.phase_sampled(label));
+        let _prof_op = self.telemetry.prof.phase(label);
         let (rel, own_work) = match node {
             PhysNode::Scan { pos } => {
                 let before = run.meter.work;
@@ -1068,6 +1059,38 @@ mod tests {
     }
 
     #[test]
+    fn sampled_parallel_profile_counts_match_the_exact_one() {
+        // Stride 4 over 4 × 3 runs of one query records 3 of them in
+        // full, each weighted 4, so every frame's call count — the
+        // pool's `morsel` and worker frames as much as the operator
+        // that dispatched them — equals the exact profile's.
+        let (c, q) = fixture();
+        let plan = join_plan(JoinAlgo::Hash);
+        let calls = |prof: ProfContext| {
+            let config = ExecConfig {
+                mode: ExecMode::Parallel { threads: 2 },
+                parallel: ParallelConfig {
+                    morsel_rows: 4,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let ex = Executor::new(&c, config).with_telemetry(prof.clone());
+            for _ in 0..4 * 3 {
+                ex.execute(&q, &plan).unwrap();
+            }
+            let frames = prof.total().frames;
+            frames
+                .into_iter()
+                .map(|(path, s)| (path, s.calls))
+                .collect::<Vec<_>>()
+        };
+        let exact = calls(ProfContext::enabled());
+        assert!(exact.iter().any(|(path, _)| path.ends_with(";morsel")));
+        assert_eq!(calls(ProfContext::sampling(4)), exact);
+    }
+
+    #[test]
     fn parallel_fault_at_any_morsel_reruns_only_that_operator() {
         // `a` (10 rows) and `b` (21 rows) in 4-row morsels: the scans
         // dispatch morsels 0..=2 and 3..=8, the hash join's build 9..=11
@@ -1179,7 +1202,6 @@ mod tests {
         let ex = Executor::with_defaults(c);
         let mut run = QueryRun {
             meter: WorkMeter::new(None),
-            detail: false,
             intermediates: Vec::new(),
             events: Vec::new(),
         };

@@ -128,9 +128,6 @@ impl Default for ParallelConfig {
 /// pool utilization totals.
 pub(crate) struct ParRun<'a> {
     pub(crate) ex: &'a Executor<'a>,
-    /// Whether this query was picked for per-operator profiling detail
-    /// (decided once per query by the executor).
-    detail: bool,
     pub(crate) shared: SharedRun,
     /// Total morsels dispatched, worker busy ns, and pool capacity
     /// (spawned workers × dispatch wall ns) — accumulated across
@@ -141,10 +138,9 @@ pub(crate) struct ParRun<'a> {
 }
 
 impl<'a> ParRun<'a> {
-    pub(crate) fn new(ex: &'a Executor<'a>, detail: bool) -> ParRun<'a> {
+    pub(crate) fn new(ex: &'a Executor<'a>) -> ParRun<'a> {
         ParRun {
             ex,
-            detail,
             shared: SharedRun::new(ex.config.max_work, ex.config.parallel.panic_on_morsel),
             morsels_run: Cell::new(0),
             busy_ns: Cell::new(0),
@@ -183,10 +179,10 @@ impl<'a> ParRun<'a> {
                     .observe("lqo.exec.parallel.morsel_ns", ns as f64);
             }
         }
-        if self.ex.telemetry.prof.is_enabled() && self.detail {
+        if self.ex.telemetry.prof.is_enabled() {
             // Per-morsel and per-worker attribution under the operator
-            // phase that dispatched this pool run (detail-sampled along
-            // with the per-operator phases). Derived from the same
+            // phase that dispatched this pool run, weighted like it
+            // under root sampling. Derived from the same
             // PoolStats that feed the E11 utilization gauge, so the
             // profiler's busy/idle split and the scaling experiment's
             // utilization numbers cannot drift apart.

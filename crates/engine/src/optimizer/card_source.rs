@@ -263,70 +263,6 @@ impl CardSource for ScaledCardSource {
     }
 }
 
-/// Decorator that reports every cardinality lookup to an
-/// [`lqo_obs::ObsContext`]:
-/// each call is appended to the current query trace as a
-/// [`lqo_obs::trace::CardLookup`] and counted under `lqo.card.lookups`.
-/// Wrapped locally by the obs-aware enumerators, so estimator code and
-/// the public `CardSource` implementations stay untouched.
-pub struct TracingCardSource<'a> {
-    inner: &'a dyn CardSource,
-    obs: &'a lqo_obs::ObsContext,
-}
-
-impl<'a> TracingCardSource<'a> {
-    /// Wrap `inner`, reporting lookups to `obs`.
-    pub fn new(inner: &'a dyn CardSource, obs: &'a lqo_obs::ObsContext) -> TracingCardSource<'a> {
-        TracingCardSource { inner, obs }
-    }
-}
-
-impl CardSource for TracingCardSource<'_> {
-    fn cardinality(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        let est = self.inner.cardinality(query, set);
-        self.obs.count("lqo.card.lookups", 1);
-        self.obs.with_query(|t| {
-            t.planner.card_lookups.push(lqo_obs::trace::CardLookup {
-                tables: set.0,
-                est_rows: est,
-            });
-        });
-        est
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// Wraps a [`CardSource`] for the profiler: every lookup bumps the exact
-/// estimator-call counter and runs under a (sampled) `estimate` hot
-/// phase, so inference wall time lands in the phase tree separable from
-/// enumeration and cost-model time.
-pub struct ProfCardSource<'a> {
-    inner: &'a dyn CardSource,
-    prof: &'a lqo_prof::ProfContext,
-}
-
-impl<'a> ProfCardSource<'a> {
-    /// Wrap `inner`, reporting lookups to `prof`.
-    pub fn new(inner: &'a dyn CardSource, prof: &'a lqo_prof::ProfContext) -> ProfCardSource<'a> {
-        ProfCardSource { inner, prof }
-    }
-}
-
-impl CardSource for ProfCardSource<'_> {
-    fn cardinality(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        self.prof.note_estimator_call();
-        let _phase = self.prof.phase_hot("estimate");
-        self.inner.cardinality(query, set)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

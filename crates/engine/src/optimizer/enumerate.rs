@@ -11,13 +11,14 @@
 //! a candidate replaces the incumbent only when strictly cheaper under
 //! `total_cmp`, so ties resolve to the first candidate seen.
 
+use lqo_obs::trace::CardLookup;
 use lqo_obs::ObsContext;
 use lqo_prof::ProfContext;
 
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result};
 use crate::exec::workunits::CostParams;
-use crate::optimizer::card_source::{CardSource, ProfCardSource, TracingCardSource};
+use crate::optimizer::card_source::CardSource;
 use crate::optimizer::cost::join_op_cost;
 use crate::optimizer::hints::HintSet;
 use crate::plan::physical::{JoinAlgo, PhysNode};
@@ -171,20 +172,7 @@ pub fn dp_optimize_obs(
 ) -> Result<PlanChoice> {
     let _span = obs.span("plan.dp");
     let _prof_enum = prof.phase("enumerate");
-    let profiled;
-    let card: &dyn CardSource = if prof.is_enabled() {
-        profiled = ProfCardSource::new(card, prof);
-        &profiled
-    } else {
-        card
-    };
-    let traced;
-    let card: &dyn CardSource = if obs.is_enabled() {
-        traced = TracingCardSource::new(card, obs);
-        &traced
-    } else {
-        card
-    };
+    let card = Lookup { card, obs, prof };
     let mut subproblems = 0u64;
     let mut cost_evals = 0u64;
     let n = query.num_tables();
@@ -220,7 +208,7 @@ pub fn dp_optimize_obs(
         let set = TableSet::singleton(pos);
         best[set.0 as usize] = Some(Entry {
             cost: params.scan_work(table.nrows() as f64, npreds),
-            rows: card.cardinality(query, set),
+            rows: card.rows(query, set),
             left: TableSet::EMPTY,
             algo: JoinAlgo::Hash,
         });
@@ -232,12 +220,12 @@ pub fn dp_optimize_obs(
             continue;
         }
         subproblems += 1;
-        let out_rows = card.cardinality(query, set);
+        let out_rows = card.rows(query, set);
         let width = set.len();
         let mut best_here: Option<Entry> = None;
-        // One (sampled) cost phase per subproblem: the partition/algo
-        // search below is pure cost-model arithmetic, no card lookups.
-        let _prof_cost = prof.phase_hot("cost");
+        // One cost phase per subproblem: the partition/algo search
+        // below is pure cost-model arithmetic, no card lookups.
+        let _prof_cost = prof.phase("cost");
         for left in set.proper_subsets() {
             let right = set.minus(left);
             if hints.left_deep_only && right.len() != 1 {
@@ -282,6 +270,37 @@ pub fn dp_optimize_obs(
     Ok(choice)
 }
 
+/// The enumerators' cardinality source with its telemetry: each lookup
+/// counts an estimator call and runs under the profiler's `estimate`
+/// phase, so inference time is separable from enumeration and cost-model
+/// time, then (obs on) lands on the query trace as a [`CardLookup`] and
+/// in `lqo.card.lookups`.
+struct Lookup<'a> {
+    card: &'a dyn CardSource,
+    obs: &'a ObsContext,
+    prof: &'a ProfContext,
+}
+
+impl Lookup<'_> {
+    fn rows(&self, query: &SpjQuery, set: TableSet) -> f64 {
+        self.prof.note_estimator_call();
+        let est = {
+            let _phase = self.prof.phase("estimate");
+            self.card.cardinality(query, set)
+        };
+        if self.obs.is_enabled() {
+            self.obs.count("lqo.card.lookups", 1);
+            self.obs.with_query(|t| {
+                t.planner.card_lookups.push(CardLookup {
+                    tables: set.0,
+                    est_rows: est,
+                });
+            });
+        }
+        est
+    }
+}
+
 /// Attach enumeration provenance to the in-flight trace and metrics.
 fn record_enumeration(
     obs: &ObsContext,
@@ -293,8 +312,8 @@ fn record_enumeration(
 ) {
     if prof.is_enabled() {
         // Exact cost-evaluation count as work units on the cost frame
-        // (its wall clock comes from the sampled hot phases); the
-        // caller's `enumerate` phase is still open, so this lands at
+        // (its wall clock comes from the per-subproblem cost phases);
+        // the caller's `enumerate` phase is still open, so this lands at
         // `...;enumerate;cost`.
         prof.record_child("cost", 0, 0, cost_evals as f64);
     }
@@ -331,24 +350,22 @@ struct EnumCounters {
 /// Best permitted join of two items; cross products always fall back to
 /// nested loops (the only operator that can evaluate them), regardless of
 /// hints, so a plan always exists.
-#[allow(clippy::too_many_arguments)]
 fn best_join(
     query: &SpjQuery,
-    card: &dyn CardSource,
+    card: &Lookup<'_>,
     params: &CostParams,
     algos: &[JoinAlgo],
     left: &Item,
     right: &Item,
     counters: &mut EnumCounters,
-    prof: &ProfContext,
 ) -> (JoinAlgo, f64, f64) {
     counters.subproblems += 1;
     let out_set = left.set.union(right.set);
-    let out_rows = card.cardinality(query, out_set);
+    let out_rows = card.rows(query, out_set);
     let width = out_set.len();
-    // Card lookup above stays outside the (sampled) cost phase, so
-    // estimate and cost time are siblings under `enumerate`.
-    let _prof_cost = prof.phase_hot("cost");
+    // Card lookup above stays outside the cost phase, so estimate and
+    // cost time are siblings under `enumerate`.
+    let _prof_cost = card.prof.phase("cost");
     let has_cond = !query.joins_between(left.set, right.set).is_empty();
     if !has_cond {
         counters.cost_evals += 1;
@@ -429,20 +446,7 @@ pub fn greedy_optimize_obs(
 ) -> Result<PlanChoice> {
     let _span = obs.span("plan.greedy");
     let _prof_enum = prof.phase("enumerate");
-    let profiled;
-    let card: &dyn CardSource = if prof.is_enabled() {
-        profiled = ProfCardSource::new(card, prof);
-        &profiled
-    } else {
-        card
-    };
-    let traced;
-    let card: &dyn CardSource = if obs.is_enabled() {
-        traced = TracingCardSource::new(card, obs);
-        &traced
-    } else {
-        card
-    };
+    let card = Lookup { card, obs, prof };
     let mut counters = EnumCounters::default();
     let n = query.num_tables();
     if n == 0 {
@@ -462,7 +466,7 @@ pub fn greedy_optimize_obs(
         items.push(Item {
             plan: PhysNode::scan(pos),
             set,
-            rows: card.cardinality(query, set),
+            rows: card.rows(query, set),
             cost: params.scan_work(table.nrows() as f64, npreds),
         });
     }
@@ -479,7 +483,7 @@ pub fn greedy_optimize_obs(
             None => next,
             Some(s) => {
                 let (algo, op, rows) =
-                    best_join(query, card, params, &algos, &s, &next, &mut counters, prof);
+                    best_join(query, &card, params, &algos, &s, &next, &mut counters);
                 Item {
                     plan: PhysNode::join(algo, s.plan, next.plan),
                     set: s.set.union(next.set),
@@ -509,8 +513,7 @@ pub fn greedy_optimize_obs(
             let mut best_conn = false;
             for (i, it) in items.iter().enumerate() {
                 let conn = graph.has_edge_between(spine.set, it.set);
-                let (_, op, _) =
-                    best_join(query, card, params, &algos, &spine, it, &mut counters, prof);
+                let (_, op, _) = best_join(query, &card, params, &algos, &spine, it, &mut counters);
                 // Connected candidates strictly dominate cross products.
                 if (conn, -op) > (best_conn, -best_score) {
                     best_conn = conn;
@@ -519,16 +522,8 @@ pub fn greedy_optimize_obs(
                 }
             }
             let next = items.swap_remove(best_idx);
-            let (algo, op, rows) = best_join(
-                query,
-                card,
-                params,
-                &algos,
-                &spine,
-                &next,
-                &mut counters,
-                prof,
-            );
+            let (algo, op, rows) =
+                best_join(query, &card, params, &algos, &spine, &next, &mut counters);
             spine = Item {
                 plan: PhysNode::join(algo, spine.plan, next.plan),
                 set: spine.set.union(next.set),
@@ -563,13 +558,12 @@ pub fn greedy_optimize_obs(
                 let conn = graph.has_edge_between(items[i].set, items[j].set);
                 let (_, op, _) = best_join(
                     query,
-                    card,
+                    &card,
                     params,
                     &algos,
                     &items[i],
                     &items[j],
                     &mut counters,
-                    prof,
                 );
                 if (conn, -op) > (best_conn, -best_op) {
                     best_conn = conn;
@@ -585,7 +579,7 @@ pub fn greedy_optimize_obs(
         // `right`/`left` may be swapped relative to best_pair orientation;
         // re-derive the actual orientation.
         let (l, r) = if i < j { (left, right) } else { (right, left) };
-        let (algo, op, rows) = best_join(query, card, params, &algos, &l, &r, &mut counters, prof);
+        let (algo, op, rows) = best_join(query, &card, params, &algos, &l, &r, &mut counters);
         items.push(Item {
             plan: PhysNode::join(algo, l.plan, r.plan),
             set: l.set.union(r.set),

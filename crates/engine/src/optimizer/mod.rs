@@ -24,8 +24,7 @@ use crate::query::spj::SpjQuery;
 use crate::telemetry::Telemetry;
 
 pub use card_source::{
-    CardSource, InjectedCardSource, ProfCardSource, ScaledCardSource, TracingCardSource,
-    TraditionalCardSource, TrueCardSource,
+    CardSource, InjectedCardSource, ScaledCardSource, TraditionalCardSource, TrueCardSource,
 };
 pub use cost::plan_cost;
 pub use enumerate::{
@@ -59,9 +58,9 @@ impl<'a> Optimizer<'a> {
     /// Attach telemetry: planner provenance (enumeration counters,
     /// cardinality lookups, hints, chosen cost) lands on the obs context's
     /// current query trace; enumeration runs under a profiler `enumerate`
-    /// phase with nested `estimate` (per card lookup, sampled) and `cost`
-    /// (per subproblem, sampled) hot phases, every lookup reaching the
-    /// cardinality source bumps the exact estimator-call counter; and the
+    /// phase with nested `estimate` (per card lookup) and `cost` (per
+    /// subproblem) phases, every lookup reaching the cardinality source
+    /// bumps the exact estimator-call counter; and the
     /// `plan.optimize` span boundaries are published onto the flight ring.
     pub fn with_telemetry(mut self, telemetry: impl Into<Telemetry>) -> Optimizer<'a> {
         self.telemetry = telemetry.into();

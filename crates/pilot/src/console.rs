@@ -244,8 +244,10 @@ impl PilotConsole {
             Some(name) => {
                 // The driver's decision is where learned-model inference
                 // happens: a separate phase keeps its cost apart from
-                // plan/execute time in the profile.
-                let _prof_decide = self.telemetry.prof.phase("decide");
+                // plan/execute time in the profile. The phase guard
+                // borrows its context, so it borrows a handle, not `self`.
+                let prof = self.telemetry.prof.clone();
+                let _prof_decide = prof.phase("decide");
                 self.guarded_decision(&name, &query, &mut decision_latency)
             }
             None => DriverDecision::Delegate,

@@ -23,16 +23,16 @@
 //!   separable from execution cost — and the unit columns are
 //!   machine-independent, which is what the perf-baseline comparator
 //!   keys its noise-free checks on.
-//! * **A sampling mode.** High-frequency leaves (per-estimate, per-cost
-//!   evaluation) go through [`ProfContext::phase_hot`]: with
-//!   `sample_every = n`, only every n-th entry is timed (weighted by
-//!   `n` so call counts stay unbiased) and the rest cost one relaxed
-//!   atomic increment. Whole detail *subtrees* (the executor's
-//!   per-operator phases) are gated per query through
-//!   [`ProfContext::sample_detail`] + [`ProfContext::phase_sampled`].
-//!   Phase names are `&'static str` and charges accumulate lock-free on
-//!   the thread-local phase stack, so an unsampled query pays a handful
-//!   of atomic ops. The `<2%` overhead bound is asserted by
+//! * **Root sampling.** A *root* phase is one opened while no phase of
+//!   the same context and query is open on the thread. With stride n
+//!   ([`ProfConfig::sample_every`]) the profiler decides once per root,
+//!   by a shared ticker, whether to record it: one root in n is
+//!   recorded in full, every phase nested in it weighted by n so call
+//!   counts stay unbiased. An unsampled root reads no clock, builds no
+//!   path and opens no span; a phase opened inside it costs one
+//!   thread-local read, and when it closes, its call and every unit
+//!   charged in its subtree land on the root frame at once. Stride 1
+//!   records everything. The `<2%` overhead bound is asserted by
 //!   `crates/testkit/tests/prof_overhead.rs`.
 //! * **Folded-stack export** ([`Profile::to_folded`]) in the flamegraph
 //!   format, and an ANSI "top phases" report ([`report::render_top`]).
@@ -46,7 +46,8 @@
 pub mod profile;
 pub mod report;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,23 +66,15 @@ pub const CTR_ESTIMATOR_CALLS: &str = "estimator_calls";
 /// Profiler configuration.
 #[derive(Debug, Clone)]
 pub struct ProfConfig {
-    /// Sampling stride for [`ProfContext::phase_hot`]: 1 = time every
-    /// entry (exact), n > 1 = time one entry in n and weight it by n.
-    /// [`ProfContext::phase`] is always exact regardless of this.
+    /// Root sampling stride: 1 records every phase; n > 1 records one
+    /// root phase in n in full, the phases nested in it weighted by n,
+    /// and of every other root only its call and its units.
     pub sample_every: u64,
 }
 
 impl Default for ProfConfig {
     fn default() -> ProfConfig {
         ProfConfig { sample_every: 1 }
-    }
-}
-
-impl ProfConfig {
-    /// The serving-friendly sampling configuration (stride 64) whose
-    /// overhead the testkit bounds below 2%.
-    pub fn sampling() -> ProfConfig {
-        ProfConfig { sample_every: 64 }
     }
 }
 
@@ -103,28 +96,84 @@ struct OpenPhase {
     /// Guard token tying this entry to its [`ProfPhase`].
     token: u64,
     name: &'static str,
-    /// Work units charged while this phase was innermost.
+    /// Work units charged while this phase was innermost — on an
+    /// unsampled root, anywhere in its subtree.
     units: f64,
+    /// False on an unsampled root, above which nothing is pushed.
+    sampled: bool,
+}
+
+/// One thread's profiler state, behind a single thread-local so a call
+/// inside an unsampled root costs one thread-local read.
+struct ThreadState {
+    /// Open phases of this thread, across all contexts, innermost last.
+    stack: Vec<OpenPhase>,
+    /// Active `(context key, query id)` bindings of this thread,
+    /// innermost last (see [`ProfContext::bind_query`]).
+    binds: Vec<(usize, u64)>,
+    /// Guard-token source. Guards never leave their thread, so tokens
+    /// need only be unique per thread.
+    tokens: u64,
+    /// Reused buffer the paths of recorded phases are built in.
+    path: String,
 }
 
 thread_local! {
-    /// Open-phase stack of this thread, across all contexts.
-    static PHASE_STACK: RefCell<Vec<OpenPhase>> = const { RefCell::new(Vec::new()) };
-    /// Active `(context key, query id)` bindings of this thread,
-    /// innermost last (see [`ProfContext::bind_query`]).
-    static QUERY_BIND: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+    static THREAD: RefCell<ThreadState> = const {
+        RefCell::new(ThreadState {
+            stack: Vec::new(),
+            binds: Vec::new(),
+            tokens: 0,
+            path: String::new(),
+        })
+    };
+    /// Key of the context whose innermost open phase for the thread's
+    /// query is an unsampled root (0 = not known): the one read a phase
+    /// inside an unsampled root costs. Set only when that holds, and
+    /// cleared whenever the bindings change or an unsampled root leaves
+    /// the stack, so a stale value is never read.
+    static QUIET: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Innermost query id this thread has bound for context `key` (0 when
-/// unbound).
-fn thread_bound_qid(key: usize) -> Option<u64> {
-    QUERY_BIND.with(|b| {
-        b.borrow()
+impl ThreadState {
+    /// The query id phases of context `key` opened on this thread
+    /// attribute to: the innermost binding (0 = outside any query).
+    fn qid(&self, key: usize) -> u64 {
+        self.binds
             .iter()
             .rev()
             .find(|&&(k, _)| k == key)
-            .map(|&(_, qid)| qid)
-    })
+            .map_or(0, |&(_, qid)| qid)
+    }
+
+    /// The thread's query id for context `key` and the innermost open
+    /// phase of both (`None`: the next phase is a root).
+    fn innermost(&mut self, key: usize) -> (u64, Option<&mut OpenPhase>) {
+        let qid = self.qid(key);
+        let open = self
+            .stack
+            .iter_mut()
+            .rev()
+            .find(|p| p.key == key && p.qid == qid);
+        (qid, open)
+    }
+
+    /// `leaf` under the open phases of context `key` and query `qid` in
+    /// `stack[..end]`, `;`-joined in the path buffer. Frames of another
+    /// query interleaved on this thread are siblings in time, not
+    /// parents in the tree.
+    fn path(&mut self, key: usize, qid: u64, end: usize, leaf: &str) -> &str {
+        self.path.clear();
+        for p in self.stack[..end]
+            .iter()
+            .filter(|p| p.key == key && p.qid == qid)
+        {
+            self.path.push_str(p.name);
+            self.path.push(PATH_SEP);
+        }
+        self.path.push_str(leaf);
+        &self.path
+    }
 }
 
 struct ProfState {
@@ -146,13 +195,9 @@ struct ProfState {
 
 struct ProfInner {
     config: ProfConfig,
-    /// Entry ticker for `phase_hot` sampling decisions.
+    /// Root ticker: at stride n > 1, every root phase takes one tick
+    /// (see [`ProfInner::sample_root`]).
     ticks: AtomicU64,
-    /// Decision ticker for `sample_detail` (kept separate from `ticks`
-    /// so per-entry and per-query sampling strides stay independent).
-    detail_ticks: AtomicU64,
-    /// Guard-token source (tokens tie stack entries to their guards).
-    tokens: AtomicU64,
     /// Query-id source; 0 is reserved for "no query".
     query_ids: AtomicU64,
     /// Dedicated hot counter: calls reaching a base estimator.
@@ -160,6 +205,109 @@ struct ProfInner {
     /// Span mirror: recorded phases also open spans here.
     obs: ObsContext,
     state: Mutex<ProfState>,
+}
+
+impl ProfInner {
+    /// Context identity on the thread-local stack.
+    fn key(&self) -> usize {
+        self as *const ProfInner as usize
+    }
+
+    /// Push a phase named `name` on this thread's stack; `None` inside
+    /// an unsampled root, where nothing is recorded.
+    fn open(&self, name: &'static str) -> Option<Open<'_>> {
+        let (token, root, sampled) = THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            let (qid, parent) = t.innermost(self.key());
+            let (root, sampled) = match parent {
+                Some(p) if !p.sampled => {
+                    QUIET.set(self.key());
+                    return None;
+                }
+                Some(_) => (false, true),
+                None => (true, self.sample_root()),
+            };
+            t.tokens += 1;
+            let token = t.tokens;
+            t.stack.push(OpenPhase {
+                key: self.key(),
+                qid,
+                token,
+                name,
+                units: 0.0,
+                sampled,
+            });
+            if !sampled {
+                QUIET.set(self.key());
+            }
+            Some((token, root, sampled))
+        })?;
+        Some(Open {
+            inner: self,
+            token,
+            root,
+            start: sampled.then(Instant::now),
+            _span: if sampled {
+                self.obs.span(name)
+            } else {
+                SpanGuard::noop()
+            },
+        })
+    }
+
+    /// Whether the root being opened is recorded: one root in each
+    /// window of `sample_every` ticks, at a spot that moves from window
+    /// to window (Fibonacci hashing), so a workload opening a fixed
+    /// number of roots per query does not sample only one of them.
+    fn sample_root(&self) -> bool {
+        let every = self.config.sample_every;
+        if every == 1 {
+            return true;
+        }
+        let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+        let spot = (tick / every).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        tick % every == ((spot as u128 * every as u128) >> 64) as u64
+    }
+
+    /// Pop the phase `open` opened and commit it.
+    fn close(&self, open: &Open<'_>) {
+        let wall_ns = open.start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        let key = self.key();
+        THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            // Drained by end_query_id → the token is gone → record nothing.
+            let Some(pos) = t
+                .stack
+                .iter()
+                .rposition(|p| p.key == key && p.token == open.token)
+            else {
+                return;
+            };
+            let own = t.stack.remove(pos);
+            let (path, calls) = if open.root {
+                // A root's path is its name: no path is built.
+                if !own.sampled {
+                    QUIET.set(0);
+                }
+                (own.name, 1)
+            } else {
+                let path = t.path(key, own.qid, pos, own.name);
+                (path, self.config.sample_every)
+            };
+            let sampled = open.start.is_some() as u64;
+            self.commit(own.qid, path, calls, sampled, wall_ns, own.units);
+        });
+    }
+
+    /// Add one record at `path` to the cumulative profile and, when
+    /// `qid` is active, to that query's profile.
+    fn commit(&self, qid: u64, path: &str, calls: u64, sampled: u64, wall_ns: u64, units: f64) {
+        let mut state = self.state.lock();
+        state.total.add(path, calls, sampled, wall_ns, units);
+        if let Some(q) = state.active.get_mut(&qid) {
+            q.profile.add(path, calls, sampled, wall_ns, units);
+        }
+    }
 }
 
 /// Shared handle to one profiling session. Cheap to clone; a disabled
@@ -181,8 +329,6 @@ impl ProfContext {
             inner: Some(Arc::new(ProfInner {
                 config,
                 ticks: AtomicU64::new(0),
-                detail_ticks: AtomicU64::new(0),
-                tokens: AtomicU64::new(0),
                 query_ids: AtomicU64::new(0),
                 estimator_calls: AtomicU64::new(0),
                 obs,
@@ -202,7 +348,8 @@ impl ProfContext {
         ProfContext::new(ProfConfig::default(), ObsContext::disabled())
     }
 
-    /// An enabled context in sampling mode (stride `n`, clamped to ≥1).
+    /// An enabled context sampling one root phase in `n` (clamped to
+    /// ≥1), without span mirroring.
     pub fn sampling(n: u64) -> ProfContext {
         ProfContext::new(ProfConfig { sample_every: n }, ObsContext::disabled())
     }
@@ -217,101 +364,21 @@ impl ProfContext {
         self.inner.is_some()
     }
 
-    /// The configured sampling stride (1 when disabled).
-    pub fn sample_every(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(1, |inner| inner.config.sample_every)
-    }
-
-    fn key(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |inner| Arc::as_ptr(inner) as usize)
-    }
-
     /// Open a phase; it closes (timed and attributed to the current
-    /// path) when the guard drops. Always exact — use for per-query
-    /// structure (parse/plan/execute). Names are `&'static str` so
-    /// opening never allocates.
-    pub fn phase(&self, name: &'static str) -> ProfPhase {
-        match &self.inner {
-            None => ProfPhase::noop(),
-            Some(inner) => self.open(inner, name, 1),
-        }
-    }
-
-    /// Open a *hot* phase: with sampling stride n, one entry in n is
-    /// timed (weighted by n); the rest cost one atomic increment and
-    /// are not pushed on the path stack, so hot phases must be leaves.
-    pub fn phase_hot(&self, name: &'static str) -> ProfPhase {
-        match &self.inner {
-            None => ProfPhase::noop(),
-            Some(inner) => {
-                let every = inner.config.sample_every;
-                if every > 1 {
-                    let tick = inner.ticks.fetch_add(1, Ordering::Relaxed);
-                    if tick % every != 0 {
-                        return ProfPhase::noop();
-                    }
-                }
-                self.open(inner, name, every)
-            }
-        }
-    }
-
-    /// One detail-sampling decision: always true at stride 1, true one
-    /// call in `sample_every` in sampling mode, false when disabled.
-    /// Callers that would open many exact phases per query (the
-    /// per-operator plan tree) ask once per query and skip the whole
-    /// subtree on unsampled queries, pairing the sampled ones with
-    /// [`ProfContext::phase_sampled`] so call counts stay unbiased.
-    pub fn sample_detail(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                let every = inner.config.sample_every;
-                every <= 1 || inner.detail_ticks.fetch_add(1, Ordering::Relaxed) % every == 0
-            }
-        }
-    }
-
-    /// Open an exact-timed phase whose call count carries the sampling
-    /// stride as weight — the companion of
-    /// [`ProfContext::sample_detail`]: a detail subtree recorded on one
-    /// query in n counts n entries per phase.
-    pub fn phase_sampled(&self, name: &'static str) -> ProfPhase {
-        match &self.inner {
-            None => ProfPhase::noop(),
-            Some(inner) => self.open(inner, name, inner.config.sample_every),
-        }
-    }
-
-    /// The query id phases opened by this thread attribute to: the
-    /// innermost [`QueryBind`] for this context (0 = outside any query).
-    fn active_qid(key: usize) -> u64 {
-        thread_bound_qid(key).unwrap_or(0)
-    }
-
-    fn open(&self, inner: &Arc<ProfInner>, name: &'static str, weight: u64) -> ProfPhase {
-        let token = inner.tokens.fetch_add(1, Ordering::Relaxed);
-        let key = Arc::as_ptr(inner) as usize;
-        let qid = Self::active_qid(key);
-        PHASE_STACK.with(|s| {
-            s.borrow_mut().push(OpenPhase {
-                key,
-                qid,
-                token,
-                name,
-                units: 0.0,
-            })
-        });
+    /// path) when the guard drops. A root phase takes the sampling
+    /// decision; a nested one follows its root's: recorded with the
+    /// stride as weight under a sampled root, a no-op under an unsampled
+    /// one (see the crate docs). Names are `&'static str` so opening
+    /// never allocates.
+    #[inline]
+    pub fn phase(&self, name: &'static str) -> ProfPhase<'_> {
+        let open = match self.inner.as_deref() {
+            Some(inner) if QUIET.get() != inner.key() => inner.open(name),
+            _ => None,
+        };
         ProfPhase {
-            ctx: Some(inner.clone()),
-            token,
-            weight,
-            start: Instant::now(),
-            _span: inner.obs.span(name),
+            open,
+            _thread: PhantomData,
         }
     }
 
@@ -320,54 +387,41 @@ impl ProfContext {
     /// thread currently attributes to — interleaved queries sharing the
     /// thread do not appear in each other's paths.
     pub fn current_path(&self) -> String {
-        let key = self.key();
-        let qid = Self::active_qid(key);
-        PHASE_STACK.with(|s| {
-            let stack = s.borrow();
-            let mut path = String::new();
-            for p in stack.iter() {
-                if p.key == key && p.qid == qid {
-                    if !path.is_empty() {
-                        path.push(PATH_SEP);
-                    }
-                    path.push_str(p.name);
-                }
-            }
-            path
+        let Some(inner) = self.inner.as_deref() else {
+            return String::new();
+        };
+        THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            let (qid, end) = (t.qid(inner.key()), t.stack.len());
+            let path = t.path(inner.key(), qid, end, "");
+            path.strip_suffix(PATH_SEP).unwrap_or(path).to_string()
         })
     }
 
     /// Charge deterministic work units to the innermost open phase of
     /// this thread *belonging to the query this thread attributes to*
     /// (or to the `(root)` frame when none is open). Charges are exact —
-    /// never sampled away. They accumulate lock-free on the
-    /// thread-local stack entry and are committed when the phase
-    /// closes, so [`ProfContext::total`] sees them once the carrying
-    /// phase has ended.
+    /// never sampled away: inside an unsampled root they land on the
+    /// root. They accumulate lock-free on the thread-local stack entry
+    /// and are committed when the phase closes, so
+    /// [`ProfContext::total`] sees them once the carrying phase has
+    /// ended.
     pub fn charge(&self, units: f64) {
-        if let Some(inner) = &self.inner {
-            let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(key);
-            let deferred = PHASE_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                match stack
-                    .iter_mut()
-                    .rev()
-                    .find(|p| p.key == key && p.qid == qid)
-                {
-                    Some(p) => {
-                        p.units += units;
-                        true
-                    }
-                    None => false,
-                }
-            });
-            if !deferred {
-                let mut state = inner.state.lock();
-                state.total.charge("(root)", units);
-                if let Some(q) = state.active.get_mut(&qid) {
-                    q.profile.charge("(root)", units);
-                }
+        let Some(inner) = self.inner.as_deref() else {
+            return;
+        };
+        let unclaimed = THREAD.with(|t| match t.borrow_mut().innermost(inner.key()) {
+            (_, Some(p)) => {
+                p.units += units;
+                None
+            }
+            (qid, None) => Some(qid),
+        });
+        if let Some(qid) = unclaimed {
+            let mut state = inner.state.lock();
+            state.total.charge("(root)", units);
+            if let Some(q) = state.active.get_mut(&qid) {
+                q.profile.charge("(root)", units);
             }
         }
     }
@@ -375,17 +429,29 @@ impl ProfContext {
     /// Record a completed child phase under the current path without
     /// opening a guard — how coordinators attribute work measured
     /// elsewhere (per-morsel and per-worker busy/idle times come from
-    /// the pool's stats, not from guards on worker threads).
+    /// the pool's stats, not from guards on worker threads). Inside a
+    /// sampled root, `calls` is weighted by the stride; inside an
+    /// unsampled root only `units` count, charged to the root; with no
+    /// phase open it is recorded at the top level as given.
     pub fn record_child(&self, name: &str, calls: u64, wall_ns: u64, units: f64) {
-        if self.inner.is_some() {
-            let parent = self.current_path();
-            let path = if parent.is_empty() {
-                name.to_string()
-            } else {
-                format!("{parent}{PATH_SEP}{name}")
+        let Some(inner) = self.inner.as_deref() else {
+            return;
+        };
+        THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            let (qid, parent) = t.innermost(inner.key());
+            let weight = match parent {
+                Some(p) if !p.sampled => {
+                    p.units += units;
+                    return;
+                }
+                Some(_) => inner.config.sample_every,
+                None => 1,
             };
-            self.record_at(&path, calls, wall_ns, units);
-        }
+            let end = t.stack.len();
+            let path = t.path(inner.key(), qid, end, name);
+            inner.commit(qid, path, calls * weight, calls, wall_ns, units);
+        });
     }
 
     /// Record a completed phase at an absolute path. `calls` entries,
@@ -393,14 +459,9 @@ impl ProfContext {
     /// deterministic profile, which is what the folded-stack golden
     /// test is built on.
     pub fn record_at(&self, path: &str, calls: u64, wall_ns: u64, units: f64) {
-        if let Some(inner) = &self.inner {
-            let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(key);
-            let mut state = inner.state.lock();
-            state.total.add(path, calls, calls, wall_ns, units);
-            if let Some(q) = state.active.get_mut(&qid) {
-                q.profile.add(path, calls, calls, wall_ns, units);
-            }
+        if let Some(inner) = self.inner.as_deref() {
+            let qid = THREAD.with(|t| t.borrow().qid(inner.key()));
+            inner.commit(qid, path, calls, calls, wall_ns, units);
         }
     }
 
@@ -408,9 +469,8 @@ impl ProfContext {
     /// when the calling thread attributes to an active query,
     /// per-query).
     pub fn bump(&self, counter: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let key = Arc::as_ptr(inner) as usize;
-            let qid = Self::active_qid(key);
+        if let Some(inner) = self.inner.as_deref() {
+            let qid = THREAD.with(|t| t.borrow().qid(inner.key()));
             let mut state = inner.state.lock();
             *state.counters.entry(counter.to_string()).or_default() += delta;
             if let Some(q) = state.active.get_mut(&qid) {
@@ -465,9 +525,10 @@ impl ProfContext {
     /// queries interleave on the same thread. Bindings nest; the
     /// innermost wins. No-op on a disabled context.
     pub fn bind_query(&self, qid: u64) -> QueryBind {
-        let key = self.key();
+        let key = self.inner.as_deref().map_or(0, ProfInner::key);
         if key != 0 {
-            QUERY_BIND.with(|b| b.borrow_mut().push((key, qid)));
+            QUIET.set(0);
+            THREAD.with(|t| t.borrow_mut().binds.push((key, qid)));
         }
         QueryBind { key, qid }
     }
@@ -483,16 +544,16 @@ impl ProfContext {
         if qid == 0 {
             return None;
         }
-        let key = self.key();
+        let key = inner.key();
+        QUIET.set(0);
         // Drain leftover open phases of this context AND this query from
         // this thread's stack. Their guards, if dropped later, find
         // their token gone and record nothing. Frames of other queries
         // stay untouched — the pre-fix drain swept every frame of the
         // context, silently mis-attributing interleaved queries.
-        let leaked: Vec<(&'static str, f64)> = PHASE_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
+        let leaked: Vec<(&'static str, f64)> = THREAD.with(|t| {
             let mut drained = Vec::new();
-            stack.retain(|p| {
+            t.borrow_mut().stack.retain(|p| {
                 if p.key == key && p.qid == qid {
                     drained.push((p.name, p.units));
                     false
@@ -567,37 +628,6 @@ impl ProfContext {
     }
 }
 
-fn close_phase(inner: &Arc<ProfInner>, token: u64, weight: u64, elapsed_ns: u64) {
-    let key = Arc::as_ptr(inner) as usize;
-    let closed = PHASE_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        // Drained by end_query_id → the token is gone → record nothing.
-        let pos = stack
-            .iter()
-            .rposition(|p| p.key == key && p.token == token)?;
-        let own = stack.remove(pos);
-        // Ancestors are frames of the same context AND the same query:
-        // frames of another query interleaved on this thread are
-        // siblings in time but not parents in the tree.
-        let mut path = String::new();
-        for p in stack[..pos].iter() {
-            if p.key == key && p.qid == own.qid {
-                path.push_str(p.name);
-                path.push(PATH_SEP);
-            }
-        }
-        path.push_str(own.name);
-        Some((path, own.units, own.qid))
-    });
-    if let Some((path, units, qid)) = closed {
-        let mut state = inner.state.lock();
-        state.total.add(&path, weight, 1, elapsed_ns, units);
-        if let Some(q) = state.active.get_mut(&qid) {
-            q.profile.add(&path, weight, 1, elapsed_ns, units);
-        }
-    }
-}
-
 /// RAII binding of one thread to one active query id (see
 /// [`ProfContext::bind_query`]); unbinds on drop.
 pub struct QueryBind {
@@ -608,42 +638,47 @@ pub struct QueryBind {
 impl Drop for QueryBind {
     fn drop(&mut self) {
         if self.key != 0 {
-            QUERY_BIND.with(|b| {
-                let mut b = b.borrow_mut();
-                if let Some(pos) = b.iter().rposition(|&(k, q)| k == self.key && q == self.qid) {
-                    b.remove(pos);
+            QUIET.set(0);
+            THREAD.with(|t| {
+                let binds = &mut t.borrow_mut().binds;
+                if let Some(pos) = binds
+                    .iter()
+                    .rposition(|&(k, q)| k == self.key && q == self.qid)
+                {
+                    binds.remove(pos);
                 }
             });
         }
     }
 }
 
-/// RAII guard of one open phase; records on drop.
-pub struct ProfPhase {
-    ctx: Option<Arc<ProfInner>>,
+/// RAII guard of one open phase; records on drop. It borrows its
+/// context and must close on the thread that opened it.
+pub struct ProfPhase<'a> {
+    /// `None` when nothing is recorded: a disabled context, or a phase
+    /// inside an unsampled root.
+    open: Option<Open<'a>>,
+    /// Tokens are unique per thread only, so the guard is `!Send`.
+    _thread: PhantomData<*const ()>,
+}
+
+/// What a recording [`ProfPhase`] holds.
+struct Open<'a> {
+    inner: &'a ProfInner,
     token: u64,
-    weight: u64,
-    start: Instant,
+    /// A root counts one call; a phase nested in a sampled root counts
+    /// the stride.
+    root: bool,
+    /// Open time; `None` on an unsampled root, which reads no clock.
+    start: Option<Instant>,
     _span: SpanGuard,
 }
 
-impl ProfPhase {
-    fn noop() -> ProfPhase {
-        ProfPhase {
-            ctx: None,
-            token: 0,
-            weight: 0,
-            start: Instant::now(),
-            _span: SpanGuard::noop(),
-        }
-    }
-}
-
-impl Drop for ProfPhase {
+impl Drop for ProfPhase<'_> {
+    #[inline]
     fn drop(&mut self) {
-        if let Some(inner) = self.ctx.take() {
-            let elapsed_ns = self.start.elapsed().as_nanos() as u64;
-            close_phase(&inner, self.token, self.weight, elapsed_ns);
+        if let Some(open) = &self.open {
+            open.inner.close(open);
         }
     }
 }
@@ -657,7 +692,6 @@ mod tests {
         let prof = ProfContext::disabled();
         assert!(!prof.is_enabled());
         drop(prof.phase("a"));
-        drop(prof.phase_hot("b"));
         prof.charge(1.0);
         prof.bump("model_calls", 1);
         prof.note_estimator_call();
@@ -668,7 +702,6 @@ mod tests {
         assert!(prof.total().is_empty());
         assert!(prof.finished().is_empty());
         assert_eq!(prof.estimator_calls(), 0);
-        assert_eq!(prof.sample_every(), 1);
         assert!(prof.counters().is_empty());
     }
 
@@ -682,8 +715,8 @@ mod tests {
             {
                 let _enu = prof.phase("enumerate");
                 assert_eq!(prof.current_path(), "plan;enumerate");
-                drop(prof.phase_hot("estimate"));
-                drop(prof.phase_hot("estimate"));
+                drop(prof.phase("estimate"));
+                drop(prof.phase("estimate"));
             }
         }
         {
@@ -705,21 +738,90 @@ mod tests {
     }
 
     #[test]
-    fn sampling_weights_call_counts() {
+    fn sampling_records_one_root_in_n_and_keeps_units_exact() {
+        // Stride 8, 64 roots: one root in each 8 is sampled.
         let prof = ProfContext::sampling(8);
         for _ in 0..64 {
-            drop(prof.phase_hot("estimate"));
+            let _plan = prof.phase("plan");
+            prof.charge(0.5);
+            let _enu = prof.phase("enumerate");
+            for _ in 0..3 {
+                let _est = prof.phase("estimate");
+                prof.charge(1.0);
+            }
+            prof.record_child("cost", 1, 10, 2.0);
         }
-        let total = prof.total();
-        let stat = &total.frames["estimate"];
-        assert_eq!(stat.calls, 64, "8 sampled entries × weight 8");
-        assert_eq!(stat.sampled, 8);
-        // Cold phases stay exact under sampling.
-        for _ in 0..3 {
+        let f = prof.total().frames;
+        // Root calls are exact; only sampled roots were timed.
+        assert_eq!((f["plan"].calls, f["plan"].sampled), (64, 8));
+        // Nested calls are the stride times the sampled entries.
+        assert_eq!(
+            (f["plan;enumerate"].calls, f["plan;enumerate"].sampled),
+            (64, 8)
+        );
+        let est = &f["plan;enumerate;estimate"];
+        assert_eq!((est.calls, est.sampled), (8 * 3 * 8, 3 * 8));
+        let cost = &f["plan;enumerate;cost"];
+        assert_eq!((cost.calls, cost.sampled, cost.wall_ns), (64, 8, 80));
+        // Units are exact: sampled roots keep them on their frames, the
+        // 56 unsampled ones put their whole subtree's on the root.
+        assert_eq!(f["plan;enumerate;estimate"].units, 24.0);
+        assert_eq!(f["plan;enumerate;cost"].units, 16.0);
+        assert_eq!(f["plan"].units, 8.0 * 0.5 + 56.0 * 5.5);
+        let total: f64 = f.values().map(|s| s.units).sum();
+        assert_eq!(total, 64.0 * 5.5);
+        assert_eq!(f.len(), 4, "{f:?}");
+    }
+
+    #[test]
+    fn sampling_reaches_every_root_kind() {
+        // Two roots per query at an even stride: sampling every n-th
+        // tick would only ever record the first kind.
+        let prof = ProfContext::sampling(64);
+        for _ in 0..64 * 16 {
             drop(prof.phase("plan"));
+            drop(prof.phase("execute"));
         }
-        assert_eq!(prof.total().frames["plan"].calls, 3);
-        assert_eq!(prof.total().frames["plan"].sampled, 3);
+        let f = prof.total().frames;
+        assert_eq!(f["plan"].sampled + f["execute"].sampled, 32);
+        assert!(f["plan"].sampled > 0 && f["execute"].sampled > 0, "{f:?}");
+    }
+
+    #[test]
+    fn interleaved_queries_take_their_own_sampling_decision() {
+        // Stride 2: the first root is sampled, the second is not, even
+        // though both are open at once on one thread.
+        let prof = ProfContext::sampling(2);
+        let qa = prof.begin_query_id("qa");
+        let qb = prof.begin_query_id("qb");
+        let bind_a = prof.bind_query(qa);
+        let root_a = prof.phase("exec_a");
+        let parked_b = {
+            let _bind_b = prof.bind_query(qb);
+            let root_b = prof.phase("exec_b");
+            let _scan = prof.phase("scan");
+            prof.charge(3.0);
+            root_b
+        };
+        {
+            let _scan = prof.phase("scan");
+            prof.charge(1.0);
+        }
+        drop(root_a);
+        drop(bind_a);
+        {
+            let _bind_b = prof.bind_query(qb);
+            assert_eq!(prof.current_path(), "exec_b");
+            drop(parked_b);
+        }
+        let a = prof.end_query_id(qa).unwrap().profile.frames;
+        let b = prof.end_query_id(qb).unwrap().profile.frames;
+        assert_eq!((a["exec_a"].calls, a["exec_a"].sampled), (1, 1));
+        assert_eq!((a["exec_a;scan"].calls, a["exec_a;scan"].sampled), (2, 1));
+        assert_eq!(a["exec_a;scan"].units, 1.0);
+        assert_eq!((b["exec_b"].calls, b["exec_b"].sampled), (1, 0));
+        assert_eq!(b["exec_b"].units, 3.0);
+        assert_eq!(b.len(), 1, "{b:?}");
     }
 
     #[test]

@@ -16,9 +16,10 @@ pub const PATH_SEP: char = ';';
 /// Aggregated statistics of one phase path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStat {
-    /// Total phase entries attributed to this path. Under sampling, the
-    /// profiler adds the sampling stride per sampled entry, so `calls`
-    /// stays an (exact-in-expectation) estimate of the true entry count.
+    /// Total phase entries attributed to this path. Under root sampling
+    /// a root frame counts every entry, and a frame nested in a sampled
+    /// root counts the stride per entry, so `calls` stays an
+    /// (exact-in-expectation) estimate of the true entry count.
     pub calls: u64,
     /// Entries that were actually wall-clock timed (`<= calls`).
     pub sampled: u64,
@@ -26,8 +27,9 @@ pub struct PhaseStat {
     /// total is [`PhaseStat::est_wall_ns`].
     pub wall_ns: u64,
     /// Deterministic work units charged to this phase (executor work
-    /// meter, estimator call counts, ...). Never sampled: charges are
-    /// recorded exactly, so this column is machine-independent.
+    /// meter, estimator call counts, ...). Never sampled: what is
+    /// charged inside an unsampled root lands on the root frame, so the
+    /// sum over a profile's frames is exact and machine-independent.
     pub units: f64,
 }
 
