@@ -67,6 +67,13 @@ pub enum EngineError {
         /// The offending row count.
         rows: u64,
     },
+    /// An operator's logical output count exceeds `usize`. Weighted
+    /// intermediates reach such counts with few stored tuples; the count
+    /// fails typed instead of wrapping.
+    CountOverflow {
+        /// The operator whose output overflowed (e.g. `"HashJoin"`).
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -100,6 +107,9 @@ impl fmt::Display for EngineError {
                     f,
                     "{context} input of {rows} rows exceeds the u32 row-id domain"
                 )
+            }
+            EngineError::CountOverflow { op } => {
+                write!(f, "{op} output count overflows the logical count domain")
             }
         }
     }

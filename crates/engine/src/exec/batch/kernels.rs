@@ -4,8 +4,17 @@
 //! arity, in flat arrays: per slot the key itself, the head of its chain
 //! of build rows and the chain's length, plus a `next` link per build
 //! row. Build and probe are tight loops over those arrays with no per-row
-//! allocation, and a join that only counts its output reads a key's match
-//! count without walking its chain ([`KeyTable::count`]).
+//! allocation, and a join that collapses onto its probe side reads a
+//! key's build weight without walking its chain ([`KeyTable::weight`]).
+//!
+//! # Weights
+//!
+//! A unit build (every build tuple of weight 1) keeps only the `u32`
+//! chain lengths, which are its keys' weights. A weighted build adds one
+//! `u64` per slot, the sum of its chain's weights. (A prototype that
+//! widened every build's counts to `u64` raised `serve_open_zipf`'s p50
+//! latency ≈ 15 %: serving builds are mostly unit builds over large base
+//! scans.)
 //!
 //! # Size
 //!
@@ -15,6 +24,19 @@
 //! from that bound, not from the build row count alone. Build keys are
 //! gathered one range at a time and never held twice; only `next` grows
 //! with the build side.
+//!
+//! A weighted build counts its rows logically in that bound, capped at
+//! sixteen per stored tuple: a collapsed build side stores few tuples with
+//! mostly distinct keys, and sizing it from its stored tuples alone would
+//! fill the table to a load factor near ½. Probes of a selective build
+//! are mostly misses, and at that load half of them meet an occupied
+//! slot first — a mispredicted branch and a key compare each. Sized as
+//! its logical tuples would be, the table probes at the load factor its
+//! unit expansion would have: one `imdb_like(2500)` root join with 108
+//! stored build tuples and 25 000 probes took 506 µs at load ½ and
+//! 311 µs sized this way, on a 2-vCPU VM. The cap keeps an
+//! astronomically weighted build from allocating beyond 32 slots per
+//! stored tuple.
 //!
 //! # Determinism
 //!
@@ -47,6 +69,9 @@ pub(crate) struct KeyTable {
     heads: Vec<u32>,
     /// Chain length per slot: the build rows sharing the slot's key.
     counts: Vec<u32>,
+    /// Sum of the chain's build weights per slot, for a weighted build;
+    /// empty for a unit build, whose weight sums are `counts`.
+    sums: Vec<u64>,
     /// Chain link per build row; `NONE` terminates a chain.
     next: Vec<u32>,
     /// Slot-index mask (`capacity - 1`, capacity a power of two).
@@ -54,19 +79,22 @@ pub(crate) struct KeyTable {
 }
 
 impl KeyTable {
-    /// Build over the keys `side` of every tuple of `rel`, gathered one
-    /// range at a time on `runner`.
+    /// Build over the keys `side` of every stored tuple of `rel`,
+    /// gathered one range at a time on `runner`.
     pub(crate) fn build(
         rel: &Relation,
         side: &KeySide<'_>,
         runner: &Runner<'_>,
     ) -> Result<KeyTable> {
-        let (stride, n) = (side.cols.len(), rel.len());
+        let (stride, n) = (side.cols.len(), rel.physical_len());
+        // A weighted build is sized as its logical tuples would be, up to
+        // sixteen times its stored ones (see the module docs on size).
         let distinct = side
             .cols
             .iter()
             .fold(1usize, |bound, &(_, data)| bound.saturating_mul(data.len()))
-            .min(n);
+            .min(rel.len())
+            .min(16 * n);
         // Load factor <= 0.5 keeps linear-probe runs short and guarantees
         // insert termination.
         let capacity = (2 * distinct).next_power_of_two().max(16);
@@ -75,6 +103,11 @@ impl KeyTable {
             keys: vec![0; capacity * stride],
             heads: vec![NONE; capacity],
             counts: vec![0; capacity],
+            sums: if rel.is_weighted() {
+                vec![0; capacity]
+            } else {
+                Vec::new()
+            },
             next: vec![NONE; n],
             mask: capacity - 1,
         };
@@ -84,7 +117,12 @@ impl KeyTable {
         let gather = |range| gather_keys(rel, side, range);
         runner.each(n, "HashJoin", gather, |range, keys| {
             for (i, key) in range.zip(keys.chunks_exact(stride)) {
-                table.insert(i as u32, key, &mut tails);
+                let slot = table.insert(i as u32, key, &mut tails);
+                if !table.sums.is_empty() {
+                    // Sums of a relation's own weights cannot overflow:
+                    // they are bounded by its logical count.
+                    table.sums[slot] += rel.weight(i);
+                }
             }
         })?;
         Ok(table)
@@ -94,6 +132,16 @@ impl KeyTable {
     #[inline]
     fn key_at(&self, slot: usize) -> &[i64] {
         &self.keys[slot * self.stride..(slot + 1) * self.stride]
+    }
+
+    /// Whether `slot` holds `key`; a one-column key compares one word
+    /// instead of a slice.
+    #[inline]
+    fn holds(&self, slot: usize, key: &[i64]) -> bool {
+        match key {
+            [k] => self.keys[slot] == *k,
+            _ => self.key_at(slot) == key,
+        }
     }
 
     /// FNV-1a over the key words, finished with a Fibonacci multiply so
@@ -110,8 +158,8 @@ impl KeyTable {
     }
 
     /// Insert build row `i` with key `key`, appending it to its key's
-    /// chain.
-    fn insert(&mut self, i: u32, key: &[i64], tails: &mut [u32]) {
+    /// chain; returns the key's slot.
+    fn insert(&mut self, i: u32, key: &[i64], tails: &mut [u32]) -> usize {
         let mut slot = Self::hash(key) as usize & self.mask;
         loop {
             match self.heads[slot] {
@@ -120,7 +168,7 @@ impl KeyTable {
                     self.heads[slot] = i;
                     break;
                 }
-                _ if self.key_at(slot) == key => {
+                _ if self.holds(slot, key) => {
                     self.next[tails[slot] as usize] = i;
                     break;
                 }
@@ -129,17 +177,19 @@ impl KeyTable {
         }
         tails[slot] = i;
         self.counts[slot] += 1;
+        slot
     }
 
-    /// The slot holding `key`'s chain, or `None` on a miss.
+    /// The slot holding `key`'s chain, or `None` on a miss. Slots index
+    /// `0..capacity()`.
     #[inline]
-    fn find(&self, key: &[i64]) -> Option<usize> {
+    pub(crate) fn find(&self, key: &[i64]) -> Option<usize> {
         debug_assert_eq!(key.len(), self.stride);
         let mut slot = Self::hash(key) as usize & self.mask;
         loop {
             match self.heads[slot] {
                 NONE => return None,
-                _ if self.key_at(slot) == key => return Some(slot),
+                _ if self.holds(slot, key) => return Some(slot),
                 _ => slot = (slot + 1) & self.mask,
             }
         }
@@ -155,16 +205,20 @@ impl KeyTable {
         }
     }
 
-    /// Number of build rows matching `key`: the length of the chain
-    /// [`KeyTable::probe`] would walk, read without walking it.
+    /// The summed weight of the build rows matching `key`: the sum of
+    /// the weights along the chain [`KeyTable::probe`] would walk, read
+    /// without walking it (0 on a miss).
     #[inline]
-    pub(crate) fn count(&self, key: &[i64]) -> usize {
-        self.find(key).map_or(0, |slot| self.counts[slot] as usize)
+    pub(crate) fn weight(&self, key: &[i64]) -> u64 {
+        match (self.find(key), self.sums.is_empty()) {
+            (None, _) => 0,
+            (Some(slot), true) => self.counts[slot] as u64,
+            (Some(slot), false) => self.sums[slot],
+        }
     }
 
     /// The number of slots allocated.
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.heads.len()
     }
 }
@@ -255,34 +309,75 @@ mod tests {
         assert_eq!(rows(&t, &[-1]), vec![3]);
     }
 
-    #[test]
-    fn per_key_counts_equal_chain_lengths() {
-        let check = |t: &KeyTable, probes: &[Vec<i64>]| {
-            for key in probes {
-                assert_eq!(t.count(key), rows(t, key).len(), "key {key:?}");
-            }
+    /// A table over `table(cols)`'s keys whose build tuple `i` weighs
+    /// `weights[i]`.
+    fn weighted_table(cols: &[Vec<i64>], weights: Vec<u64>) -> KeyTable {
+        let n = cols[0].len();
+        let rel = Relation::from_scan(0, (0..n as u32).collect()).with_weights(weights);
+        let side = KeySide {
+            cols: cols.iter().map(|c| (0, c.as_slice())).collect(),
         };
-        // Single keys, with a miss.
-        let t = table(&[vec![7, 3, 7, 7, 3, 9]]);
-        check(&t, &[vec![7], vec![3], vec![9], vec![8]]);
-        assert_eq!((t.count(&[7]), t.count(&[3]), t.count(&[8])), (3, 2, 0));
+        KeyTable::build(&rel, &side, &Runner::InThread(3)).unwrap()
+    }
+
+    /// Every probe's weight must equal the summed weight of the chain it
+    /// walks (`weights` empty: every weight 1).
+    fn check_weights(t: &KeyTable, weights: &[u64], probes: &[Vec<i64>]) {
+        for key in probes {
+            let chain: u64 = t
+                .probe(key)
+                .map(|i| weights.get(i as usize).copied().unwrap_or(1))
+                .sum();
+            assert_eq!(t.weight(key), chain, "key {key:?}");
+        }
+    }
+
+    #[test]
+    fn per_key_weights_equal_chain_weights() {
+        // Single keys, with a miss: a unit build's weights are its chain
+        // lengths, and it allocates no weight array.
+        let keys = vec![7, 3, 7, 7, 3, 9];
+        let probes = [vec![7], vec![3], vec![9], vec![8]];
+        let t = table(std::slice::from_ref(&keys));
+        assert!(t.sums.is_empty(), "a unit build allocates no weight sums");
+        check_weights(&t, &[], &probes);
+        assert_eq!((t.weight(&[7]), t.weight(&[3]), t.weight(&[8])), (3, 2, 0));
+        // The same keys weighted: sums, not lengths.
+        let w = vec![5, 1, 2, 1_000_000_000_000, 4, 1];
+        let t = weighted_table(std::slice::from_ref(&keys), w.clone());
+        assert_eq!(t.sums.len(), t.capacity());
+        check_weights(&t, &w, &probes);
+        assert_eq!(t.weight(&[7]), 1_000_000_000_007);
+        assert_eq!((t.weight(&[3]), t.weight(&[8])), (5, 0));
+
         // Composite keys: every condition must match.
-        let t = table(&[vec![1, 1, 2, 1], vec![1, 2, 1, 1]]);
-        check(&t, &[vec![1, 1], vec![1, 2], vec![2, 1], vec![2, 2]]);
-        assert_eq!(t.count(&[1, 1]), 2);
+        let cols = [vec![1, 1, 2, 1], vec![1, 2, 1, 1]];
+        let probes = [vec![1, 1], vec![1, 2], vec![2, 1], vec![2, 2]];
+        let t = table(&cols);
+        check_weights(&t, &[], &probes);
+        assert_eq!(t.weight(&[1, 1]), 2);
+        let w = vec![3, 2, 7, 11];
+        let t = weighted_table(&cols, w.clone());
+        check_weights(&t, &w, &probes);
+        assert_eq!((t.weight(&[1, 1]), t.weight(&[2, 2])), (14, 0));
+
         // Adversarial: low-bit collisions, long duplicate chains sharing
         // probe runs with distinct keys.
         let keys: Vec<i64> = (0..1000)
             .map(|i| if i % 2 == 0 { (i % 7) << 32 } else { i << 32 })
             .collect();
-        let t = table(std::slice::from_ref(&keys));
         let probes: Vec<Vec<i64>> = keys.iter().map(|&k| vec![k]).chain([vec![1]]).collect();
-        check(&t, &probes);
-        assert_eq!(t.count(&[0]), 72);
-        // Empty build side: every count is zero.
+        let t = table(std::slice::from_ref(&keys));
+        check_weights(&t, &[], &probes);
+        assert_eq!(t.weight(&[0]), 72);
+        let w: Vec<u64> = (0..1000).map(|i| 1 + (i * 7919) % 13).collect();
+        let t = weighted_table(std::slice::from_ref(&keys), w.clone());
+        check_weights(&t, &w, &probes);
+
+        // Empty build side: every weight is zero.
         let t = table(&[vec![]]);
-        check(&t, &[vec![0], vec![i64::MIN]]);
-        assert_eq!(t.count(&[i64::MAX]), 0);
+        check_weights(&t, &[], &[vec![0], vec![i64::MIN]]);
+        assert_eq!(t.weight(&[i64::MAX]), 0);
     }
 
     #[test]
@@ -295,8 +390,8 @@ mod tests {
             cols: vec![(0, data.as_slice())],
         };
         let t = KeyTable::build(&rel, &side, &Runner::InThread(1024)).unwrap();
-        assert!(t.slots() <= 64, "{} slots", t.slots());
-        assert_eq!(t.count(&[5_000]), 6_250);
+        assert!(t.capacity() <= 64, "{} slots", t.capacity());
+        assert_eq!(t.weight(&[5_000]), 6_250);
         let chain: Vec<u32> = t.probe(&[5_000]).collect();
         assert_eq!(chain.len(), 6_250);
         assert!(

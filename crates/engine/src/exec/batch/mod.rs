@@ -12,9 +12,11 @@
 //!   predicate dispatch runs once per range, not once per row.
 //! * **Joins** gather key columns out of the row-major [`Relation`]
 //!   ([`column`]) and run build/probe, pair and merge loops over flat
-//!   arrays ([`kernels::KeyTable`]); see [`join`]. They write only the
-//!   slots a later join reads, and a join nothing reads counts its
-//!   matches instead of writing them.
+//!   arrays ([`kernels::KeyTable`]); see [`join`]. They read their
+//!   inputs' weights and write only the slots a later join reads: a join
+//!   that keeps one side writes each surviving tuple of it once with a
+//!   weight, and a join nothing reads sums its output weights instead of
+//!   writing them.
 //!
 //! # Byte-identity with the reference
 //!
@@ -25,9 +27,11 @@
 //!
 //! 1. **Order**: bodies never reorder tuples. Selection vectors are
 //!    ascending; probe output is probe-major with ascending build rows
-//!    per probe tuple; ranges are contiguous and concatenated in order.
-//! 2. **Work**: every body charges its upfront operator work first, then
-//!    feeds its counted output through
+//!    per probe tuple; a collapsed output follows its kept side; ranges
+//!    are contiguous and concatenated in order.
+//! 2. **Work**: every body charges its upfront operator work first, on
+//!    its inputs' logical counts, then feeds its counted logical output
+//!    through
 //!    [`ChargeCadence`](crate::exec::workunits::ChargeCadence), which
 //!    defines the charge sequence whatever the lump sizes — `f64`
 //!    addition does not associate, so summing per range would drift by
@@ -56,7 +60,7 @@ use std::ops::Range;
 use crate::error::Result;
 use crate::exec::compiled::Compiled;
 use crate::exec::executor::{Executor, WorkMeter};
-use crate::exec::relation::Relation;
+use crate::exec::relation::{Relation, Tuples};
 use crate::exec::runner::Runner;
 use crate::query::spj::SpjQuery;
 
@@ -79,10 +83,10 @@ pub(crate) fn scan(
 ) -> Result<Relation> {
     let (n, compiled) = ex.compile_scan(query, pos)?;
     meter.add(ex.params().scan_work(n as f64, compiled.len()))?;
-    let mut out: Vec<u32> = Vec::new();
-    let body = |range, out: &mut Vec<u32>| scan_range(&compiled, range, out);
+    let mut out = Tuples::default();
+    let body = |range, out: &mut Tuples| scan_range(&compiled, range, &mut out.rows) as u128;
     runner.emit(n, "Scan", None, meter, &mut out, body)?;
-    Ok(Relation::from_scan(pos, out))
+    Ok(Relation::from_scan(pos, out.rows))
 }
 
 /// Append the rows of `range` that satisfy every predicate in `compiled`

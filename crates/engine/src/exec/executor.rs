@@ -10,14 +10,17 @@
 //! [`Executor::execute`] answers `COUNT(*)` and returns no tuples, so it
 //! writes only what a later operator reads: each operator keeps the
 //! row-id slots of the tables a later join condition touches (see
-//! [`crate::exec::relation`]), and an operator nothing reads — the root
-//! join, a child of a cross product — counts its matches instead of
-//! materializing them. [`Executor::execute_collect`] materializes every
-//! slot of every operator and returns the final relation. Both issue the
-//! same work charges in the same order (charges read the logical width
-//! and the counted tuples, never the stored slots), so their
-//! [`ExecResult`]s — count, work bits, intermediates, errors — are equal;
-//! the differential harness asserts it in every cell it sweeps.
+//! [`crate::exec::relation`]); a join that keeps the slots of one side
+//! only stores each surviving tuple of that side once, weighted by its
+//! matches; and an operator nothing reads — the root join, a child of a
+//! cross product — stores nothing and only sums its output weights.
+//! [`Executor::execute_collect`] materializes every slot of every
+//! operator, unit-weighted, and returns the final relation. Both issue
+//! the same work charges in the same order (charges read the logical
+//! width and the logical tuple counts, never the stored slots or
+//! tuples), so their [`ExecResult`]s — count, work bits, intermediates,
+//! errors — are equal; the differential harness asserts it in every
+//! cell it sweeps.
 //!
 //! # The step seam
 //!
@@ -69,6 +72,11 @@
 //! * **MergeJoin** emits by ascending key group; within a group by left
 //!   sort position then right sort position. Sort positions themselves are
 //!   deterministic because sort keys are disambiguated by input index.
+//! * A join **collapsed** onto one side emits that side's surviving
+//!   tuples in its order above with the other side's index dropped:
+//!   ascending input index for hash, nested-loop and cross joins (build
+//!   or probe side alike), key group then sort position for merge. Its
+//!   weights follow its tuples.
 //!
 //! Both runners preserve this order by running contiguous input ranges
 //! and concatenating their outputs in range order; the differential
@@ -700,14 +708,24 @@ pub(crate) fn check_plan(query: &SpjQuery, plan: &PhysNode) -> Result<()> {
 /// row ids must fit the `u32` domain, the inputs must cover disjoint
 /// tables, and only a nested-loop join may run without a condition (a
 /// cross product).
+///
+/// The row-id check reads each input's **physical** length, its stored
+/// tuples: those are what the bodies' `u32` indexes (chain links, sort
+/// pairs) address. A weighted input of few stored tuples may stand for
+/// more than `u32::MAX` logical ones and still joins; its logical count
+/// is bounded by `usize` instead (`EngineError::CountOverflow`). The
+/// full-width unit relations of `execute_collect` and the reference
+/// store every logical tuple, so for them the two checks coincide; only
+/// an input beyond `u32::MAX` logical tuples — 16 GiB of row ids to
+/// collect — is answered by `execute` where they fail.
 pub(crate) fn check_join<'q>(
     query: &'q SpjQuery,
     algo: JoinAlgo,
     left: &Relation,
     right: &Relation,
 ) -> Result<Vec<&'q JoinCond>> {
-    relation::check_row_ids(left.len(), "join left input")?;
-    relation::check_row_ids(right.len(), "join right input")?;
+    relation::check_row_ids(left.physical_len(), "join left input")?;
+    relation::check_row_ids(right.physical_len(), "join right input")?;
     let shared = left.tables().intersect(right.tables());
     if !shared.is_empty() {
         return Err(EngineError::InvalidPlan(format!(
@@ -728,6 +746,7 @@ pub(crate) fn check_join<'q>(
 mod tests {
     use super::*;
     use crate::exec::reference;
+    use crate::exec::relation::MAX_ROW_IDS;
     use crate::query::expr::{CmpOp, ColRef, Predicate, TableRef};
     use crate::table::TableBuilder;
     use crate::types::Value;
@@ -1140,6 +1159,107 @@ mod tests {
             assert_eq!(logged, seq < 18, "seq {seq}");
         }
         std::panic::set_hook(prev);
+    }
+
+    /// `a` row 3 (id 3) weighted `wa` on the left, the two `b` rows with
+    /// `a_id` 3 weighted `wb` each on the right.
+    fn weighted_pair(c: &Catalog, q: &SpjQuery, wa: u64, wb: u64) -> (Relation, Relation) {
+        let ex = Executor::with_defaults(c);
+        let mut meter = WorkMeter::new(None);
+        let b = ex.exec_scan_step(q, 1, &mut meter).unwrap();
+        let b_rows: Vec<u32> = (0..b.len())
+            .map(|i| b.tuple(i)[0])
+            .filter(|&r| r / 2 == 3 && r < 20)
+            .collect();
+        assert_eq!(b_rows.len(), 2);
+        let left = Relation::from_scan(0, vec![3]).with_weights(vec![wa]);
+        let right = Relation::from_scan(1, b_rows).with_weights(vec![wb, wb]);
+        (left, right)
+    }
+
+    #[test]
+    fn row_id_check_reads_stored_tuples_not_logical_ones() {
+        // One stored tuple standing for more than u32::MAX logical ones is
+        // within the u32 row-id domain of every join body: it joins, and
+        // its logical count is charged and reported. (The same input
+        // stored unit would have to be rejected.)
+        let (c, q) = fixture();
+        let ex = Executor::with_defaults(&c);
+        let huge = MAX_ROW_IDS as u64 + 1;
+        for algo in JoinAlgo::ALL {
+            for keep in [TableSet::EMPTY, TableSet::singleton(0), TableSet::full(2)] {
+                let (l, r) = weighted_pair(&c, &q, huge, 1);
+                assert!(l.len() > MAX_ROW_IDS && l.physical_len() == 1);
+                let mut meter = WorkMeter::new(None);
+                let out = ex
+                    .exec_join_step_keeping(&q, algo, l, r, keep, &mut meter)
+                    .unwrap();
+                assert_eq!(out.len() as u64, 2 * huge, "{algo} keep {keep}");
+                assert_eq!(out.physical_len(), [0, 1, 2][keep.len()], "{algo}");
+                let p = ex.params();
+                assert!(meter.work() >= p.output_work(2.0 * huge as f64, 2));
+            }
+        }
+        assert!(relation::check_row_ids(MAX_ROW_IDS + 1, "join left input").is_err());
+    }
+
+    #[test]
+    fn weight_products_and_sums_beyond_usize_fail_typed() {
+        let (c, q) = fixture();
+        let ex = Executor::with_defaults(&c);
+        let join = |algo, (l, r): (Relation, Relation), keep| {
+            ex.exec_join_step_keeping(&q, algo, l, r, keep, &mut WorkMeter::new(None))
+        };
+        for algo in JoinAlgo::ALL {
+            for keep in [
+                TableSet::EMPTY,
+                TableSet::singleton(0),
+                TableSet::singleton(1),
+                TableSet::full(2),
+            ] {
+                // 2 × 2^20 × 2^19 = 2^40: the exact count. (Counts near
+                // 2^64 fit too, but their output charges take 2^48
+                // cadence blocks.)
+                let ok = join(algo, weighted_pair(&c, &q, 1 << 20, 1 << 19), keep).unwrap();
+                assert_eq!(ok.len(), 1 << 40, "{algo} keep {keep}");
+                // 2^40 × 2^40 overflows in the product.
+                let err = join(algo, weighted_pair(&c, &q, 1 << 40, 1 << 40), keep).unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::CountOverflow { op: algo.label() },
+                    "{keep}"
+                );
+                // 2 × 2^32 × 2^31 = 2^64: each product fits, their sum
+                // (one lump at the default batch size) does not.
+                let err = join(algo, weighted_pair(&c, &q, 1 << 32, 1 << 31), keep).unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::CountOverflow { op: algo.label() },
+                    "{keep}"
+                );
+            }
+        }
+        // A cross product's count is the product of its input counts.
+        let mut cross = q.clone();
+        cross.joins.clear();
+        let (l, r) = weighted_pair(&c, &q, 1 << 40, 1 << 40);
+        let err = ex
+            .exec_join_step_keeping(
+                &cross,
+                JoinAlgo::NestedLoop,
+                l,
+                r,
+                TableSet::EMPTY,
+                &mut WorkMeter::new(None),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::CountOverflow {
+                op: "NestedLoopJoin"
+            }
+        );
+        assert!(err.to_string().contains("NestedLoopJoin"));
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn join(
     let conds = check_join(query, algo, l, r)?;
     let p = ex.params();
     let width = l.width() + r.width();
-    let mut out = Joined::new(l, r, ChargeCadence::new(p, width));
+    let mut out = Joined::new(l, r, ChargeCadence::new(p, width, algo.label()));
     let (nl, nr) = (l.len() as f64, r.len() as f64);
     if conds.is_empty() {
         meter.add(nl * nr * p.nl_pair + p.output_work(nl * nr, width))?;
@@ -195,7 +195,8 @@ impl<'a> Joined<'a> {
 
     /// Charge the tuples pushed since the last charge.
     fn charge(&mut self, meter: &mut WorkMeter) -> Result<()> {
-        self.cadence.bump(std::mem::take(&mut self.pending), meter)
+        self.cadence
+            .bump(std::mem::take(&mut self.pending) as u128, meter)
     }
 
     /// The output relation, after the cadence's remainder charge.

@@ -30,6 +30,7 @@ use crate::error::Result;
 use crate::exec::batch::DEFAULT_BATCH_SIZE;
 use crate::exec::executor::WorkMeter;
 use crate::exec::parallel::ParRun;
+use crate::exec::relation::Tuples;
 use crate::exec::workunits::ChargeCadence;
 
 /// How an operator body's input ranges are run.
@@ -73,19 +74,21 @@ impl Runner<'_> {
     }
 
     /// Run `body` over ranges of at most one batch covering `0..n`: it
-    /// appends a range's output to the buffer it is given and returns the
-    /// range's output count. Output lands in `out` in range order; with a
-    /// `cadence`, every range's count is charged through it in range
-    /// order. Returns the total count.
+    /// appends a range's output tuples to the buffer it is given and
+    /// returns the range's logical output count (the sum of their
+    /// weights, or of what an output without slots would have stored).
+    /// Output lands in `out` in range order; with a `cadence`, every
+    /// range's count is charged through it in range order. Returns the
+    /// total count.
     pub(crate) fn emit(
         &self,
         n: usize,
         op: &'static str,
         mut cadence: Option<&mut ChargeCadence<'_>>,
         meter: &mut WorkMeter,
-        out: &mut Vec<u32>,
-        body: impl Fn(Range<usize>, &mut Vec<u32>) -> usize + Sync,
-    ) -> Result<usize> {
+        out: &mut Tuples,
+        body: impl Fn(Range<usize>, &mut Tuples) -> u128 + Sync,
+    ) -> Result<u128> {
         let mut total = 0;
         match self {
             Runner::InThread(batch) => {
@@ -102,17 +105,17 @@ impl Runner<'_> {
                 shared.seed_work(meter.work);
                 let approx = cadence.as_deref();
                 let chunks = run.dispatch(n, op, |_, morsel| {
-                    let mut rows = Vec::new();
-                    let count: usize = ranges(morsel, DEFAULT_BATCH_SIZE)
-                        .map(|range| body(range, &mut rows))
+                    let mut part = Tuples::default();
+                    let count: u128 = ranges(morsel, DEFAULT_BATCH_SIZE)
+                        .map(|range| body(range, &mut part))
                         .sum();
                     if let Some(cadence) = approx {
                         shared.add_approx(cadence.work(count));
                     }
-                    (rows, count)
+                    (part, count)
                 })?;
-                for (rows, count) in chunks {
-                    out.extend_from_slice(&rows);
+                for (part, count) in chunks {
+                    out.append(part);
                     total += count;
                     if let Some(cadence) = cadence.as_deref_mut() {
                         cadence.bump(count, meter)?;

@@ -27,6 +27,7 @@
 
 use crate::error::Result;
 use crate::exec::executor::WorkMeter;
+use crate::exec::relation::logical_len;
 
 /// Per-tuple cost constants shared by the executor and the native cost
 /// model, plus executor-only runtime effects.
@@ -125,16 +126,19 @@ impl CostParams {
 /// An operator charges `output_work(65_536, width)` every time its
 /// counted-tuple total crosses a multiple of 65 536, and
 /// `output_work(total % 65_536, width)` once at operator end. Kernels
-/// count tuples in lumps (a hash chain, a merge group, a batch, a morsel)
-/// and feed each lump through [`ChargeCadence::bump`], which issues the
-/// crossing charges in order whatever the lump sizes — so the account is
-/// bit-identical however an operator's ranges are run, and a budget trip
-/// raises the same error at the same charge.
+/// count logical tuples in lumps (a hash chain, a merge group, a batch, a
+/// morsel, one weighted tuple) and feed each lump through
+/// [`ChargeCadence::bump`], which issues the crossing charges in order
+/// whatever the lump sizes — so the account is bit-identical however an
+/// operator's ranges are run and however its output is weighted, and a
+/// budget trip raises the same error at the same charge.
 #[derive(Debug)]
 pub(crate) struct ChargeCadence<'p> {
     params: &'p CostParams,
     /// The operator's logical output width.
     width: usize,
+    /// The operator, named by a count overflow.
+    op: &'static str,
     /// Output tuples counted so far.
     emitted: usize,
     /// Tuples already covered by full-block charges.
@@ -142,25 +146,28 @@ pub(crate) struct ChargeCadence<'p> {
 }
 
 impl<'p> ChargeCadence<'p> {
-    /// A fresh cadence for one operator of logical output width `width`.
-    pub(crate) fn new(params: &'p CostParams, width: usize) -> ChargeCadence<'p> {
+    /// A fresh cadence for one operator `op` of logical output width
+    /// `width`.
+    pub(crate) fn new(params: &'p CostParams, width: usize, op: &'static str) -> ChargeCadence<'p> {
         ChargeCadence {
             params,
             width,
+            op,
             emitted: 0,
             charged: 0,
         }
     }
 
     /// The output work of `n` tuples at this operator's width.
-    pub(crate) fn work(&self, n: usize) -> f64 {
+    pub(crate) fn work(&self, n: u128) -> f64 {
         self.params.output_work(n as f64, self.width)
     }
 
     /// Record `n` more output tuples, issuing every 65 536-block charge
-    /// their count crosses.
-    pub(crate) fn bump(&mut self, n: usize, meter: &mut WorkMeter) -> Result<()> {
-        self.emitted += n;
+    /// their count crosses; a total beyond `usize` is a
+    /// [`EngineError::CountOverflow`](crate::error::EngineError::CountOverflow).
+    pub(crate) fn bump(&mut self, n: u128, meter: &mut WorkMeter) -> Result<()> {
+        self.emitted = logical_len(self.emitted as u128 + n, self.op)?;
         while self.charged + 65_536 <= self.emitted {
             self.charged += 65_536;
             meter.add(self.work(65_536))?;
@@ -171,7 +178,7 @@ impl<'p> ChargeCadence<'p> {
     /// Issue the end-of-operator remainder charge; returns the operator's
     /// output tuple count.
     pub(crate) fn finish(self, meter: &mut WorkMeter) -> Result<usize> {
-        meter.add(self.work(self.emitted % 65_536))?;
+        meter.add(self.work((self.emitted % 65_536) as u128))?;
         Ok(self.emitted)
     }
 }
@@ -211,6 +218,24 @@ mod tests {
     }
 
     #[test]
+    fn cadence_counts_beyond_usize_fail_typed() {
+        let p = CostParams::default();
+        let mut meter = WorkMeter::new(None);
+        let mut cadence = ChargeCadence::new(&p, 2, "HashJoin");
+        cadence.bump(65_535, &mut meter).unwrap();
+        let left = usize::MAX as u128 - 65_535;
+        // One past the largest count fails before any block is charged.
+        let err = cadence.bump(left + 1, &mut meter).unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::EngineError::CountOverflow { op: "HashJoin" }
+        );
+        assert_eq!(meter.work(), 0.0);
+        assert_eq!(logical_len(usize::MAX as u128, "x").unwrap(), usize::MAX);
+        assert!(logical_len(u128::MAX, "x").is_err());
+    }
+
+    #[test]
     fn charge_cadence_replays_serial_blocks() {
         let p = CostParams::default();
         let width = 2;
@@ -229,15 +254,15 @@ mod tests {
         // Cadence replay in uneven lumps, including lumps spanning more
         // than one block boundary.
         let mut meter = WorkMeter::new(None);
-        let mut cadence = ChargeCadence::new(&p, width);
-        for lump in [1usize, 65_535, 2, 70_000, 14_462] {
+        let mut cadence = ChargeCadence::new(&p, width, "test");
+        for lump in [1u128, 65_535, 2, 70_000, 14_462] {
             cadence.bump(lump, &mut meter).unwrap();
         }
         assert_eq!(cadence.finish(&mut meter).unwrap(), 150_000);
         assert_eq!(meter.work().to_bits(), serial.work().to_bits());
         // One lump of everything replays the same sequence.
         let mut once = WorkMeter::new(None);
-        let mut cadence = ChargeCadence::new(&p, width);
+        let mut cadence = ChargeCadence::new(&p, width, "test");
         cadence.bump(150_000, &mut once).unwrap();
         cadence.finish(&mut once).unwrap();
         assert_eq!(once.work().to_bits(), serial.work().to_bits());

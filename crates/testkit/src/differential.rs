@@ -144,7 +144,10 @@ fn sweep_cells(cfg: &DiffConfig) -> Vec<(String, ExecConfig)> {
 /// [`Executor::execute_collect`] does: count, work bits, intermediates,
 /// or the same error; and so must the plan run one operator at a time
 /// through the pruning step seam, as the serving layer runs it (count
-/// and work bits, or the same error).
+/// and work bits, or the same error). Every pruned intermediate of that
+/// stepped run — its slots, stored rows and weights — must be
+/// byte-identical in every cell: the row-ordering contract of weighted
+/// relations.
 ///
 /// Returns a human-readable description of the first divergence, so
 /// property tests can surface the failing cell.
@@ -163,12 +166,28 @@ pub fn diff_plan(
     );
     let want = reference::execute(&reference_exec, query, plan);
     let mut cells = 0;
+    let mut pruned = None;
     for (cell, config) in sweep_cells(cfg) {
         cells += 1;
         let exec = Executor::new(catalog, config);
         let candidate = exec.execute_collect(query, plan);
         check_counting(&exec, &candidate, &cell, query, plan)?;
-        check_stepped(&exec, cfg.max_work, &candidate, &cell, query, plan)?;
+        let stepped = check_stepped(&exec, cfg.max_work, &candidate, &cell, query, plan)?;
+        match &pruned {
+            None => pruned = Some(stepped),
+            Some(first) if *first == stepped => {}
+            Some(first) => {
+                let k = first.iter().zip(&stepped).position(|(a, b)| a != b);
+                return Err(format!(
+                    "pruned-intermediate divergence at {cell} for `{query}`: step {k:?} of {} \
+                     vs {} (tables, slots, count, digest) {:?} vs {:?}",
+                    first.len(),
+                    stepped.len(),
+                    k.map(|k| &first[k]),
+                    k.map(|k| &stepped[k]),
+                ));
+            }
+        }
         match (&want, &candidate) {
             (Ok((sr, srel)), Ok((pr, prel))) => {
                 compare(sr, srel, pr, prel, &cell, query)?;
@@ -222,42 +241,50 @@ fn check_counting(
     }
 }
 
+/// One pruned intermediate of a stepped run: its tables, stored slots,
+/// logical count and digest (rows and weights).
+type StepTrace = (TableSet, Vec<usize>, usize, u64);
+
 /// Run `plan` in serial post-order through
 /// [`Executor::exec_scan_step_keeping`] / [`Executor::exec_join_step_keeping`],
 /// each step keeping what [`Executor::execute`] keeps there (the root
-/// nothing), and return the count and the work.
+/// nothing), and return the count, the work and every step's output.
 fn execute_stepped(
     exec: &Executor<'_>,
     query: &SpjQuery,
     plan: &PhysNode,
     max_work: Option<f64>,
-) -> Result<(u64, f64), EngineError> {
+) -> Result<(u64, f64, Vec<StepTrace>), EngineError> {
     fn step(
         exec: &Executor<'_>,
         query: &SpjQuery,
         node: &PhysNode,
         keep: TableSet,
         meter: &mut WorkMeter,
+        trace: &mut Vec<StepTrace>,
     ) -> Result<Relation, EngineError> {
-        match node {
-            PhysNode::Scan { pos } => exec.exec_scan_step_keeping(query, *pos, keep, meter),
+        let rel = match node {
+            PhysNode::Scan { pos } => exec.exec_scan_step_keeping(query, *pos, keep, meter)?,
             PhysNode::Join { algo, left, right } => {
                 let lkeep = keep_for_child(query, left.tables(), keep);
-                let l = step(exec, query, left, lkeep, meter)?;
+                let l = step(exec, query, left, lkeep, meter, trace)?;
                 let rkeep = keep_for_child(query, right.tables(), keep);
-                let r = step(exec, query, right, rkeep, meter)?;
-                exec.exec_join_step_keeping(query, *algo, l, r, keep, meter)
+                let r = step(exec, query, right, rkeep, meter, trace)?;
+                exec.exec_join_step_keeping(query, *algo, l, r, keep, meter)?
             }
-        }
+        };
+        trace.push((rel.tables(), rel.slots().to_vec(), rel.len(), rel.digest()));
+        Ok(rel)
     }
     let mut meter = WorkMeter::new(max_work);
-    let rel = step(exec, query, plan, TableSet::EMPTY, &mut meter)?;
-    Ok((rel.len() as u64, meter.work()))
+    let mut trace = Vec::new();
+    let rel = step(exec, query, plan, TableSet::EMPTY, &mut meter, &mut trace)?;
+    Ok((rel.len() as u64, meter.work(), trace))
 }
 
 /// Require the pruned step-wise run of `plan` to report the count and
 /// work bits of `collected` (the same executor's `execute_collect`), or
-/// the same error.
+/// the same error; returns its pruned intermediates (none on an error).
 fn check_stepped(
     exec: &Executor<'_>,
     max_work: Option<f64>,
@@ -265,23 +292,22 @@ fn check_stepped(
     cell: &str,
     query: &SpjQuery,
     plan: &PhysNode,
-) -> Result<(), String> {
+) -> Result<Vec<StepTrace>, String> {
     let fingerprint = |count: u64, work: f64| (count, work.to_bits());
-    let stepped = execute_stepped(exec, query, plan, max_work);
-    match (collected, &stepped) {
-        (Ok((cr, _)), Ok((count, work)))
-            if fingerprint(cr.count, cr.work) == fingerprint(*count, *work) =>
+    match (collected, execute_stepped(exec, query, plan, max_work)) {
+        (Ok((cr, _)), Ok((count, work, trace)))
+            if fingerprint(cr.count, cr.work) == fingerprint(count, work) =>
         {
-            Ok(())
+            Ok(trace)
         }
-        (Err(ce), Err(se)) if same_error(ce, se) => Ok(()),
+        (Err(ce), Err(se)) if same_error(ce, &se) => Ok(Vec::new()),
         (collected, stepped) => Err(format!(
             "step-seam divergence at {cell} for `{query}`: \
              execute_collect {:?} vs stepped {:?}",
             collected
                 .as_ref()
                 .map(|(r, _)| fingerprint(r.count, r.work)),
-            stepped.as_ref().map(|&(c, w)| fingerprint(c, w)),
+            stepped.as_ref().map(|&(c, w, _)| fingerprint(c, w)),
         )),
     }
 }
@@ -318,6 +344,13 @@ fn compare(
             "slot-layout divergence at {cell} for `{query}`: {:?} vs {:?}",
             srel.slots(),
             prel.slots()
+        ));
+    }
+    if srel.weights() != prel.weights() {
+        return Err(format!(
+            "weight divergence at {cell} for `{query}`: {} vs {} stored weights",
+            srel.weights().len(),
+            prel.weights().len()
         ));
     }
     if srel.rows() != prel.rows() {
