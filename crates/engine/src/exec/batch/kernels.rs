@@ -11,10 +11,10 @@
 //!
 //! A unit build (every build tuple of weight 1) keeps only the `u32`
 //! chain lengths, which are its keys' weights. A weighted build adds one
-//! `u64` per slot, the sum of its chain's weights. (A prototype that
-//! widened every build's counts to `u64` raised `serve_open_zipf`'s p50
-//! latency ≈ 15 %: serving builds are mostly unit builds over large base
-//! scans.)
+//! `u64` per slot, the sum of its chain's weights. Widening every
+//! build's counts to `u64` instead would enlarge the unit builds over
+//! large base scans that serving runs, whose latency follows the table's
+//! allocation size.
 //!
 //! # Size
 //!
