@@ -1,4 +1,8 @@
-//! The native analytical cost model.
+//! The native analytical cost model, and the one walker that costs a
+//! join tree over leaves: [`plan_cost`] walks a physical plan over its
+//! scans, residual re-costing
+//! ([`crate::optimizer::residual::residual_cost`]) a residual plan over
+//! its leaves.
 //!
 //! Predicts plan cost from estimated cardinalities using the same per-tuple
 //! constants as the executor, but *without* the executor's runtime effects
@@ -9,8 +13,11 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::exec::workunits::CostParams;
 use crate::optimizer::card_source::CardSource;
+use crate::optimizer::enumerate::{scan_leaf, Charge, LeafTree, Parts};
+use crate::optimizer::residual::ResidualLeaf;
 use crate::plan::physical::{JoinAlgo, PhysNode};
 use crate::query::spj::SpjQuery;
+use crate::query::table_set::TableSet;
 
 /// Estimated cost of one join operator, given input/output cardinalities.
 pub fn join_op_cost(
@@ -38,38 +45,38 @@ pub fn plan_cost(
     plan: &PhysNode,
     query: &SpjQuery,
     catalog: &Catalog,
-    card: &dyn CardSource,
+    mut card: &dyn CardSource,
     params: &CostParams,
 ) -> Result<f64> {
-    Ok(cost_rec(plan, query, catalog, card, params)?.0)
+    let mut scan = |pos, card: &mut &dyn CardSource| scan_leaf(query, catalog, params, pos, card);
+    Ok(tree_cost(plan, query, params, &mut card, &mut scan)?.0)
 }
 
-/// Recursive helper returning `(cost, estimated output rows)`.
-fn cost_rec(
-    plan: &PhysNode,
+/// `(cost, output rows, tables)` of a join tree over leaves: `leaf`
+/// supplies each leaf when the walk reaches it, and `charge` answers
+/// (and charges) every join's output-rows lookup and cost evaluation.
+/// Plan costing and residual re-costing both walk here.
+pub(crate) fn tree_cost<T: LeafTree, C: Charge>(
+    tree: &T,
     query: &SpjQuery,
-    catalog: &Catalog,
-    card: &dyn CardSource,
     params: &CostParams,
-) -> Result<(f64, f64)> {
-    match plan {
-        PhysNode::Scan { pos } => {
-            let table = catalog.table(&query.tables[*pos].table)?;
-            let npreds = query.predicates_on(*pos).len();
-            let cost = params.scan_work(table.nrows() as f64, npreds);
-            let rows = card.cardinality(query, crate::query::table_set::TableSet::singleton(*pos));
-            Ok((cost, rows))
+    charge: &mut C,
+    leaf: &mut impl FnMut(usize, &mut C) -> Result<ResidualLeaf>,
+) -> Result<(f64, f64, TableSet)> {
+    match tree.parts() {
+        Parts::Leaf(i) => {
+            let l = leaf(i, charge)?;
+            Ok((l.cost, l.rows, l.set))
         }
-        PhysNode::Join { algo, left, right } => {
-            let (lcost, lrows) = cost_rec(left, query, catalog, card, params)?;
-            let (rcost, rrows) = cost_rec(right, query, catalog, card, params)?;
-            let out_set = plan.tables();
-            let out_rows = card.cardinality(query, out_set);
-            let has_cond = !query
-                .joins_between(left.tables(), right.tables())
-                .is_empty();
+        Parts::Join(algo, left, right) => {
+            let (lcost, lrows, lset) = tree_cost(left, query, params, charge, leaf)?;
+            let (rcost, rrows, rset) = tree_cost(right, query, params, charge, leaf)?;
+            let out_set = lset.union(rset);
+            let out_rows = charge.rows(query, out_set)?;
+            charge.cost_eval()?;
+            let has_cond = !query.joins_between(lset, rset).is_empty();
             let op = join_op_cost(
-                *algo,
+                algo,
                 params,
                 lrows,
                 rrows,
@@ -77,7 +84,7 @@ fn cost_rec(
                 out_set.len(),
                 has_cond,
             );
-            Ok((lcost + rcost + op, out_rows))
+            Ok((lcost + rcost + op, out_rows, out_set))
         }
     }
 }

@@ -6,6 +6,13 @@
 //! points — also the substrate learned methods steer (Bao steers hints,
 //! Lero scales cardinalities, HyperQO constrains leading orders, injected
 //! estimators replace cardinalities wholesale).
+//!
+//! There is one join enumerator ([`enumerate`]) and one plan-cost walker
+//! ([`cost`]), both over leaves: the optimizer plans over the query's
+//! scans, mid-query re-planning ([`residual`]) over materialized
+//! intermediates beside pending scans. Telemetry stays here: only
+//! [`Optimizer`] records enumeration counters and the chosen cost on the
+//! query trace, so a re-plan never overwrites the planner's fields.
 
 pub mod card_source;
 pub mod cost;
@@ -22,14 +29,13 @@ use crate::plan::physical::PhysNode;
 use crate::query::join_graph::JoinGraph;
 use crate::query::spj::SpjQuery;
 use crate::telemetry::Telemetry;
+use enumerate::{fits_dp, scan_leaf, Enumerated, Lookup};
 
 pub use card_source::{
     CardSource, InjectedCardSource, ScaledCardSource, TraditionalCardSource, TrueCardSource,
 };
 pub use cost::plan_cost;
-pub use enumerate::{
-    dp_optimize, dp_optimize_obs, greedy_optimize, greedy_optimize_obs, PlanChoice,
-};
+pub use enumerate::{dp_optimize, greedy_optimize, PlanChoice};
 pub use hints::HintSet;
 pub use residual::{enumerate_residual, residual_cost, ResidualChoice, ResidualLeaf, ResidualNode};
 
@@ -98,31 +104,8 @@ impl<'a> Optimizer<'a> {
             );
         }
         let graph = JoinGraph::new(query);
-        let choice = if query.num_tables() <= hints.dp_table_limit.min(enumerate::DP_MAX_TABLES)
-            && graph.is_connected(query.all_tables())
-        {
-            dp_optimize_obs(
-                query,
-                &graph,
-                self.catalog,
-                card,
-                &self.params,
-                hints,
-                &self.telemetry.obs,
-                &self.telemetry.prof,
-            )
-        } else {
-            greedy_optimize_obs(
-                query,
-                &graph,
-                self.catalog,
-                card,
-                &self.params,
-                hints,
-                &self.telemetry.obs,
-                &self.telemetry.prof,
-            )
-        };
+        let dp = fits_dp(query.num_tables(), &graph, hints);
+        let choice = self.enumerate(query, &graph, card, hints, dp);
         if self.telemetry.flight.is_enabled() {
             self.telemetry.flight.publish(
                 Producer::Optimizer,
@@ -147,21 +130,67 @@ impl<'a> Optimizer<'a> {
         card: &dyn CardSource,
         hints: &HintSet,
     ) -> Result<PlanChoice> {
-        let graph = JoinGraph::new(query);
-        greedy_optimize_obs(
-            query,
-            &graph,
-            self.catalog,
-            card,
-            &self.params,
-            hints,
-            &self.telemetry.obs,
-            &self.telemetry.prof,
-        )
+        self.enumerate(query, &JoinGraph::new(query), card, hints, false)
     }
 
     /// Estimated cost of an arbitrary plan under a cardinality source.
     pub fn cost(&self, query: &SpjQuery, plan: &PhysNode, card: &dyn CardSource) -> Result<f64> {
         plan_cost(plan, query, self.catalog, card, &self.params)
+    }
+
+    /// Plan over the query's scans by DP or greedy enumeration, under an
+    /// obs `plan.dp`/`plan.greedy` span and a profiler `enumerate` phase,
+    /// with every lookup going through [`Lookup`]; then record the
+    /// enumeration on the query trace and metrics.
+    pub(crate) fn enumerate(
+        &self,
+        query: &SpjQuery,
+        graph: &JoinGraph,
+        card: &dyn CardSource,
+        hints: &HintSet,
+        dp: bool,
+    ) -> Result<PlanChoice> {
+        let Telemetry { obs, prof, .. } = &self.telemetry;
+        let _span = obs.span(if dp { "plan.dp" } else { "plan.greedy" });
+        let _prof_enum = prof.phase("enumerate");
+        let mut lookup = Lookup { card, obs, prof };
+        let leaves = (0..query.num_tables())
+            .map(|pos| scan_leaf(query, self.catalog, &self.params, pos, &mut lookup))
+            .collect::<Result<Vec<_>>>()?;
+        let params = &self.params;
+        let e: Enumerated<PhysNode> = if dp {
+            enumerate::dp(query, graph, &leaves, params, hints, &mut lookup, prof)
+        } else {
+            enumerate::greedy(query, graph, &leaves, params, hints, &mut lookup, prof)
+        }?;
+        self.record(if dp { "dp" } else { "greedy" }, &e);
+        Ok(PlanChoice {
+            plan: e.plan,
+            cost: e.cost,
+        })
+    }
+
+    /// Attach enumeration provenance to the in-flight trace and metrics.
+    fn record(&self, algo: &str, e: &Enumerated<PhysNode>) {
+        let Telemetry { obs, prof, .. } = &self.telemetry;
+        if prof.is_enabled() {
+            // Exact cost-evaluation count as work units on the cost frame
+            // (its wall clock comes from the per-subproblem cost phases);
+            // the caller's `enumerate` phase is still open, so this lands at
+            // `...;enumerate;cost`.
+            prof.record_child("cost", 0, 0, e.cost_evals as f64);
+        }
+        if !obs.is_enabled() {
+            return;
+        }
+        obs.with_query(|t| {
+            t.planner.algo = Some(algo.to_string());
+            t.planner.subproblems = e.subproblems;
+            t.planner.cost_evals = e.cost_evals;
+            t.planner.chosen_cost = Some(e.cost);
+        });
+        obs.count("lqo.plan.queries", 1);
+        obs.observe("lqo.plan.subproblems", e.subproblems as f64);
+        obs.observe("lqo.plan.cost_evals", e.cost_evals as f64);
     }
 }

@@ -1,4 +1,4 @@
-//! Enumeration over a partially-materialized query: the residual join
+//! Re-planning over a partially-materialized query: the residual join
 //! graph whose leaves are a mix of already-materialized intermediate
 //! relations (exact observed cardinality, zero acquisition cost) and
 //! not-yet-executed base-table scans.
@@ -7,22 +7,29 @@
 //! a materialization checkpoint observes a cardinality badly off its
 //! estimate, the remaining work is re-planned *from here* — every
 //! relation built so far becomes an opaque leaf, and only the joins
-//! still ahead are enumerated. Unlike the full optimizer, every
-//! cardinality lookup and cost evaluation here charges a caller-supplied
-//! [`WorkMeter`], so re-planning effort is bounded by the same work-unit
-//! currency as execution and trips [`EngineError::WorkLimitExceeded`]
-//! when the reopt guard's budget runs out.
+//! still ahead are enumerated. Re-planning runs the optimizer's own
+//! enumerator and cost walker ([`crate::optimizer::enumerate`],
+//! [`crate::optimizer::cost`]) over these leaves, with the same
+//! 20-leaf DP cap, and honours the hints' join algorithms and
+//! `dp_table_limit`; `leading` and `left_deep_only` describe the
+//! original query's shape and are dropped. Unlike the full optimizer,
+//! every cardinality lookup and cost evaluation here charges a
+//! caller-supplied [`WorkMeter`], so re-planning effort is bounded by
+//! the same work-unit currency as execution and trips
+//! [`EngineError::WorkLimitExceeded`] when the reopt guard's budget runs
+//! out. Nothing here touches the planner's telemetry.
 
-use std::collections::HashMap;
+use lqo_prof::ProfContext;
 
 use crate::error::{EngineError, Result};
 use crate::exec::executor::WorkMeter;
 use crate::exec::workunits::CostParams;
 use crate::optimizer::card_source::CardSource;
-use crate::optimizer::cost::join_op_cost;
-use crate::optimizer::enumerate::allowed_algos;
+use crate::optimizer::cost::tree_cost;
+use crate::optimizer::enumerate::{dp, fits_dp, greedy, Charge, LeafTree, Parts};
 use crate::optimizer::hints::HintSet;
 use crate::plan::physical::JoinAlgo;
+use crate::query::join_graph::JoinGraph;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
 
@@ -32,7 +39,9 @@ pub const RESIDUAL_LOOKUP_WORK: f64 = 4.0;
 /// evaluation.
 pub const RESIDUAL_COST_EVAL_WORK: f64 = 0.25;
 
-/// One leaf of the residual join graph.
+/// One leaf of enumeration: a table set with known rows and acquisition
+/// cost. Re-planning's leaves are materialized intermediates and pending
+/// scans; the optimizer's are the query's scans (none materialized).
 #[derive(Debug, Clone)]
 pub struct ResidualLeaf {
     /// Base tables this leaf covers.
@@ -86,6 +95,27 @@ impl ResidualNode {
     }
 }
 
+impl LeafTree for ResidualNode {
+    fn leaf(i: usize) -> ResidualNode {
+        ResidualNode::Leaf(i)
+    }
+
+    fn join(algo: JoinAlgo, left: ResidualNode, right: ResidualNode) -> ResidualNode {
+        ResidualNode::Join {
+            algo,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    fn parts(&self) -> Parts<'_, ResidualNode> {
+        match self {
+            ResidualNode::Leaf(i) => Parts::Leaf(*i),
+            ResidualNode::Join { algo, left, right } => Parts::Join(*algo, left, right),
+        }
+    }
+}
+
 /// A residual plan with its estimated cost.
 #[derive(Debug, Clone)]
 pub struct ResidualChoice {
@@ -96,113 +126,30 @@ pub struct ResidualChoice {
     pub cost: f64,
 }
 
-struct ResidualCtx<'a> {
-    query: &'a SpjQuery,
-    leaves: &'a [ResidualLeaf],
+/// The re-planner's charges: every cardinality lookup and cost-model
+/// evaluation draws on its work meter.
+struct Metered<'a> {
     card: &'a dyn CardSource,
-    params: &'a CostParams,
-    algos: Vec<JoinAlgo>,
-    /// Adjacency over leaf indices: bit `j` of `adj[i]` is set iff a join
-    /// condition connects leaves `i` and `j`.
-    adj: Vec<u64>,
+    meter: &'a mut WorkMeter,
 }
 
-impl ResidualCtx<'_> {
-    fn union_set(&self, mask: u64) -> TableSet {
-        let mut set = TableSet::EMPTY;
-        for (i, leaf) in self.leaves.iter().enumerate() {
-            if mask >> i & 1 == 1 {
-                set = set.union(leaf.set);
-            }
-        }
-        set
+impl Charge for Metered<'_> {
+    fn rows(&mut self, query: &SpjQuery, set: TableSet) -> Result<f64> {
+        self.meter.add(RESIDUAL_LOOKUP_WORK)?;
+        Ok(self.card.cardinality(query, set))
     }
 
-    fn rows_of(&self, mask: u64, budget: &mut WorkMeter) -> Result<f64> {
-        budget.add(RESIDUAL_LOOKUP_WORK)?;
-        Ok(self.card.cardinality(self.query, self.union_set(mask)))
-    }
-
-    /// Is the leaf-index `mask` connected in the quotient join graph?
-    fn connected(&self, mask: u64) -> bool {
-        if mask == 0 {
-            return false;
-        }
-        let seed = mask & mask.wrapping_neg();
-        let mut seen = seed;
-        loop {
-            let mut grew = seen;
-            for i in 0..self.leaves.len() {
-                if seen >> i & 1 == 1 {
-                    grew |= self.adj[i] & mask;
-                }
-            }
-            if grew == seen {
-                return seen == mask;
-            }
-            seen = grew;
-        }
-    }
-
-    /// Cheapest permitted join of two sub-plans with known row counts;
-    /// cross products fall back to nested loops so a plan always exists.
-    /// Mirrors the full enumerator's `best_join`, with every evaluation
-    /// charged to the re-planning budget.
-    fn best_pair(
-        &self,
-        lset: TableSet,
-        lrows: f64,
-        rset: TableSet,
-        rrows: f64,
-        out_rows: f64,
-        budget: &mut WorkMeter,
-    ) -> Result<(JoinAlgo, f64)> {
-        let width = lset.union(rset).len();
-        let has_cond = !self.query.joins_between(lset, rset).is_empty();
-        if !has_cond {
-            budget.add(RESIDUAL_COST_EVAL_WORK)?;
-            let op = join_op_cost(
-                JoinAlgo::NestedLoop,
-                self.params,
-                lrows,
-                rrows,
-                out_rows,
-                width,
-                false,
-            );
-            return Ok((JoinAlgo::NestedLoop, op));
-        }
-        let mut best = (JoinAlgo::NestedLoop, f64::INFINITY);
-        for &algo in &self.algos {
-            budget.add(RESIDUAL_COST_EVAL_WORK)?;
-            let op = join_op_cost(algo, self.params, lrows, rrows, out_rows, width, true);
-            if op.total_cmp(&best.1).is_lt() {
-                best = (algo, op);
-            }
-        }
-        if best.1.is_infinite() {
-            budget.add(RESIDUAL_COST_EVAL_WORK)?;
-            best.1 = join_op_cost(
-                JoinAlgo::NestedLoop,
-                self.params,
-                lrows,
-                rrows,
-                out_rows,
-                width,
-                true,
-            );
-            best.0 = JoinAlgo::NestedLoop;
-        }
-        Ok(best)
+    fn cost_eval(&mut self) -> Result<()> {
+        self.meter.add(RESIDUAL_COST_EVAL_WORK)
     }
 }
 
-/// Enumerate the best plan over the residual join graph. Exhaustive DP
-/// over connected leaf subsets when the leaf count fits the hint's DP
-/// limit and the quotient graph is connected; GOO-style greedy otherwise.
-/// Every cardinality lookup and cost evaluation charges `budget`, so a
-/// tight re-planning budget aborts with
-/// [`EngineError::WorkLimitExceeded`] rather than overrunning.
+/// Enumerate the best plan over the residual leaves: the optimizer's DP
+/// when the leaves fit the hints' DP limit and the 20-leaf cap and their
+/// join graph is connected, its greedy otherwise. Every cardinality
+/// lookup and cost evaluation charges `budget`, so a tight re-planning
+/// budget aborts with [`EngineError::WorkLimitExceeded`] rather than
+/// overrunning.
 pub fn enumerate_residual(
     query: &SpjQuery,
     leaves: &[ResidualLeaf],
@@ -212,9 +159,6 @@ pub fn enumerate_residual(
     budget: &mut WorkMeter,
 ) -> Result<ResidualChoice> {
     let n = leaves.len();
-    if n == 0 {
-        return Err(EngineError::NoPlanFound("residual has no leaves".into()));
-    }
     if n > 64 {
         return Err(EngineError::NoPlanFound(
             "residual exceeds 64 leaves".into(),
@@ -226,179 +170,26 @@ pub fn enumerate_residual(
             cost: leaves[0].cost,
         });
     }
-    let algos = allowed_algos(hints);
-    if algos.is_empty() {
-        return Err(EngineError::NoPlanFound(
-            "all join algorithms disabled".into(),
-        ));
-    }
-    let mut adj = vec![0u64; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if !query.joins_between(leaves[i].set, leaves[j].set).is_empty() {
-                adj[i] |= 1 << j;
-                adj[j] |= 1 << i;
-            }
-        }
-    }
-    let ctx = ResidualCtx {
-        query,
-        leaves,
-        card,
-        params,
-        algos,
-        adj,
+    let hints = HintSet {
+        leading: Vec::new(),
+        left_deep_only: false,
+        ..hints.clone()
     };
-    let full: u64 = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-    if n <= hints.dp_table_limit && ctx.connected(full) {
-        dp_residual(&ctx, full, budget)
+    let sets: Vec<TableSet> = leaves.iter().map(|l| l.set).collect();
+    let graph = JoinGraph::new(query).quotient(&sets);
+    let mut charge = Metered {
+        card,
+        meter: budget,
+    };
+    let prof = ProfContext::disabled();
+    let e = if fits_dp(n, &graph, &hints) {
+        dp(query, &graph, leaves, params, &hints, &mut charge, &prof)
     } else {
-        greedy_residual(&ctx, budget)
-    }
-}
-
-fn dp_residual(ctx: &ResidualCtx<'_>, full: u64, budget: &mut WorkMeter) -> Result<ResidualChoice> {
-    struct Entry {
-        plan: ResidualNode,
-        cost: f64,
-        rows: f64,
-    }
-    let mut best: HashMap<u64, Entry> = HashMap::new();
-    for (i, leaf) in ctx.leaves.iter().enumerate() {
-        best.insert(
-            1 << i,
-            Entry {
-                plan: ResidualNode::Leaf(i),
-                cost: leaf.cost,
-                rows: leaf.rows,
-            },
-        );
-    }
-    for mask in 1..=full {
-        if mask & full != mask || mask.count_ones() < 2 || !ctx.connected(mask) {
-            continue;
-        }
-        let out_rows = ctx.rows_of(mask, budget)?;
-        let mut best_here: Option<Entry> = None;
-        // Enumerate proper non-empty submask splits; visiting each
-        // unordered pair in both orientations covers both build sides.
-        let mut left = (mask - 1) & mask;
-        while left != 0 {
-            let right = mask & !left;
-            if let (Some(le), Some(re)) = (best.get(&left), best.get(&right)) {
-                let (algo, op) = ctx.best_pair(
-                    ctx.union_set(left),
-                    le.rows,
-                    ctx.union_set(right),
-                    re.rows,
-                    out_rows,
-                    budget,
-                )?;
-                let total = le.cost + re.cost + op;
-                // total_cmp so NaN costs sort last instead of poisoning
-                // the incumbent (house NaN rule).
-                if best_here
-                    .as_ref()
-                    .is_none_or(|b| total.total_cmp(&b.cost).is_lt())
-                {
-                    best_here = Some(Entry {
-                        plan: ResidualNode::Join {
-                            algo,
-                            left: Box::new(le.plan.clone()),
-                            right: Box::new(re.plan.clone()),
-                        },
-                        cost: total,
-                        rows: out_rows,
-                    });
-                }
-            }
-            left = (left - 1) & mask;
-        }
-        if let Some(e) = best_here {
-            best.insert(mask, e);
-        }
-    }
-    best.remove(&full)
-        .map(|e| ResidualChoice {
-            plan: e.plan,
-            cost: e.cost,
-        })
-        .ok_or_else(|| EngineError::NoPlanFound("residual DP produced no plan".into()))
-}
-
-fn greedy_residual(ctx: &ResidualCtx<'_>, budget: &mut WorkMeter) -> Result<ResidualChoice> {
-    struct Item {
-        plan: ResidualNode,
-        mask: u64,
-        set: TableSet,
-        rows: f64,
-        cost: f64,
-    }
-    let mut items: Vec<Item> = ctx
-        .leaves
-        .iter()
-        .enumerate()
-        .map(|(i, leaf)| Item {
-            plan: ResidualNode::Leaf(i),
-            mask: 1 << i,
-            set: leaf.set,
-            rows: leaf.rows,
-            cost: leaf.cost,
-        })
-        .collect();
-    while items.len() > 1 {
-        let mut best_pair = (0usize, 1usize);
-        let mut best_op = f64::INFINITY;
-        let mut best_conn = false;
-        for i in 0..items.len() {
-            for j in 0..items.len() {
-                if i == j {
-                    continue;
-                }
-                let conn = !ctx
-                    .query
-                    .joins_between(items[i].set, items[j].set)
-                    .is_empty();
-                let out_rows = ctx.rows_of(items[i].mask | items[j].mask, budget)?;
-                let (_, op) = ctx.best_pair(
-                    items[i].set,
-                    items[i].rows,
-                    items[j].set,
-                    items[j].rows,
-                    out_rows,
-                    budget,
-                )?;
-                // Connected candidates strictly dominate cross products.
-                if (conn, -op) > (best_conn, -best_op) {
-                    best_conn = conn;
-                    best_op = op;
-                    best_pair = (i, j);
-                }
-            }
-        }
-        let (i, j) = best_pair;
-        let (hi, lo) = (i.max(j), i.min(j));
-        let b = items.swap_remove(hi);
-        let a = items.swap_remove(lo);
-        let (l, r) = if i < j { (a, b) } else { (b, a) };
-        let out_rows = ctx.rows_of(l.mask | r.mask, budget)?;
-        let (algo, op) = ctx.best_pair(l.set, l.rows, r.set, r.rows, out_rows, budget)?;
-        items.push(Item {
-            plan: ResidualNode::Join {
-                algo,
-                left: Box::new(l.plan),
-                right: Box::new(r.plan),
-            },
-            mask: l.mask | r.mask,
-            set: l.set.union(r.set),
-            rows: out_rows,
-            cost: l.cost + r.cost + op,
-        });
-    }
-    let item = items.pop().expect("at least one residual item");
+        greedy(query, &graph, leaves, params, &hints, &mut charge, &prof)
+    }?;
     Ok(ResidualChoice {
-        plan: item.plan,
-        cost: item.cost,
+        plan: e.plan,
+        cost: e.cost,
     })
 }
 
@@ -416,52 +207,17 @@ pub fn residual_cost(
     hints: &HintSet,
     budget: &mut WorkMeter,
 ) -> Result<f64> {
-    let algos = allowed_algos(hints);
-    if algos.is_empty() {
+    if hints.num_allowed_algos() == 0 {
         return Err(EngineError::NoPlanFound(
             "all join algorithms disabled".into(),
         ));
     }
-    let ctx = ResidualCtx {
-        query,
-        leaves,
+    let mut charge = Metered {
         card,
-        params,
-        algos,
-        adj: Vec::new(),
+        meter: budget,
     };
-    fn rec(
-        ctx: &ResidualCtx<'_>,
-        node: &ResidualNode,
-        budget: &mut WorkMeter,
-    ) -> Result<(f64, f64, TableSet)> {
-        match node {
-            ResidualNode::Leaf(i) => {
-                let leaf = &ctx.leaves[*i];
-                Ok((leaf.cost, leaf.rows, leaf.set))
-            }
-            ResidualNode::Join { algo, left, right } => {
-                let (lcost, lrows, lset) = rec(ctx, left, budget)?;
-                let (rcost, rrows, rset) = rec(ctx, right, budget)?;
-                let out_set = lset.union(rset);
-                budget.add(RESIDUAL_LOOKUP_WORK)?;
-                let out_rows = ctx.card.cardinality(ctx.query, out_set);
-                budget.add(RESIDUAL_COST_EVAL_WORK)?;
-                let has_cond = !ctx.query.joins_between(lset, rset).is_empty();
-                let op = join_op_cost(
-                    *algo,
-                    ctx.params,
-                    lrows,
-                    rrows,
-                    out_rows,
-                    out_set.len(),
-                    has_cond,
-                );
-                Ok((lcost + rcost + op, out_rows, out_set))
-            }
-        }
-    }
-    rec(&ctx, node, budget).map(|(cost, _, _)| cost)
+    let mut leaf = |i: usize, _: &mut Metered| Ok(leaves[i].clone());
+    Ok(tree_cost(node, query, params, &mut charge, &mut leaf)?.0)
 }
 
 #[cfg(test)]
@@ -622,6 +378,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(recost.to_bits(), choice.cost.to_bits());
+    }
+
+    /// A residual past the DP's 20-leaf cap is planned greedily even when
+    /// the hints' DP limit allows more: a 24-leaf chain at
+    /// `dp_table_limit: 64` gives the plan, cost and meter work of a
+    /// limit that forces greedy.
+    #[test]
+    fn residual_beyond_the_dp_cap_goes_greedy() {
+        let (_c, _, card) = setup();
+        let n = 24;
+        let q = SpjQuery::new(
+            (0..n)
+                .map(|i| TableRef::new("a", format!("a{i}")))
+                .collect(),
+            (1..n)
+                .map(|i| {
+                    JoinCond::new(
+                        ColRef::new(format!("a{}", i - 1), "id"),
+                        ColRef::new(format!("a{i}"), "id"),
+                    )
+                })
+                .collect(),
+            vec![],
+        );
+        let leaves = leaves_all_pending(&q, &card);
+        let plan = |dp_table_limit| {
+            let hints = HintSet {
+                dp_table_limit,
+                ..HintSet::default()
+            };
+            let mut meter = WorkMeter::new(None);
+            let choice = enumerate_residual(
+                &q,
+                &leaves,
+                &card,
+                &CostParams::default(),
+                &hints,
+                &mut meter,
+            )
+            .unwrap();
+            (choice.plan, choice.cost.to_bits(), meter.work().to_bits())
+        };
+        assert_eq!(plan(64), plan(1));
     }
 
     #[test]

@@ -232,13 +232,17 @@ impl DbInteractor for EngineInteractor {
                     // Checkpointed execution: q-errors are measured
                     // against the session's own estimator stack (the one
                     // the plan was built on), so a steered session
-                    // re-plans against its steering.
+                    // re-plans against its steering — and, like its
+                    // plans, bypasses the shared residual cache, whose
+                    // entries other sessions would reuse.
                     let (card, hints) = self.session_card(session)?;
                     let mut reopt = ReoptExecutor::new(&self.catalog, exec_config, card, cfg)
                         .with_telemetry(self.telemetry())
                         .with_hints(hints);
                     if let Some(cache) = self.cache.lock().clone() {
-                        reopt = reopt.with_cache(cache);
+                        if !self.session_steered(session)? {
+                            reopt = reopt.with_cache(cache);
+                        }
                     }
                     reopt.execute(&query, &plan)?.0
                 } else {
@@ -477,6 +481,73 @@ mod tests {
             panic!()
         };
         assert_eq!(count, truth);
+    }
+
+    /// The tables of the first join a plan executes (serial post-order).
+    fn first_join(plan: &PhysNode) -> TableSet {
+        match plan {
+            PhysNode::Join { left, right, .. } => match (&**left, &**right) {
+                (PhysNode::Join { .. }, _) => first_join(left),
+                (_, PhysNode::Join { .. }) => first_join(right),
+                _ => plan.tables(),
+            },
+            PhysNode::Scan { .. } => TableSet::EMPTY,
+        }
+    }
+
+    /// Re-planned residuals are shared only between sessions planning on
+    /// the same estimates: with a shared cache and re-optimization on, an
+    /// unsteered session's execution (count and work, re-planning work
+    /// included) equals a fresh-cache run whether or not a steered
+    /// session re-planned the same query first.
+    #[test]
+    fn steered_replans_do_not_reach_unsteered_sessions() {
+        let q = parse_query(
+            "SELECT COUNT(*) FROM users u, posts p, comments c, votes v \
+             WHERE u.id = p.owner_user_id AND p.id = c.post_id AND p.id = v.post_id",
+        )
+        .unwrap();
+        let run = |steered_first: bool| {
+            let ix = EngineInteractor::new(Arc::new(stats_like(80, 17).unwrap()));
+            ix.attach_cache(&Arc::new(LqoCache::default()));
+            // Every checkpoint re-plans.
+            ix.set_reopt(Some(ReoptConfig {
+                q_error_threshold: 1.0,
+                confirm_streak: 1,
+                ..Default::default()
+            }));
+            let plain = ix.open_session();
+            let PullReply::Plan { plan, .. } =
+                ix.pull(plain, PullRequest::Plan(q.clone())).unwrap()
+            else {
+                panic!()
+            };
+            if steered_first {
+                // The steered session believes the plan's first join is
+                // enormous, so its re-plan at the first checkpoint
+                // switches away from it.
+                let steered = ix.open_session();
+                ix.push(
+                    steered,
+                    PushAction::InjectCardinality {
+                        query: q.clone(),
+                        set: first_join(&plan),
+                        card: 1e9,
+                    },
+                )
+                .unwrap();
+                ix.pull(steered, PullRequest::ExecutePlan(q.clone(), plan.clone()))
+                    .unwrap();
+            }
+            let PullReply::Execution { count, work, .. } = ix
+                .pull(plain, PullRequest::ExecutePlan(q.clone(), plan))
+                .unwrap()
+            else {
+                panic!()
+            };
+            (count, work.to_bits())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -187,7 +187,10 @@ impl<'a> ReoptExecutor<'a> {
     }
 
     /// Reuse re-planned residual sub-plans across queries through the
-    /// epoch-tagged residual cache.
+    /// epoch-tagged residual cache. Entries are keyed and tagged by the
+    /// estimator's name, so executors over one estimator stack share
+    /// them; a caller whose estimates are steered per session (injected
+    /// or scaled cardinalities) must not attach a shared cache.
     pub fn with_cache(mut self, cache: Arc<LqoCache>) -> ReoptExecutor<'a> {
         self.cache = Some(cache);
         self
@@ -430,7 +433,7 @@ impl<'a> ReoptExecutor<'a> {
             let key = self
                 .cache
                 .as_ref()
-                .map(|_| residual_key(query, &leaves, calibrated.name()));
+                .map(|_| residual_key(query, &leaves, self.card.name()));
             let mut from_cache = false;
             let choice = match self
                 .cache
@@ -484,7 +487,7 @@ impl<'a> ReoptExecutor<'a> {
                             plan: choice.plan.clone(),
                             cost: choice.cost,
                         };
-                        cache.residual_store(key, cached, calibrated.name());
+                        cache.residual_store(key, cached, self.card.name());
                     }
                     chosen = Some(choice.plan);
                     "switch"

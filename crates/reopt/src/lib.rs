@@ -28,7 +28,10 @@
 //!
 //! * already-executed sub-trees become leaf inputs — exact rows, zero
 //!   acquisition cost — to a fresh enumeration over the residual
-//!   join graph ([`lqo_engine::enumerate_residual`]);
+//!   join graph ([`lqo_engine::enumerate_residual`]): the optimizer's
+//!   own DP and greedy run over these leaves, under the configured
+//!   hints' join algorithms and DP limit (`leading` and
+//!   `left_deep_only` are dropped) and the optimizer's 20-leaf DP cap;
 //! * estimates for not-yet-built sub-queries are calibrated by the
 //!   observed/estimated ratios of the materialized anchors
 //!   ([`CalibratedCardSource`]), memoized per pass through
@@ -41,7 +44,9 @@
 //! * a new sub-plan is spliced in only when it is strictly cheaper than
 //!   re-costing the current one under the same calibrated estimates, and
 //!   re-planned residual sub-plans are reused across queries through the
-//!   epoch-tagged residual cache in [`lqo_cache::LqoCache`].
+//!   epoch-tagged residual cache in [`lqo_cache::LqoCache`], keyed and
+//!   tagged by the wrapped estimator's name (a session whose estimates
+//!   are steered must not share one).
 //!
 //! Every checkpoint decision lands on the query trace as a
 //! [`lqo_obs::trace::ReoptEvent`], on the `lqo.reopt.*` metrics and on
