@@ -1204,6 +1204,45 @@ mod tests {
     }
 
     #[test]
+    fn weighted_join_counting_2_pow_63_charges_in_time() {
+        // 2 × 2^31 × 2^31 = 2^63 logical tuples: 2^47 output blocks,
+        // charged in a number of additions that follows the sum's
+        // binades, not the blocks.
+        let (c, q) = fixture();
+        let ex = Executor::with_defaults(&c);
+        let start = std::time::Instant::now();
+        for algo in JoinAlgo::ALL {
+            let mut work = None;
+            for keep in [TableSet::EMPTY, TableSet::singleton(0), TableSet::full(2)] {
+                let (l, r) = weighted_pair(&c, &q, 1 << 31, 1 << 31);
+                let mut meter = WorkMeter::new(None);
+                let out = ex
+                    .exec_join_step_keeping(&q, algo, l, r, keep, &mut meter)
+                    .unwrap();
+                assert_eq!(out.len() as u64, 1 << 63, "{algo} keep {keep}");
+                // Whatever it keeps, a body issues the same charges.
+                let bits = *work.get_or_insert(meter.work().to_bits());
+                assert_eq!(meter.work().to_bits(), bits, "{algo} keep {keep}");
+                // A budget that ends a quarter of the way short trips
+                // inside the block charges, at the charge that crosses it.
+                let limit = meter.work() - ex.params().output_work(2f64.powi(61), 2);
+                let (l, r) = weighted_pair(&c, &q, 1 << 31, 1 << 31);
+                let mut meter = WorkMeter::new(Some(limit));
+                let err = ex
+                    .exec_join_step_keeping(&q, algo, l, r, keep, &mut meter)
+                    .unwrap_err();
+                assert_eq!(err, EngineError::WorkLimitExceeded { limit });
+                let block = ex.params().output_work(65_536.0, 2);
+                assert!(meter.work() > limit && meter.work() <= limit + 2.0 * block);
+            }
+            let output = ex.params().output_work(2f64.powi(63), 2);
+            assert!(f64::from_bits(work.unwrap()) >= output * 0.99, "{algo}");
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    #[test]
     fn weight_products_and_sums_beyond_usize_fail_typed() {
         let (c, q) = fixture();
         let ex = Executor::with_defaults(&c);
@@ -1217,9 +1256,7 @@ mod tests {
                 TableSet::singleton(1),
                 TableSet::full(2),
             ] {
-                // 2 × 2^20 × 2^19 = 2^40: the exact count. (Counts near
-                // 2^64 fit too, but their output charges take 2^48
-                // cadence blocks.)
+                // 2 × 2^20 × 2^19 = 2^40: the exact count.
                 let ok = join(algo, weighted_pair(&c, &q, 1 << 20, 1 << 19), keep).unwrap();
                 assert_eq!(ok.len(), 1 << 40, "{algo} keep {keep}");
                 // 2^40 × 2^40 overflows in the product.

@@ -131,7 +131,9 @@ impl CostParams {
 /// [`ChargeCadence::bump`], which issues the crossing charges in order
 /// whatever the lump sizes — so the account is bit-identical however an
 /// operator's ranges are run and however its output is weighted, and a
-/// budget trip raises the same error at the same charge.
+/// budget trip raises the same error at the same charge. A lump's
+/// blocks go through [`add_repeated`], so a weighted lump of 2^63
+/// tuples costs a few additions per binade of the sum, not 2^47.
 #[derive(Debug)]
 pub(crate) struct ChargeCadence<'p> {
     params: &'p CostParams,
@@ -168,11 +170,9 @@ impl<'p> ChargeCadence<'p> {
     /// [`EngineError::CountOverflow`](crate::error::EngineError::CountOverflow).
     pub(crate) fn bump(&mut self, n: u128, meter: &mut WorkMeter) -> Result<()> {
         self.emitted = logical_len(self.emitted as u128 + n, self.op)?;
-        while self.charged + 65_536 <= self.emitted {
-            self.charged += 65_536;
-            meter.add(self.work(65_536))?;
-        }
-        Ok(())
+        let blocks = (self.emitted - self.charged) / 65_536;
+        self.charged += blocks * 65_536;
+        add_repeated(meter, self.work(65_536), blocks as u64)
     }
 
     /// Issue the end-of-operator remainder charge; returns the operator's
@@ -181,6 +181,66 @@ impl<'p> ChargeCadence<'p> {
         meter.add(self.work((self.emitted % 65_536) as u128))?;
         Ok(self.emitted)
     }
+}
+
+/// Charge `w` to `meter` `k` times: exactly `for _ in 0..k {
+/// meter.add(w)? }` — the same bits, and under a budget the same error
+/// at the same charge — in a number of real additions that grows with
+/// the binades the sum crosses, not with `k`.
+///
+/// While the sum `S` stays within one binade `[2^e, 2^(e+1))`, every
+/// value is a multiple of its ulp `u`, so `fl(S + w) = S + round_u(w)`
+/// with a constant increment — except that a `w` exactly halfway
+/// between multiples of `u` rounds to the even neighbour, after which
+/// `S/u` is even and the increment is constant again. So once two
+/// consecutive real additions stayed in one binade, the second one's
+/// increment `d` repeats until the binade's top: a run of `n` further
+/// steps lands exactly on `S + n·d`, and a budget's first trip inside
+/// the run is the first `S + j·d` above it. Runs end a step short of
+/// the top (and of a trip), which a real addition then crosses; a sum
+/// that no longer moves (`fl(S + w) == S`) stays put for good.
+pub(crate) fn add_repeated(meter: &mut WorkMeter, w: f64, mut k: u64) -> Result<()> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    // Whether the last real addition started and ended in one binade.
+    let mut in_binade = false;
+    while k > 0 {
+        let before = meter.work;
+        meter.add(w)?;
+        k -= 1;
+        let after = meter.work;
+        if after.to_bits() == before.to_bits() {
+            return Ok(());
+        }
+        let same_binade = w > 0.0
+            && before.is_normal()
+            && before > 0.0
+            && after.is_normal()
+            && before.to_bits() >> 52 == after.to_bits() >> 52;
+        if !(same_binade && in_binade) {
+            in_binade = same_binade;
+            continue;
+        }
+        // Mantissas with the implicit bit, in units of the binade's ulp.
+        let bits = after.to_bits();
+        let start = (bits & MANTISSA) | (1 << 52);
+        let d = start - ((before.to_bits() & MANTISSA) | (1 << 52));
+        // Steps whose sum stays below the binade's top: the exact sum
+        // of a step from `S` is at most `S/u + d + 1/2`.
+        let mut run = ((1 << 53) - 1 - start) / d;
+        if let Some(lim) = meter.limit {
+            let top = f64::from_bits(((bits >> 52) + 1) << 52);
+            if lim < top {
+                // `after ≤ lim < top`: `lim` is in this binade too, a
+                // multiple of `u`; steps ending at or below it pass.
+                let lim_units = (lim.to_bits() & MANTISSA) | (1 << 52);
+                run = run.min(lim_units.saturating_sub(start) / d);
+            }
+        }
+        let run = run.min(k);
+        meter.work = f64::from_bits(bits + run * d);
+        k -= run;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -233,6 +293,89 @@ mod tests {
         assert_eq!(meter.work(), 0.0);
         assert_eq!(logical_len(usize::MAX as u128, "x").unwrap(), usize::MAX);
         assert!(logical_len(u128::MAX, "x").is_err());
+    }
+
+    /// What [`add_repeated`] fast-forwards: one real addition per charge.
+    /// Returns the index of the tripping charge, if one tripped.
+    fn add_each(meter: &mut WorkMeter, w: f64, k: u64) -> Option<u64> {
+        (0..k).find(|_| meter.add(w).is_err())
+    }
+
+    /// SplitMix64: a seeded stream for the differential below.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    #[test]
+    fn add_repeated_matches_one_addition_per_charge() {
+        let mut rng = Mix(0x5eed_cade);
+        let p = CostParams::default();
+        for case in 0..400 {
+            // Charges: the cadence's own block charge, or a multiple of
+            // the start's ulp (quarters, so halfway ties come up), or any
+            // magnitude.
+            let start = match rng.below(4) {
+                0 => 0.0,
+                _ => (rng.unit() + 0.5) * 2f64.powi(rng.below(70) as i32),
+            };
+            let ulp = if start > 0.0 {
+                f64::from_bits(start.to_bits() + 1) - start
+            } else {
+                1.0
+            };
+            let w = match rng.below(3) {
+                0 => p.output_work(65_536.0, 2 + rng.below(7) as usize),
+                1 => ulp * (rng.below(256) as f64 / 4.0),
+                _ => (rng.unit() + 0.5) * 2f64.powi(rng.below(40) as i32),
+            };
+            let span = if rng.below(4) == 0 { 1 << 20 } else { 1 << 12 };
+            let k = 1 + rng.below(span);
+            // Budgets: none, one landing exactly on a reachable sum (a
+            // sum equal to the limit passes), and its neighbours.
+            let mut reach = WorkMeter {
+                work: start,
+                limit: None,
+            };
+            add_each(&mut reach, w, rng.below(k + 1));
+            let exact = reach.work;
+            let limits = [
+                None,
+                Some(exact),
+                Some(f64::from_bits(exact.to_bits() + 1)),
+                Some(exact - ulp.max(exact * 1e-12)),
+            ];
+            for limit in limits {
+                let mut want = WorkMeter { work: start, limit };
+                let trip = add_each(&mut want, w, k);
+                let mut got = WorkMeter { work: start, limit };
+                let res = add_repeated(&mut got, w, k);
+                let ctx = format!("case {case}: start {start:e} w {w:e} k {k} limit {limit:?}");
+                assert_eq!(got.work.to_bits(), want.work.to_bits(), "{ctx}");
+                assert_eq!(res.is_err(), trip.is_some(), "{ctx}");
+                if let Some(j) = trip {
+                    // The same charge trips: j charges pass, the next fails.
+                    let mut short = WorkMeter { work: start, limit };
+                    assert!(add_repeated(&mut short, w, j).is_ok(), "{ctx}");
+                    assert!(add_repeated(&mut short, w, 1).is_err(), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,20 @@
 //! stack layers over the shared cache-memoized base, exactly like an
 //! interactive session would.
 //!
+//! ## Tickets and memory
+//!
+//! The server holds what is in flight, not what it has served.
+//! [`LqoServer::submit`] parks each admitted query in a slot of a
+//! ticket slab (reusing a freed slot when there is one) and returns a
+//! [`Ticket`] naming the slot and its generation. [`LqoServer::wait`]
+//! moves the outcome out and frees the slot, so a ticket redeems once:
+//! waiting on it again panics, and it can never read the outcome of
+//! the slot's next occupant. A ticket that is never redeemed keeps its
+//! slot and outcome until the server drops. [`QueryOutcome::seq`] is
+//! the admission sequence number, independent of slot reuse. The
+//! per-tenant health series is capped ([`ServeConfig::watch`]), so the
+//! monitor stays bounded on a server that runs indefinitely.
+//!
 //! The profiler attributes correctly under interleaving because phases
 //! are keyed by query id ([`lqo_prof::ProfContext::begin_query_id`] /
 //! [`lqo_prof::ProfContext::bind_query`]) — each worker binds the
@@ -93,7 +107,9 @@ pub struct ServeConfig {
     /// Per-tenant circuit-breaker tuning.
     pub breaker: lqo_guard::BreakerConfig,
     /// Drift-monitor tuning for the per-tenant `tenant:<name>`
-    /// components.
+    /// components. The default keeps at most 4 096 series points, so a
+    /// long-running server's health series thins out instead of growing
+    /// (see [`lqo_watch::WatchConfig::max_series`]).
     pub watch: lqo_watch::WatchConfig,
     /// Execution mode *within* one operator step. Every mode runs the
     /// same operator bodies: [`lqo_engine::ExecMode::Serial`] (the
@@ -120,7 +136,10 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             tenant_quota: None,
             breaker: lqo_guard::BreakerConfig::default(),
-            watch: lqo_watch::WatchConfig::default(),
+            watch: lqo_watch::WatchConfig {
+                max_series: 4_096,
+                ..lqo_watch::WatchConfig::default()
+            },
             step_mode: lqo_engine::ExecMode::Serial,
             default_max_work: None,
             hold: false,

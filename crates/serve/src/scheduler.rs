@@ -17,9 +17,18 @@ use lqo_engine::{JoinAlgo, PhysNode, Relation, SpjQuery, TableSet, Telemetry, Wo
 
 use crate::server::TenantGuard;
 
-/// Handle to one admitted query; redeem with [`crate::LqoServer::wait`].
+/// Handle to one admitted query; redeem it once with
+/// [`crate::LqoServer::wait`].
+///
+/// A ticket names a slot of the server's ticket slab and the slot's
+/// generation at admission. Redeeming it frees the slot for a later
+/// submission and bumps the generation, so a ticket that was already
+/// redeemed can never read the outcome of the slot's next occupant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(pub(crate) usize);
+pub struct Ticket {
+    pub(crate) slot: usize,
+    pub(crate) generation: u64,
+}
 
 /// One operator step in a query's serial post-order, with the tables
 /// whose row-id slots its output keeps.
@@ -67,7 +76,8 @@ pub struct QueryAnswer {
 pub struct QueryOutcome {
     /// The billing tenant.
     pub tenant: String,
-    /// Submission sequence number (== ticket index).
+    /// Submission sequence number: the order of admission, counted from
+    /// 0 over the server's lifetime.
     pub seq: usize,
     /// Estimated cost of the admitted plan.
     pub plan_cost: f64,
@@ -110,7 +120,8 @@ pub(crate) struct Task {
 
 /// Per-tenant scheduling state (guarded by the scheduler lock).
 pub(crate) struct TenantSched {
-    /// Tickets ready for their next step, FIFO within the tenant.
+    /// Slots of the tasks ready for their next step, FIFO within the
+    /// tenant.
     pub ready: VecDeque<usize>,
     /// Actual work units consumed by completed steps — the fair-share
     /// deficit counter.
@@ -121,13 +132,29 @@ pub(crate) struct TenantSched {
     pub quota: WorkMeter,
 }
 
+/// One ticket slot: the query's parked task between steps, then its
+/// outcome until the ticket is redeemed.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// Bumped each time the slot is freed; a ticket is live while it
+    /// matches.
+    pub generation: u64,
+    /// The task while parked (`None` while a worker runs it, and once
+    /// it finished).
+    pub task: Option<Task>,
+    /// The outcome, from completion until [`SchedState::redeem`].
+    pub outcome: Option<QueryOutcome>,
+}
+
 /// Scheduler state behind the server's mutex.
 pub(crate) struct SchedState {
     pub tenants: BTreeMap<String, TenantSched>,
-    /// Parked tasks by ticket index (`None` while running or finished).
-    pub tasks: Vec<Option<Task>>,
-    /// Completed outcomes by ticket index.
-    pub outcomes: Vec<Option<QueryOutcome>>,
+    /// The ticket slab: one slot per admitted query not yet redeemed.
+    pub slots: Vec<Slot>,
+    /// Indices of free slots, reused before the slab grows.
+    free: Vec<usize>,
+    /// Sequence number of the next admitted query.
+    next_seq: usize,
     /// Admitted but not yet completed (the bounded admission queue).
     pub pending: usize,
     pub completed: usize,
@@ -140,13 +167,53 @@ impl SchedState {
     pub fn new(held: bool) -> SchedState {
         SchedState {
             tenants: BTreeMap::new(),
-            tasks: Vec::new(),
-            outcomes: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
             pending: 0,
             completed: 0,
             held,
             shutdown: false,
         }
+    }
+
+    /// The next submission sequence number.
+    pub fn next_seq(&mut self) -> usize {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Park a newly admitted task in a free slot (or a new one), queue
+    /// it behind its tenant's ready tasks, and return its ticket.
+    pub fn admit(&mut self, task: Task) -> Ticket {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            self.slots.len() - 1
+        });
+        if let Some(t) = self.tenants.get_mut(&task.tenant) {
+            t.ready.push_back(slot);
+        }
+        let entry = &mut self.slots[slot];
+        entry.task = Some(task);
+        Ticket {
+            slot,
+            generation: entry.generation,
+        }
+    }
+
+    /// Take `ticket`'s outcome if its query has completed, freeing the
+    /// slot. Panics if the ticket was already redeemed.
+    pub fn redeem(&mut self, ticket: Ticket) -> Option<QueryOutcome> {
+        let entry = &mut self.slots[ticket.slot];
+        assert!(
+            entry.generation == ticket.generation,
+            "ticket {ticket:?} was already redeemed"
+        );
+        let outcome = entry.outcome.take()?;
+        entry.generation += 1;
+        self.free.push(ticket.slot);
+        Some(outcome)
     }
 
     /// Pick the next ready task: the front of the queue of the tenant
@@ -162,8 +229,8 @@ impl SchedState {
                     .total_cmp(&b.consumed)
                     .then_with(|| na.as_str().cmp(nb.as_str()))
             })?;
-        let ticket = tenant.ready.pop_front()?;
-        let task = self.tasks[ticket].take()?;
-        Some((ticket, task))
+        let slot = tenant.ready.pop_front()?;
+        let task = self.slots[slot].task.take()?;
+        Some((slot, task))
     }
 }

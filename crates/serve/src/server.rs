@@ -208,7 +208,7 @@ impl Shared {
         Ok(task.next_op == task.ops.len())
     }
 
-    fn finalize(&self, ticket: usize, mut task: Task, result: Result<QueryAnswer, String>) {
+    fn finalize(&self, slot: usize, mut task: Task, result: Result<QueryAnswer, String>) {
         let Telemetry { obs, prof, .. } = &task.telemetry;
         prof.end_query_id(task.qid);
         let guard = &task.guard;
@@ -253,7 +253,7 @@ impl Shared {
         state.pending -= 1;
         state.completed += 1;
         obs.gauge("lqo.serve.queue_depth", state.pending as f64);
-        state.outcomes[ticket] = Some(outcome);
+        state.slots[slot].outcome = Some(outcome);
         drop(state);
         self.done.notify_all();
         self.work_ready.notify_one();
@@ -276,7 +276,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 state = shared.wait_work(state);
             }
         };
-        let (ticket, mut task) = picked;
+        let (slot, mut task) = picked;
         match shared.run_step(&mut task) {
             Ok(false) => {
                 // Park the task behind its tenant's queue; the fair-share
@@ -288,10 +288,10 @@ fn worker_loop(shared: Arc<Shared>) {
                     // by earlier steps of this task at completion only,
                     // so track the live figure via the parked meter.
                     t.consumed += consumed_now - task.charged;
-                    t.ready.push_back(task.seq);
+                    t.ready.push_back(slot);
                 }
                 task.charged = consumed_now;
-                state.tasks[ticket] = Some(task);
+                state.slots[slot].task = Some(task);
                 drop(state);
                 shared.work_ready.notify_one();
             }
@@ -302,11 +302,11 @@ fn worker_loop(shared: Arc<Shared>) {
                     count: rel.len() as u64,
                     work: task.meter.work(),
                 };
-                shared.finalize(ticket, task, Ok(answer));
+                shared.finalize(slot, task, Ok(answer));
             }
             Err(e) => {
                 let msg = e.to_string();
-                shared.finalize(ticket, task, Err(msg));
+                shared.finalize(slot, task, Err(msg));
             }
         }
     }
@@ -452,15 +452,16 @@ impl LqoServer {
             });
         }
         let _ = tenant_sched.quota.add(cost);
-        let seq = state.tasks.len();
-        let qid = telemetry
-            .prof
-            .begin_query_id(&format!("{}#{seq}", req.tenant));
+        let seq = state.next_seq();
+        let qid = if telemetry.prof.is_enabled() {
+            telemetry
+                .prof
+                .begin_query_id(&format!("{}#{seq}", req.tenant))
+        } else {
+            0
+        };
         let mut ops = Vec::new();
         flatten(&req.query, &plan, TableSet::EMPTY, &mut ops);
-        if let Some(t) = state.tenants.get_mut(&req.tenant) {
-            t.ready.push_back(seq);
-        }
         let task = Task {
             seq,
             tenant: req.tenant,
@@ -477,21 +478,24 @@ impl LqoServer {
             charged: 0.0,
             admitted_at: Instant::now(),
         };
-        state.tasks.push(Some(task));
-        state.outcomes.push(None);
+        let ticket = state.admit(task);
         state.pending += 1;
         obs.gauge("lqo.serve.queue_depth", state.pending as f64);
         drop(state);
         obs.count("lqo.serve.admitted", 1);
         shared.work_ready.notify_one();
-        Ok(Ticket(seq))
+        Ok(ticket)
     }
 
-    /// Block until the ticket's query completes; returns its outcome.
+    /// Block until the ticket's query completes; returns its outcome and
+    /// frees the ticket's slot for a later submission.
+    ///
+    /// A ticket redeems once: waiting on it again panics, whether or not
+    /// its slot has been reused since.
     pub fn wait(&self, ticket: Ticket) -> QueryOutcome {
         let mut state = self.shared.state.lock();
         loop {
-            if let Some(outcome) = state.outcomes[ticket.0].clone() {
+            if let Some(outcome) = state.redeem(ticket) {
                 return outcome;
             }
             state = self.shared.wait_done(state);

@@ -31,7 +31,7 @@ use lqo_obs::ObsContext;
 use crate::attribution::{rank_blame, RegressionRecord};
 use crate::calibration::CalibrationTracker;
 use crate::drift::{DriftConfig, DriftDetector};
-use crate::series::SamplePoint;
+use crate::series::{SamplePoint, Series};
 use crate::sketch::QErrorSketch;
 use crate::slo::{SloConfig, SloReport, SloTracker};
 
@@ -91,9 +91,12 @@ pub struct WatchConfig {
     pub drift: DriftConfig,
     /// SLO tuning (monitor-wide).
     pub slo: SloConfig,
-    /// Append a series sample every N observations per component.
+    /// Append a series sample every N observations per component (the
+    /// stride doubles each time the series reaches `max_series`).
     pub sample_every: usize,
-    /// Hard cap on retained series samples.
+    /// Most series samples retained. On reaching it the series drops
+    /// every other sample of each component and doubles the sampling
+    /// stride, so it keeps spanning the whole stream.
     pub max_series: usize,
     /// Work ratio vs native above which a query counts as a regression.
     pub regression_threshold: f64,
@@ -235,7 +238,7 @@ impl HealthReport {
 struct Inner {
     components: BTreeMap<String, ComponentHealth>,
     slo: SloTracker,
-    series: Vec<SamplePoint>,
+    series: Series,
     regressions: Vec<RegressionRecord>,
 }
 
@@ -253,12 +256,13 @@ impl ModelHealthMonitor {
     /// A monitor under `cfg`, not yet publishing metrics.
     pub fn new(cfg: WatchConfig) -> ModelHealthMonitor {
         let slo = SloTracker::new(cfg.slo.clone());
+        let series = Series::new(cfg.sample_every, cfg.max_series);
         ModelHealthMonitor {
             cfg,
             inner: Mutex::new(Inner {
                 components: BTreeMap::new(),
                 slo,
-                series: Vec::new(),
+                series,
                 regressions: Vec::new(),
             }),
             obs: ObsContext::disabled(),
@@ -419,7 +423,7 @@ impl ModelHealthMonitor {
 
     /// The accumulated health time series.
     pub fn series(&self) -> Vec<SamplePoint> {
-        self.inner.lock().series.clone()
+        self.inner.lock().series.points().to_vec()
     }
 
     /// Build the full report.
@@ -460,14 +464,8 @@ impl ModelHealthMonitor {
     /// health transition tracking, gauge publication, and series
     /// sampling. Caller holds the lock. The drift scores are the ones
     /// the observation just cached, so this costs no recomputation.
-    fn after_observation(
-        &self,
-        c: &mut ComponentHealth,
-        series: &mut Vec<SamplePoint>,
-        component: &str,
-    ) {
+    fn after_observation(&self, c: &mut ComponentHealth, series: &mut Series, component: &str) {
         let cfg = &self.cfg;
-        let sample_every = cfg.sample_every.max(1) as u64;
         let health = c.health(cfg);
         if health != HealthState::Healthy && c.first_alarm.is_none() {
             c.first_alarm = Some(c.observations);
@@ -494,7 +492,7 @@ impl ModelHealthMonitor {
                 health.code() as f64,
             );
         }
-        if c.observations.is_multiple_of(sample_every) && series.len() < cfg.max_series {
+        if series.due(c.observations) {
             let drift = c.drift.status();
             // A component fed only work observations has an empty q-error
             // window, whose quantiles read 1.0 without merging a chunk.
@@ -585,6 +583,58 @@ mod tests {
         assert_eq!(r.components.len(), 1);
         assert!(r.components[0].q95.unwrap() < 2.0);
         assert!(!m.series().is_empty());
+    }
+
+    #[test]
+    fn series_thins_out_at_its_cap_and_spans_the_stream() {
+        let max = 64;
+        let capped = ModelHealthMonitor::new(WatchConfig {
+            max_series: max,
+            ..tiny_cfg()
+        });
+        let uncapped = ModelHealthMonitor::new(WatchConfig {
+            max_series: usize::MAX,
+            ..tiny_cfg()
+        });
+        // Two components, the second observed every third tick: 4 × max
+        // samples at stride 1 from 3 × max ticks.
+        let mut observed: BTreeMap<&str, u64> = BTreeMap::new();
+        for i in 0..3 * max {
+            let truth = 40.0 + (i % 8) as f64 * 5.0;
+            let components: &[&str] = if i % 3 == 0 { &["a", "b"] } else { &["a"] };
+            for &c in components {
+                for m in [&capped, &uncapped] {
+                    m.observe_estimate(c, truth * (1.0 + (i % 5) as f64), truth);
+                }
+                *observed.entry(c).or_default() += 1;
+            }
+            let full = uncapped.series();
+            if full.len() <= max {
+                // Below the cap: the fixed-stride series, unchanged.
+                assert_eq!(capped.series(), full, "tick {i}");
+            }
+        }
+        let series = capped.series();
+        let full = uncapped.series();
+        assert_eq!(full.len(), 4 * max);
+        assert!(series.len() <= max, "{} points", series.len());
+        let stride = capped.inner.lock().series.stride();
+        assert!(stride > 1);
+        for (&c, &n) in &observed {
+            let seqs: Vec<u64> = series
+                .iter()
+                .filter(|p| p.component == c)
+                .map(|p| p.seq)
+                .collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{c}: {seqs:?}");
+            assert_eq!(seqs[0], 1, "{c} lost its first sample");
+            let last = *seqs.last().unwrap();
+            assert!(n - last < stride, "{c}: last sample {last} of {n}");
+        }
+        // Thinning drops points; it never alters one.
+        for p in &series {
+            assert!(full.contains(p), "{p:?}");
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! is exported as JSONL (one compact object per line) so external tools
 //! can tail it. The round trip `parse_series_jsonl(write_series_jsonl(s))
 //! == s` holds for every finite field.
+//!
+//! The series is bounded: when it reaches its cap it drops every other
+//! point of each component and doubles the stride, so a long stream is
+//! covered end to end by at most the cap's points, ever sparser.
+
+use std::collections::BTreeMap;
 
 use lqo_obs::json::{parse, Value};
 
@@ -34,6 +40,79 @@ pub struct SamplePoint {
     pub bias_log2: f64,
     /// Health code: 0 healthy, 1 degrading, 2 drifted.
     pub health: u8,
+}
+
+/// The monitor's series: at most `max` points, sampled every `stride`
+/// observations of a component. Below the cap it is exactly the
+/// fixed-stride series; at the cap it thins out (see [`Series::push`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Series {
+    points: Vec<SamplePoint>,
+    stride: u64,
+    max: usize,
+}
+
+impl Series {
+    /// An empty series sampling every `sample_every` observations, capped
+    /// at `max` points.
+    pub(crate) fn new(sample_every: usize, max: usize) -> Series {
+        Series {
+            points: Vec::new(),
+            stride: sample_every.max(1) as u64,
+            max,
+        }
+    }
+
+    /// Whether a component's `seq`-th observation is sampled.
+    pub(crate) fn due(&self, seq: u64) -> bool {
+        seq.is_multiple_of(self.stride)
+    }
+
+    /// Append a point. A full series first drops every other point of
+    /// each component (keeping each one's first) and doubles the stride;
+    /// if that frees nothing (no component has two points), the point is
+    /// dropped instead.
+    pub(crate) fn push(&mut self, point: SamplePoint) {
+        if self.points.len() >= self.max && !self.decimate() {
+            return;
+        }
+        self.points.push(point);
+    }
+
+    /// Keep each component's 1st, 3rd, 5th, … point and double the
+    /// stride; returns whether any point went.
+    fn decimate(&mut self) -> bool {
+        let before = self.points.len();
+        // Per component: whether its next point is kept.
+        let mut keep_next: BTreeMap<String, bool> = BTreeMap::new();
+        self.points
+            .retain(|p| match keep_next.get_mut(&p.component) {
+                Some(keep) => {
+                    *keep = !*keep;
+                    !*keep
+                }
+                None => {
+                    keep_next.insert(p.component.clone(), false);
+                    true
+                }
+            });
+        let thinned = self.points.len() < before;
+        if thinned {
+            self.stride = self.stride.saturating_mul(2);
+        }
+        thinned
+    }
+
+    /// The retained points, in sampling order.
+    pub(crate) fn points(&self) -> &[SamplePoint] {
+        &self.points
+    }
+
+    /// The current sampling stride.
+    #[cfg(test)]
+    pub(crate) fn stride(&self) -> u64 {
+        self.stride
+    }
 }
 
 fn f(v: f64) -> Value {
