@@ -35,20 +35,6 @@ pub enum EngineError {
     /// The optimizer could not produce a plan (e.g. disconnected join graph
     /// with cross products disabled).
     NoPlanFound(String),
-    /// A learned component missed its inference deadline or exhausted the
-    /// per-query plan-time budget; the guard rejected its answer.
-    InferenceTimeout {
-        /// The guarded component (e.g. `"card:learned"`, `"driver:bao"`).
-        component: String,
-    },
-    /// A learned component misbehaved (panicked, or returned a
-    /// NaN/∞/negative/out-of-bounds value) and was contained by the guard.
-    ModelFault {
-        /// The guarded component.
-        component: String,
-        /// Short fault label (`"panic"`, `"non-finite"`, ...).
-        fault: String,
-    },
     /// A parallel worker thread panicked mid-morsel. The panic was
     /// contained by the pool; depending on configuration the query either
     /// surfaces this error or degrades to the serial execution path.
@@ -93,12 +79,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
             EngineError::NoPlanFound(msg) => write!(f, "no plan found: {msg}"),
-            EngineError::InferenceTimeout { component } => {
-                write!(f, "inference deadline exceeded in {component}")
-            }
-            EngineError::ModelFault { component, fault } => {
-                write!(f, "model fault in {component}: {fault}")
-            }
             EngineError::WorkerFault { op } => {
                 write!(f, "parallel worker fault during {op}")
             }

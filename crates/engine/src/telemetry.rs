@@ -7,10 +7,11 @@
 //! `Option<Arc>`, so the default (all three disabled) costs one branch
 //! per call site.
 //!
-//! Two jobs that span the contexts live here too: the per-query window
-//! ([`Telemetry::begin_query`] → [`QueryScope`]) and the guard event that
+//! The jobs that span the contexts live here too: the per-query window
+//! ([`Telemetry::begin_query`] → [`QueryScope`]), the guard event that
 //! goes to both the trace and the flight ring
-//! ([`Telemetry::guard_event`]).
+//! ([`Telemetry::guard_event`]), and the breaker opening that goes to a
+//! counter and the flight ring ([`Telemetry::breaker_open`]).
 
 use std::fmt::Display;
 
@@ -81,6 +82,22 @@ impl Telemetry {
     /// event onto the flight ring.
     pub fn guard_event(&self, producer: Producer, component: &str, fault: &str, action: &str) {
         self.guard_event_with_detail(producer, component, fault, "", action);
+    }
+
+    /// Report that a breaker opened: count `lqo.guard.breaker_opens` and,
+    /// when a recorder is attached, publish [`FlightEvent::Breaker`] in
+    /// state `open` — an incident trigger.
+    pub fn breaker_open(&self, producer: Producer, component: &str) {
+        self.obs.count("lqo.guard.breaker_opens", 1);
+        if self.flight.is_enabled() {
+            self.flight.publish(
+                producer,
+                FlightEvent::Breaker {
+                    component: component.to_string(),
+                    state: "open".to_string(),
+                },
+            );
+        }
     }
 
     /// [`Telemetry::guard_event`] whose trace fault carries a detail the

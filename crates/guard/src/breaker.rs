@@ -162,21 +162,26 @@ impl CircuitBreaker {
 
     /// Report a faulted guarded call. In the closed state this counts
     /// toward the failure threshold; a failed half-open probe re-opens
-    /// immediately with a doubled cooldown.
-    pub fn record_failure(&self) {
+    /// immediately with a doubled cooldown. Returns whether this call
+    /// opened the breaker — decided under the breaker's lock, so of any
+    /// number of concurrent callers exactly one sees each opening.
+    pub fn record_failure(&self) -> bool {
         let mut g = self.inner.lock();
         match g.state {
             BreakerState::Closed => {
                 g.consecutive_failures += 1;
-                if g.consecutive_failures >= self.cfg.failure_threshold {
+                let opens = g.consecutive_failures >= self.cfg.failure_threshold;
+                if opens {
                     Self::open(&self.cfg, &mut g);
                 }
+                opens
             }
             BreakerState::HalfOpen => {
                 g.backoff_level = (g.backoff_level + 1).min(self.cfg.max_backoff_level);
                 Self::open(&self.cfg, &mut g);
+                true
             }
-            BreakerState::Open => {}
+            BreakerState::Open => false,
         }
     }
 
@@ -279,6 +284,55 @@ mod tests {
         assert_eq!(BreakerState::HalfOpen.code(), 1.0);
         assert_eq!(BreakerState::Open.code(), 2.0);
         assert_eq!(BreakerState::HalfOpen.name(), "half-open");
+    }
+
+    #[test]
+    fn record_failure_reports_the_call_that_opened() {
+        let b = CircuitBreaker::new(cfg());
+        assert!(!b.record_failure());
+        assert!(!b.record_failure());
+        assert!(b.record_failure()); // the third opens
+        assert!(!b.record_failure()); // already open
+        assert_eq!(rejections_until_half_open(&b), 4);
+        assert!(b.allow()); // the probe
+        assert!(b.record_failure()); // a failed probe re-opens
+        assert_eq!(b.opens(), 2);
+    }
+
+    #[test]
+    fn concurrent_failures_report_each_opening_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let b = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 2,
+            cooldown_calls: 3,
+            max_backoff_level: 2,
+        });
+        let reported = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (b, reported, start) = (&b, &reported, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..2_000u64 {
+                        match (i + t) % 5 {
+                            0 => b.record_success(),
+                            1 | 2 => {
+                                if b.record_failure() {
+                                    reported.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            _ => {
+                                b.allow();
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let opens = b.opens();
+        assert!(opens > 0, "the schedule never opened the breaker");
+        assert_eq!(reported.load(Ordering::Relaxed), opens);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! models: panics inside inference code, NaN/∞/negative outputs from
 //! numerically unstable networks, latency stalls from oversized models or
 //! contended accelerators, and silently wrong-by-orders-of-magnitude
-//! estimates from distribution drift.
+//! estimates from distribution drift. [`FaultyCardSource`] applies a plan
+//! to any cardinality source; a learned estimator is wrapped once it is
+//! a source (`lqo_card::estimator::EstimatorCardSource`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use lqo_card::estimator::{CardEstimator, Category};
 use lqo_engine::optimizer::CardSource;
 use lqo_engine::{SpjQuery, TableSet};
 
@@ -227,54 +228,6 @@ impl CardSource for FaultyCardSource {
 
     fn name(&self) -> &str {
         "faulty"
-    }
-}
-
-/// A [`CardEstimator`] that injects scheduled faults over an inner
-/// estimator — the chaos harness for the E3/E9 injection pipelines.
-pub struct FaultyEstimator {
-    inner: std::sync::Arc<dyn CardEstimator>,
-    plan: std::sync::Arc<FaultPlan>,
-}
-
-impl FaultyEstimator {
-    /// Wrap `inner`, faulting per `plan`.
-    pub fn new(
-        inner: std::sync::Arc<dyn CardEstimator>,
-        plan: std::sync::Arc<FaultPlan>,
-    ) -> FaultyEstimator {
-        FaultyEstimator { inner, plan }
-    }
-}
-
-impl CardEstimator for FaultyEstimator {
-    fn name(&self) -> &'static str {
-        "faulty-estimator"
-    }
-
-    fn category(&self) -> Category {
-        self.inner.category()
-    }
-
-    fn technique(&self) -> &'static str {
-        self.inner.technique()
-    }
-
-    fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        match self.plan.next_fault() {
-            Some(kind) => kind.corrupt(
-                match kind {
-                    FaultKind::Panic => 0.0,
-                    _ => self.inner.estimate(query, set),
-                },
-                self.plan.cfg.stall,
-            ),
-            None => self.inner.estimate(query, set),
-        }
-    }
-
-    fn model_size(&self) -> usize {
-        self.inner.model_size()
     }
 }
 

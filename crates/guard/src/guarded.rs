@@ -17,12 +17,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lqo_card::estimator::{CardEstimator, Category};
 use lqo_engine::optimizer::CardSource;
-use lqo_engine::{EngineError, PhysNode, SpjQuery, TableSet, Telemetry};
-use lqo_flight::{FlightEvent, Producer};
+use lqo_engine::{SpjQuery, TableSet, Telemetry};
+use lqo_flight::Producer;
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 
 /// Everything the guard enforces on one component.
 #[derive(Debug, Clone)]
@@ -78,21 +77,6 @@ impl GuardFault {
             GuardFault::BudgetExhausted => "budget",
         }
     }
-
-    /// The [`EngineError`] equivalent, for paths that propagate `Result`.
-    pub fn to_engine_error(self, component: &str) -> EngineError {
-        match self {
-            GuardFault::DeadlineExceeded | GuardFault::BudgetExhausted => {
-                EngineError::InferenceTimeout {
-                    component: component.to_string(),
-                }
-            }
-            other => EngineError::ModelFault {
-                component: component.to_string(),
-                fault: other.label().to_string(),
-            },
-        }
-    }
 }
 
 /// Validate a cardinality-like output: finite, non-negative, bounded.
@@ -108,30 +92,22 @@ pub fn validate_estimate(value: f64, cfg: &GuardConfig) -> Result<f64, GuardFaul
     }
 }
 
-/// Validate a risk-score output: finite (ranking utilities may be
-/// negative, so no sign constraint).
-pub fn validate_score(value: f64) -> Result<f64, GuardFault> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(GuardFault::NonFinite)
-    }
-}
-
 /// Run `f` under `catch_unwind`, timing it and enforcing `deadline`
-/// post hoc. Returns the value and its latency, or the fault.
+/// post hoc. Returns the value or the fault, and the call's latency
+/// either way, so a plan budget can charge every call.
 pub fn invoke_guarded<T>(
     deadline: Option<Duration>,
     f: impl FnOnce() -> T,
-) -> Result<(T, Duration), GuardFault> {
+) -> (Result<T, GuardFault>, Duration) {
     let start = Instant::now();
     let out = catch_unwind(AssertUnwindSafe(f));
     let elapsed = start.elapsed();
-    match out {
+    let out = match out {
         Err(_) => Err(GuardFault::Panicked),
         Ok(_) if deadline.is_some_and(|d| elapsed > d) => Err(GuardFault::DeadlineExceeded),
-        Ok(v) => Ok((v, elapsed)),
-    }
+        Ok(v) => Ok(v),
+    };
+    (out, elapsed)
 }
 
 /// A per-query plan-time budget shared by every guarded call made while
@@ -238,11 +214,6 @@ impl GuardedCardSource {
         self
     }
 
-    /// Rung names, ladder order.
-    pub fn rung_names(&self) -> Vec<&str> {
-        self.rungs.iter().map(|r| r.name.as_str()).collect()
-    }
-
     /// The breaker guarding rung `i`.
     pub fn breaker(&self, i: usize) -> &CircuitBreaker {
         &self.breakers[i]
@@ -306,14 +277,16 @@ impl CardSource for GuardedCardSource {
                 self.telemetry.obs.count("lqo.guard.skips", 1);
                 continue;
             }
-            let outcome = invoke_guarded(self.cfg.deadline, || rung.source.cardinality(query, set))
-                .and_then(|(v, elapsed)| {
-                    self.budget.charge(elapsed);
-                    self.telemetry
-                        .obs
-                        .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
-                    validate_estimate(v, &self.cfg)
-                });
+            let (outcome, elapsed) =
+                invoke_guarded(self.cfg.deadline, || rung.source.cardinality(query, set));
+            // Every call spends the budget, overruns included.
+            self.budget.charge(elapsed);
+            let outcome = outcome.and_then(|v| {
+                self.telemetry
+                    .obs
+                    .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
+                validate_estimate(v, &self.cfg)
+            });
             match outcome {
                 Ok(v) => {
                     self.breakers[i].record_success();
@@ -322,19 +295,11 @@ impl CardSource for GuardedCardSource {
                     return v;
                 }
                 Err(fault) => {
-                    let opens_before = self.breakers[i].opens();
-                    self.breakers[i].record_failure();
-                    if self.breakers[i].opens() > opens_before {
-                        self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
-                        if self.telemetry.flight.is_enabled() {
-                            self.telemetry.flight.publish(
-                                Producer::Guard,
-                                FlightEvent::Breaker {
-                                    component: format!("{}:{}", self.component, rung.name),
-                                    state: "open".to_string(),
-                                },
-                            );
-                        }
+                    if self.breakers[i].record_failure() {
+                        self.telemetry.breaker_open(
+                            Producer::Guard,
+                            &format!("{}:{}", self.component, rung.name),
+                        );
                     }
                     self.publish_breaker_state(i);
                     self.record_fault(&rung.name, fault, next);
@@ -351,264 +316,85 @@ impl CardSource for GuardedCardSource {
     }
 }
 
-/// A [`CardEstimator`] guard: primary model behind the full guard, with a
-/// trusted fallback estimator and a breaker. The shape PilotScope's
-/// cardinality driver needs — the pushed-down estimates are already
-/// validated by the time they reach the optimizer.
-pub struct GuardedEstimator {
-    component: String,
-    primary: Arc<dyn CardEstimator>,
-    fallback: Arc<dyn CardEstimator>,
-    breaker: CircuitBreaker,
-    cfg: GuardConfig,
-    telemetry: Telemetry,
-}
-
-impl GuardedEstimator {
-    /// Guard `primary`, degrading to `fallback`; reports to `telemetry`
-    /// like [`GuardedCardSource::new`].
-    pub fn new(
-        component: &str,
-        primary: Arc<dyn CardEstimator>,
-        fallback: Arc<dyn CardEstimator>,
-        cfg: GuardConfig,
-        telemetry: impl Into<Telemetry>,
-    ) -> GuardedEstimator {
-        let breaker = CircuitBreaker::new(cfg.breaker.clone());
-        GuardedEstimator {
-            component: component.to_string(),
-            primary,
-            fallback,
-            breaker,
-            cfg,
-            telemetry: telemetry.into(),
-        }
-    }
-
-    /// The breaker guarding the primary estimator.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    fn fall_back(&self, query: &SpjQuery, set: TableSet, fault: GuardFault) -> f64 {
-        let opens_before = self.breaker.opens();
-        self.breaker.record_failure();
-        if self.breaker.opens() > opens_before {
-            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
-            if self.telemetry.flight.is_enabled() {
-                self.telemetry.flight.publish(
-                    Producer::Guard,
-                    FlightEvent::Breaker {
-                        component: self.component.clone(),
-                        state: "open".to_string(),
-                    },
-                );
-            }
-        }
-        self.telemetry.guard_event(
-            Producer::Guard,
-            &self.component,
-            fault.label(),
-            "fallback:estimator",
-        );
-        self.telemetry.obs.count("lqo.guard.faults", 1);
-        self.telemetry
-            .obs
-            .count(&format!("lqo.guard.faults.{}", fault.label()), 1);
-        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
-        self.fallback.estimate(query, set)
-    }
-}
-
-impl CardEstimator for GuardedEstimator {
-    fn name(&self) -> &'static str {
-        "guarded-estimator"
-    }
-
-    fn category(&self) -> Category {
-        self.primary.category()
-    }
-
-    fn technique(&self) -> &'static str {
-        self.primary.technique()
-    }
-
-    fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        if !self.breaker.allow() {
-            self.telemetry.obs.count("lqo.guard.skips", 1);
-            return self.fallback.estimate(query, set);
-        }
-        let outcome = invoke_guarded(self.cfg.deadline, || self.primary.estimate(query, set))
-            .and_then(|(v, elapsed)| {
-                self.telemetry
-                    .obs
-                    .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
-                validate_estimate(v, &self.cfg)
-            });
-        match outcome {
-            Ok(v) => {
-                self.breaker.record_success();
-                v
-            }
-            Err(fault) => self.fall_back(query, set, fault),
-        }
-    }
-
-    fn model_size(&self) -> usize {
-        self.primary.model_size()
-    }
-
-    fn observe(&self, query: &SpjQuery, set: TableSet, true_card: f64) {
-        // Feedback is best-effort: a panicking feedback hook is contained
-        // and counted, never propagated.
-        if catch_unwind(AssertUnwindSafe(|| {
-            self.primary.observe(query, set, true_card)
-        }))
-        .is_err()
-        {
-            self.telemetry.obs.count("lqo.guard.faults", 1);
-            self.telemetry.obs.count("lqo.guard.faults.panic", 1);
-        }
-    }
-}
-
-/// A guarded risk model: score/selection calls on the learned model run
-/// under the guard; on any fault the trusted fallback model (typically
-/// the native cost) answers instead.
-pub struct GuardedRiskModel {
-    component: String,
-    inner: Box<dyn learned_qo::framework::RiskModel>,
-    fallback: Box<dyn learned_qo::framework::RiskModel>,
-    breaker: CircuitBreaker,
-    cfg: GuardConfig,
-    telemetry: Telemetry,
-}
-
-impl GuardedRiskModel {
-    /// Guard `inner`, degrading to `fallback`; reports to `telemetry`
-    /// like [`GuardedCardSource::new`].
-    pub fn new(
-        component: &str,
-        inner: Box<dyn learned_qo::framework::RiskModel>,
-        fallback: Box<dyn learned_qo::framework::RiskModel>,
-        cfg: GuardConfig,
-        telemetry: impl Into<Telemetry>,
-    ) -> GuardedRiskModel {
-        let breaker = CircuitBreaker::new(cfg.breaker.clone());
-        GuardedRiskModel {
-            component: component.to_string(),
-            inner,
-            fallback,
-            breaker,
-            cfg,
-            telemetry: telemetry.into(),
-        }
-    }
-
-    /// The breaker guarding the learned model.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    fn note_fault(&self, fault: GuardFault) {
-        let opens_before = self.breaker.opens();
-        self.breaker.record_failure();
-        if self.breaker.opens() > opens_before {
-            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
-        }
-        self.telemetry.obs.count("lqo.guard.faults", 1);
-        self.telemetry
-            .obs
-            .count(&format!("lqo.guard.faults.{}", fault.label()), 1);
-        self.telemetry.obs.count("lqo.guard.fallbacks", 1);
-        self.telemetry.guard_event(
-            Producer::Guard,
-            &self.component,
-            fault.label(),
-            "fallback:risk",
-        );
-    }
-}
-
-impl learned_qo::framework::RiskModel for GuardedRiskModel {
-    fn name(&self) -> &'static str {
-        "guarded-risk"
-    }
-
-    fn score(&self, query: &SpjQuery, plan: &PhysNode) -> f64 {
-        if !self.breaker.allow() {
-            self.telemetry.obs.count("lqo.guard.skips", 1);
-            return self.fallback.score(query, plan);
-        }
-        let outcome = invoke_guarded(self.cfg.deadline, || self.inner.score(query, plan)).and_then(
-            |(v, elapsed)| {
-                self.telemetry
-                    .obs
-                    .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
-                validate_score(v)
-            },
-        );
-        match outcome {
-            Ok(v) => {
-                self.breaker.record_success();
-                v
-            }
-            Err(fault) => {
-                self.note_fault(fault);
-                self.fallback.score(query, plan)
-            }
-        }
-    }
-
-    fn train(&mut self, samples: &[learned_qo::framework::ExecutionSample]) {
-        // Training faults are contained (and tripped into the breaker):
-        // a model that cannot train is a model that should not steer.
-        let inner = &mut self.inner;
-        if catch_unwind(AssertUnwindSafe(|| inner.train(samples))).is_err() {
-            self.note_fault(GuardFault::Panicked);
-        }
-    }
-
-    fn select(
-        &self,
-        query: &SpjQuery,
-        candidates: &[learned_qo::framework::CandidatePlan],
-    ) -> usize {
-        if self.breaker.state() == BreakerState::Open {
-            // Scores below will all delegate; let the fallback pick
-            // directly to avoid N wasted skip counts.
-            let _ = self.breaker.allow();
-            return self.fallback.select(query, candidates);
-        }
-        match invoke_guarded(self.cfg.deadline, || self.inner.select(query, candidates)) {
-            Ok((idx, _)) if idx < candidates.len() => idx,
-            Ok(_) => {
-                self.note_fault(GuardFault::OutOfBounds);
-                self.fallback.select(query, candidates)
-            }
-            Err(fault) => {
-                self.note_fault(fault);
-                self.fallback.select(query, candidates)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lqo_obs::ObsContext;
+
+    /// A rung that answers only after `sleep`, counting its calls.
+    struct Slow {
+        sleep: Duration,
+        calls: AtomicUsize,
+    }
+
+    impl CardSource for Slow {
+        fn cardinality(&self, _: &SpjQuery, _: TableSet) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(self.sleep);
+            10.0
+        }
+    }
+
+    struct Fixed(f64);
+
+    impl CardSource for Fixed {
+        fn cardinality(&self, _: &SpjQuery, _: TableSet) -> f64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn deadline_overruns_spend_the_plan_budget() {
+        let slow = Arc::new(Slow {
+            sleep: Duration::from_millis(3),
+            calls: AtomicUsize::new(0),
+        });
+        let cfg = GuardConfig {
+            deadline: Some(Duration::from_millis(1)),
+            plan_budget: Some(Duration::from_millis(5)),
+            // Keep the breaker out of the way: only the budget may stop
+            // the rung from being called.
+            breaker: BreakerConfig {
+                failure_threshold: u32::MAX,
+                ..BreakerConfig::default()
+            },
+            ..GuardConfig::default()
+        };
+        let obs = ObsContext::enabled();
+        let guarded = GuardedCardSource::new("card", cfg, obs.clone())
+            .rung("slow", slow.clone())
+            .rung("native", Arc::new(Fixed(1.0)));
+        let query = SpjQuery::new(Vec::new(), Vec::new(), Vec::new());
+        guarded.begin_query();
+        // Two overruns of at least 3 ms each spend the 5 ms budget ...
+        for _ in 0..2 {
+            assert_eq!(guarded.cardinality(&query, TableSet(1)), 1.0);
+        }
+        assert_eq!(slow.calls.load(Ordering::Relaxed), 2);
+        // ... so the next lookup of the same query skips the rung.
+        assert_eq!(guarded.cardinality(&query, TableSet(1)), 1.0);
+        assert_eq!(slow.calls.load(Ordering::Relaxed), 2);
+        let snap = obs.metrics().unwrap().snapshot();
+        assert_eq!(snap.counter("lqo.guard.faults.deadline"), Some(2));
+        assert_eq!(snap.counter("lqo.guard.faults.budget"), Some(1));
+        // A new query starts with a fresh budget.
+        guarded.begin_query();
+        guarded.cardinality(&query, TableSet(1));
+        assert_eq!(slow.calls.load(Ordering::Relaxed), 3);
+    }
 
     #[test]
     fn invoke_guarded_contains_panics_and_checks_deadlines() {
-        let out = invoke_guarded(None, || panic!("boom"));
+        let (out, _) = invoke_guarded(None, || panic!("boom"));
         assert_eq!(out.unwrap_err(), GuardFault::Panicked);
-        let out = invoke_guarded(Some(Duration::from_nanos(1)), || {
+        let (out, elapsed) = invoke_guarded(Some(Duration::from_nanos(1)), || {
             std::thread::sleep(Duration::from_millis(2));
             7
         });
         assert_eq!(out.unwrap_err(), GuardFault::DeadlineExceeded);
-        let (v, _) = invoke_guarded(Some(Duration::from_secs(10)), || 7).unwrap();
-        assert_eq!(v, 7);
+        assert!(elapsed >= Duration::from_millis(2));
+        let (out, _) = invoke_guarded(Some(Duration::from_secs(10)), || 7);
+        assert_eq!(out, Ok(7));
     }
 
     #[test]
@@ -625,8 +411,6 @@ mod tests {
         );
         assert_eq!(validate_estimate(-3.0, &cfg), Err(GuardFault::Negative));
         assert_eq!(validate_estimate(1e20, &cfg), Err(GuardFault::OutOfBounds));
-        assert_eq!(validate_score(-3.0), Ok(-3.0));
-        assert_eq!(validate_score(f64::NAN), Err(GuardFault::NonFinite));
     }
 
     #[test]
@@ -640,15 +424,5 @@ mod tests {
         let unlimited = PlanBudget::new(None);
         unlimited.charge(Duration::from_secs(3600));
         assert!(!unlimited.exhausted());
-    }
-
-    #[test]
-    fn guard_faults_map_to_engine_errors() {
-        let e = GuardFault::DeadlineExceeded.to_engine_error("card");
-        assert!(matches!(e, EngineError::InferenceTimeout { .. }));
-        assert!(e.to_string().contains("card"));
-        let e = GuardFault::Panicked.to_engine_error("risk");
-        assert!(matches!(e, EngineError::ModelFault { .. }));
-        assert!(e.to_string().contains("panic"));
     }
 }

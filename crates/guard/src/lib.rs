@@ -10,22 +10,29 @@
 //! *testable* invariant with three layers:
 //!
 //! 1. **Deterministic fault injection** ([`fault`]) — a seeded
-//!    [`FaultPlan`] wraps any estimator/cost/risk model and injects
-//!    panics, NaN/∞/negative outputs, latency stalls, and
-//!    wrong-by-10^k estimates on schedule, so robustness properties are
-//!    reproducible offline.
+//!    [`FaultPlan`] drives [`FaultyCardSource`], which wraps any
+//!    cardinality source and injects panics, NaN/∞/negative outputs,
+//!    latency stalls, and wrong-by-10^k estimates on schedule, so
+//!    robustness properties are reproducible offline.
 //! 2. **Guarded invocation** ([`guarded`]) — model calls run under
 //!    `catch_unwind`, outputs are validated (finite, non-negative,
 //!    bounded), and a post-hoc per-call inference deadline plus a
-//!    per-query plan-time budget bound how much planning time learned
-//!    code may consume.
+//!    per-query plan-time budget, charged by every call, bound how much
+//!    planning time learned code may consume.
 //! 3. **Circuit breakers + a degradation ladder** ([`breaker`],
 //!    [`guarded::GuardedCardSource`]) — per-component breakers (closed →
 //!    open on K consecutive faults → half-open probe with exponential
-//!    backoff) step the optimizer down learned → hybrid → traditional →
-//!    native; and at the execution layer a [`exec_guard::RegressionGuard`]
-//!    cancels any plan that exceeds `k ×` the native plan's predicted
-//!    work and re-executes with the native plan.
+//!    backoff, each opening reported by the call that caused it) step
+//!    the optimizer down learned → hybrid → traditional → native; and at
+//!    the execution layer a [`exec_guard::RegressionGuard`] cancels any
+//!    plan that exceeds `k ×` the native plan's predicted work and
+//!    re-executes with the native plan.
+//!
+//! The crate sees learned components only through the engine's
+//! [`lqo_engine::optimizer::CardSource`] seam and so depends on no
+//! learned crate. PilotScope drivers get the same breaker, deadline and
+//! containment from `lqo-pilot`'s console, and serving tenants from
+//! `lqo-serve`.
 //!
 //! Guard activity is observable through `lqo-obs`: `lqo.guard.*`
 //! counters (faults by kind, fallbacks, breaker opens, replans), breaker
@@ -42,8 +49,6 @@ pub mod reopt_guard;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use exec_guard::{GuardedExecution, RegressionGuard, RegressionGuardConfig};
-pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyCardSource, FaultyEstimator};
-pub use guarded::{
-    GuardConfig, GuardFault, GuardedCardSource, GuardedEstimator, GuardedRiskModel, PlanBudget,
-};
+pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyCardSource};
+pub use guarded::{GuardConfig, GuardFault, GuardedCardSource, PlanBudget};
 pub use reopt_guard::{ReoptGuard, ReoptGuardConfig};

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use lqo_cache::LqoCache;
 use lqo_engine::query::parse_query;
 use lqo_engine::{EngineError, ExecMode, QueryScope, Result, Telemetry};
-use lqo_flight::{FlightEvent, Producer};
+use lqo_flight::Producer;
 use lqo_guard::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use lqo_obs::trace::QueryOutcome;
 use lqo_watch::ModelHealthMonitor;
@@ -411,30 +411,20 @@ impl PilotConsole {
             Err(_) => "panic".to_string(),
         };
         self.telemetry.prof.bump("guard_faults", 1);
-        let was_open = breaker.state() == BreakerState::Open;
-        breaker.record_failure();
-        let state = breaker.state();
-        if state == BreakerState::Open && !was_open {
-            self.telemetry.obs.count("lqo.guard.breaker_opens", 1);
-            if self.telemetry.flight.is_enabled() {
-                self.telemetry.flight.publish(
-                    Producer::Pilot,
-                    FlightEvent::Breaker {
-                        component: format!("driver:{name}"),
-                        state: "open".to_string(),
-                    },
-                );
-            }
+        if breaker.record_failure() {
+            self.telemetry
+                .breaker_open(Producer::Pilot, &format!("driver:{name}"));
             if let Some(cache) = &self.cache {
                 cache.on_breaker_open(&format!("driver:{name}"));
             }
         }
+        let s = breaker.stats();
         if let Some(watch) = &self.watch {
-            watch.record_breaker(&format!("driver:{name}"), state.code(), breaker.opens());
+            watch.record_breaker(&format!("driver:{name}"), s.state.code(), s.opens);
         }
         self.telemetry
             .obs
-            .gauge(&format!("lqo.guard.driver.{name}.breaker"), state.code());
+            .gauge(&format!("lqo.guard.driver.{name}.breaker"), s.state.code());
         self.telemetry.obs.count("lqo.guard.faults", 1);
         self.telemetry.obs.count("lqo.guard.fallbacks", 1);
         self.telemetry.guard_event(
@@ -464,7 +454,7 @@ mod tests {
     use lqo_card::estimator::FitContext;
     use lqo_card::traditional::SamplingEstimator;
     use lqo_engine::datagen::stats_like;
-    use lqo_flight::{FlightConfig, FlightContext, FlightRecord};
+    use lqo_flight::{FlightConfig, FlightContext, FlightEvent, FlightRecord};
     use lqo_obs::ObsContext;
     use lqo_prof::ProfContext;
 

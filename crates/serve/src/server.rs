@@ -225,9 +225,7 @@ impl Shared {
                 obs.count("lqo.serve.completed", 1);
             }
             Err(_) => {
-                let before = guard.breaker.opens();
-                guard.breaker.record_failure();
-                if guard.breaker.opens() > before {
+                if guard.breaker.record_failure() {
                     self.breaker_opens.fetch_add(1, Ordering::Relaxed);
                     obs.count("lqo.serve.breaker_opens", 1);
                     if let Some(cache) = self.cache.lock().clone() {
