@@ -6,8 +6,8 @@
 //! `results/exp_e11_scaling.jsonl` (one record per thread count, the
 //! speedup curve).
 
-use lqo_bench_suite::experiments::e11_parallel_scaling::{run, to_jsonl, Config};
-use lqo_bench_suite::report::{dump_json, dump_text};
+use lqo_bench_suite::experiments::e11_parallel_scaling::{run, Config};
+use lqo_bench_suite::report::{dump_json, dump_text, to_jsonl};
 
 fn main() {
     let cfg = Config::default();

@@ -5,8 +5,8 @@
 //! `results/exp_e12_cache.jsonl` (one record per (mode, round), the
 //! speedup curve).
 
-use lqo_bench_suite::experiments::e12_cache::{run, to_jsonl, Config};
-use lqo_bench_suite::report::{dump_json, dump_text};
+use lqo_bench_suite::experiments::e12_cache::{run, Config};
+use lqo_bench_suite::report::{dump_json, dump_text, to_jsonl};
 
 fn main() {
     let cfg = Config::default();

@@ -7,8 +7,8 @@
 //! re-planning work vs the guard budget, recovery latency, end-state
 //! plan quality).
 
-use lqo_bench_suite::experiments::e13_reopt::{run, to_jsonl, Config};
-use lqo_bench_suite::report::{dump_json, dump_text};
+use lqo_bench_suite::experiments::e13_reopt::{run, Config};
+use lqo_bench_suite::report::{dump_json, dump_text, to_jsonl};
 
 fn main() {
     let cfg = Config::default();

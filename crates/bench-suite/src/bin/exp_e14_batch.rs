@@ -5,8 +5,8 @@
 //! `results/exp_e14_batch.jsonl` (one record per mode, the speedup
 //! curve of the batched bodies over the reference evaluator).
 
-use lqo_bench_suite::experiments::e14_batch::{run, to_jsonl, Config};
-use lqo_bench_suite::report::{dump_json, dump_text};
+use lqo_bench_suite::experiments::e14_batch::{run, Config};
+use lqo_bench_suite::report::{dump_json, dump_text, to_jsonl};
 
 fn main() {
     let cfg = Config::default();

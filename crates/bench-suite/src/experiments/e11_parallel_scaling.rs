@@ -278,19 +278,10 @@ pub fn run(cfg: &Config) -> Output {
     }
 }
 
-/// Render the per-mode records as JSONL for `results/exp_e11_scaling.jsonl`.
-pub fn to_jsonl(points: &[ScalingPoint]) -> String {
-    let mut out = String::new();
-    for p in points {
-        out.push_str(&serde_json::to_string(p).expect("serialize point"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::to_jsonl;
 
     #[test]
     fn small_sweep_is_byte_identical_and_reports_points() {

@@ -290,19 +290,10 @@ pub fn run(cfg: &Config) -> Output {
     }
 }
 
-/// Render the per-round records as JSONL for `results/exp_e12_cache.jsonl`.
-pub fn to_jsonl(points: &[RoundPoint]) -> String {
-    let mut out = String::new();
-    for p in points {
-        out.push_str(&serde_json::to_string(p).expect("serialize point"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::to_jsonl;
 
     #[test]
     fn caching_cuts_estimator_calls_without_changing_plans() {

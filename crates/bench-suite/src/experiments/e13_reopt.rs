@@ -295,20 +295,10 @@ pub fn run(cfg: &Config) -> Output {
     }
 }
 
-/// Render the per-query records as JSONL for
-/// `results/exp_e13_reopt.jsonl`.
-pub fn to_jsonl(points: &[QueryPoint]) -> String {
-    let mut out = String::new();
-    for p in points {
-        out.push_str(&serde_json::to_string(p).expect("serialize point"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::to_jsonl;
 
     #[test]
     fn poisoned_query_recovers_within_budget() {

@@ -83,6 +83,15 @@ pub fn dump_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Render records as JSONL (`results/<name>.jsonl`), one compact object
+/// per line, framed like the telemetry exports
+/// ([`lqo_obs::export::write_jsonl_with`]).
+pub fn to_jsonl<T: Serialize>(records: &[T]) -> String {
+    lqo_obs::export::write_jsonl_with(records, |r| {
+        serde_json::to_value(r).expect("serialize record")
+    })
+}
+
 /// Write a raw text artifact (e.g. a JSONL trace dump or a rendered
 /// metrics table) to `results/<name>`; creates the directory if needed.
 /// Crash-safe and non-fatal on error, like [`dump_json`].

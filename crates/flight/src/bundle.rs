@@ -9,9 +9,9 @@
 //! folded stack, and the recorder's per-producer drop counters at
 //! capture time (so a reader knows whether the timeline has holes).
 
-use lqo_obs::export::{trace_from_json, trace_to_json};
-use lqo_obs::json::Value;
+use lqo_obs::export::{parse_jsonl_with, trace_from_json, trace_to_json, write_jsonl_with};
 use lqo_obs::trace::QueryTrace;
+use serde_json::Value;
 
 use crate::event::{FlightEvent, FlightRecord, Producer};
 
@@ -86,10 +86,10 @@ fn u64_value(v: u64) -> Value {
 }
 
 fn event_to_json(e: &FlightEvent) -> Value {
-    let mut fields = vec![("kind".to_string(), Value::Str(e.kind().to_string()))];
+    let mut fields = vec![("kind".to_string(), Value::String(e.kind().to_string()))];
     match e {
         FlightEvent::Span { name, begin } => {
-            fields.push(("name".into(), Value::Str(name.clone())));
+            fields.push(("name".into(), Value::String(name.clone())));
             fields.push(("begin".into(), Value::Bool(*begin)));
         }
         FlightEvent::Guard {
@@ -97,27 +97,27 @@ fn event_to_json(e: &FlightEvent) -> Value {
             fault,
             action,
         } => {
-            fields.push(("component".into(), Value::Str(component.clone())));
-            fields.push(("fault".into(), Value::Str(fault.clone())));
-            fields.push(("action".into(), Value::Str(action.clone())));
+            fields.push(("component".into(), Value::String(component.clone())));
+            fields.push(("fault".into(), Value::String(fault.clone())));
+            fields.push(("action".into(), Value::String(action.clone())));
         }
         FlightEvent::WatchAlarm {
             metric,
             health,
             detail,
         } => {
-            fields.push(("metric".into(), Value::Str(metric.clone())));
-            fields.push(("health".into(), Value::Str(health.clone())));
-            fields.push(("detail".into(), Value::Str(detail.clone())));
+            fields.push(("metric".into(), Value::String(metric.clone())));
+            fields.push(("health".into(), Value::String(health.clone())));
+            fields.push(("detail".into(), Value::String(detail.clone())));
         }
         FlightEvent::Cache {
             cache,
             event,
             detail,
         } => {
-            fields.push(("cache".into(), Value::Str(cache.clone())));
-            fields.push(("event".into(), Value::Str(event.clone())));
-            fields.push(("detail".into(), Value::Str(detail.clone())));
+            fields.push(("cache".into(), Value::String(cache.clone())));
+            fields.push(("event".into(), Value::String(event.clone())));
+            fields.push(("detail".into(), Value::String(detail.clone())));
         }
         FlightEvent::Reopt {
             tables,
@@ -125,27 +125,27 @@ fn event_to_json(e: &FlightEvent) -> Value {
             q_error,
         } => {
             fields.push(("tables".into(), u64_value(*tables)));
-            fields.push(("action".into(), Value::Str(action.clone())));
+            fields.push(("action".into(), Value::String(action.clone())));
             fields.push(("q_error".into(), Value::Float(*q_error)));
         }
         FlightEvent::BudgetTrip { component, budget } => {
-            fields.push(("component".into(), Value::Str(component.clone())));
+            fields.push(("component".into(), Value::String(component.clone())));
             fields.push(("budget".into(), Value::Float(*budget)));
         }
         FlightEvent::Breaker { component, state } => {
-            fields.push(("component".into(), Value::Str(component.clone())));
-            fields.push(("state".into(), Value::Str(state.clone())));
+            fields.push(("component".into(), Value::String(component.clone())));
+            fields.push(("state".into(), Value::String(state.clone())));
         }
         FlightEvent::WorkerFault { op, action } => {
-            fields.push(("op".into(), Value::Str(op.clone())));
-            fields.push(("action".into(), Value::Str(action.clone())));
+            fields.push(("op".into(), Value::String(op.clone())));
+            fields.push(("action".into(), Value::String(action.clone())));
         }
         FlightEvent::EpochBump { epoch, detail } => {
             fields.push(("epoch".into(), u64_value(*epoch)));
-            fields.push(("detail".into(), Value::Str(detail.clone())));
+            fields.push(("detail".into(), Value::String(detail.clone())));
         }
     }
-    Value::Obj(fields)
+    Value::Object(fields)
 }
 
 fn str_field(v: &Value, key: &str) -> Option<String> {
@@ -199,9 +199,9 @@ fn event_from_json(v: &Value) -> Option<FlightEvent> {
 }
 
 fn record_to_json(r: &FlightRecord) -> Value {
-    Value::Obj(vec![
+    Value::Object(vec![
         ("seq".into(), u64_value(r.seq)),
-        ("producer".into(), Value::Str(r.producer.name().into())),
+        ("producer".into(), Value::String(r.producer.name().into())),
         ("producer_seq".into(), u64_value(r.producer_seq)),
         ("query_id".into(), u64_value(r.query_id)),
         ("event".into(), event_to_json(&r.event)),
@@ -220,19 +220,19 @@ fn record_from_json(v: &Value) -> Option<FlightRecord> {
 
 /// Encode one bundle as a JSON object (one JSONL line once compacted).
 pub fn bundle_to_json(b: &IncidentBundle) -> Value {
-    Value::Obj(vec![
+    Value::Object(vec![
         ("schema_version".into(), u64_value(FLIGHT_SCHEMA_VERSION)),
         ("id".into(), u64_value(b.id)),
-        ("trigger".into(), Value::Str(b.trigger.clone())),
+        ("trigger".into(), Value::String(b.trigger.clone())),
         ("query_id".into(), u64_value(b.query_id)),
-        ("query".into(), Value::Str(b.query.clone())),
+        ("query".into(), Value::String(b.query.clone())),
         (
             "events".into(),
-            Value::Arr(b.events.iter().map(record_to_json).collect()),
+            Value::Array(b.events.iter().map(record_to_json).collect()),
         ),
         (
             "dropped".into(),
-            Value::Obj(
+            Value::Object(
                 b.dropped
                     .iter()
                     .map(|(p, n)| (p.clone(), u64_value(*n)))
@@ -248,7 +248,7 @@ pub fn bundle_to_json(b: &IncidentBundle) -> Value {
         ),
         (
             "metrics_delta".into(),
-            Value::Obj(
+            Value::Object(
                 b.metrics_delta
                     .iter()
                     .map(|(k, v)| (k.clone(), u64_value(*v)))
@@ -258,7 +258,7 @@ pub fn bundle_to_json(b: &IncidentBundle) -> Value {
         (
             "prof_folded".into(),
             match &b.prof_folded {
-                Some(s) => Value::Str(s.clone()),
+                Some(s) => Value::String(s.clone()),
                 None => Value::Null,
             },
         ),
@@ -275,13 +275,13 @@ pub fn bundle_from_json(v: &Value) -> Option<IncidentBundle> {
     }
     let events = v
         .get("events")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .map(record_from_json)
         .collect::<Option<Vec<_>>>()?;
     let obj_pairs = |val: &Value| -> Option<Vec<(String, u64)>> {
         match val {
-            Value::Obj(fields) => fields
+            Value::Object(fields) => fields
                 .iter()
                 .map(|(k, n)| Some((k.clone(), n.as_u64()?)))
                 .collect(),
@@ -310,21 +310,12 @@ pub fn bundle_from_json(v: &Value) -> Option<IncidentBundle> {
 
 /// Serialize bundles as JSONL, one self-contained bundle per line.
 pub fn write_bundles_jsonl(bundles: &[IncidentBundle]) -> String {
-    let mut out = String::new();
-    for b in bundles {
-        out.push_str(&bundle_to_json(b).to_compact());
-        out.push('\n');
-    }
-    out
+    write_jsonl_with(bundles, bundle_to_json)
 }
 
 /// Parse a JSONL bundle export; `None` if any non-blank line fails.
 pub fn parse_bundles_jsonl(input: &str) -> Option<Vec<IncidentBundle>> {
-    input
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| bundle_from_json(&lqo_obs::json::parse(l)?))
-        .collect()
+    parse_jsonl_with(input, bundle_from_json)
 }
 
 #[cfg(test)]

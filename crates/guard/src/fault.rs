@@ -144,11 +144,6 @@ impl FaultPlan {
         }
     }
 
-    /// The campaign configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether call index `idx` faults, and how — without consuming a call.
     pub fn fault_at(&self, idx: u64) -> Option<FaultKind> {
         if self.cfg.kinds.is_empty() || self.cfg.rate <= 0.0 {

@@ -13,7 +13,7 @@
 //! plan.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -143,11 +143,6 @@ impl PlanBudget {
         self.limit_ns
             .is_some_and(|l| self.spent_ns.load(Ordering::Relaxed) >= l)
     }
-
-    /// Nanoseconds spent so far.
-    pub fn spent_ns(&self) -> u64 {
-        self.spent_ns.load(Ordering::Relaxed)
-    }
 }
 
 /// One step of the degradation ladder.
@@ -173,7 +168,6 @@ pub struct GuardedCardSource {
     cfg: GuardConfig,
     budget: PlanBudget,
     telemetry: Telemetry,
-    last_rung: AtomicUsize,
 }
 
 impl GuardedCardSource {
@@ -196,7 +190,6 @@ impl GuardedCardSource {
             cfg,
             budget: PlanBudget::default(),
             telemetry: telemetry.into(),
-            last_rung: AtomicUsize::new(0),
         }
     }
 
@@ -212,16 +205,6 @@ impl GuardedCardSource {
             .push(CircuitBreaker::new(self.cfg.breaker.clone()));
         self.budget = PlanBudget::new(self.cfg.plan_budget);
         self
-    }
-
-    /// The breaker guarding rung `i`.
-    pub fn breaker(&self, i: usize) -> &CircuitBreaker {
-        &self.breakers[i]
-    }
-
-    /// Index of the rung that answered the most recent lookup.
-    pub fn last_rung(&self) -> usize {
-        self.last_rung.load(Ordering::Relaxed)
     }
 
     /// Reset the per-query plan budget; call at the start of each query's
@@ -255,7 +238,6 @@ impl GuardedCardSource {
 
     /// Record that rung `i` answered.
     fn answered(&self, i: usize) {
-        self.last_rung.store(i, Ordering::Relaxed);
         if self.telemetry.obs.is_enabled() {
             self.telemetry.obs.gauge(&self.rung_gauge, i as f64);
         }
@@ -279,14 +261,13 @@ impl CardSource for GuardedCardSource {
             }
             let (outcome, elapsed) =
                 invoke_guarded(self.cfg.deadline, || rung.source.cardinality(query, set));
-            // Every call spends the budget, overruns included.
+            // Every call spends the budget and is timed, overruns and
+            // panics included.
             self.budget.charge(elapsed);
-            let outcome = outcome.and_then(|v| {
-                self.telemetry
-                    .obs
-                    .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
-                validate_estimate(v, &self.cfg)
-            });
+            self.telemetry
+                .obs
+                .observe("lqo.guard.deadline_ns", elapsed.as_nanos() as f64);
+            let outcome = outcome.and_then(|v| validate_estimate(v, &self.cfg));
             match outcome {
                 Ok(v) => {
                     self.breakers[i].record_success();
@@ -320,6 +301,7 @@ impl CardSource for GuardedCardSource {
 mod tests {
     use super::*;
     use lqo_obs::ObsContext;
+    use std::sync::atomic::AtomicUsize;
 
     /// A rung that answers only after `sleep`, counting its calls.
     struct Slow {
@@ -381,6 +363,32 @@ mod tests {
         guarded.begin_query();
         guarded.cardinality(&query, TableSet(1));
         assert_eq!(slow.calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn deadline_histogram_times_overruns_too() {
+        let cfg = GuardConfig {
+            deadline: Some(Duration::from_millis(1)),
+            ..GuardConfig::default()
+        };
+        let obs = ObsContext::enabled();
+        let guarded = GuardedCardSource::new("card", cfg, obs.clone())
+            .rung(
+                "slow",
+                Arc::new(Slow {
+                    sleep: Duration::from_millis(3),
+                    calls: AtomicUsize::new(0),
+                }),
+            )
+            .rung("native", Arc::new(Fixed(1.0)));
+        let query = SpjQuery::new(Vec::new(), Vec::new(), Vec::new());
+        guarded.begin_query();
+        assert_eq!(guarded.cardinality(&query, TableSet(1)), 1.0);
+        let snap = obs.metrics().unwrap().snapshot();
+        assert_eq!(snap.counter("lqo.guard.faults.deadline"), Some(1));
+        let h = snap.histogram("lqo.guard.deadline_ns").expect("call timed");
+        assert_eq!(h.count(), 1);
+        assert!(h.min().unwrap() >= 3e6);
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! Guard activity is observable through `lqo-obs`: `lqo.guard.*`
 //! counters (faults by kind, fallbacks, breaker opens, replans), breaker
 //! state and active-rung gauges, a `lqo.guard.deadline_ns` latency
-//! histogram, and per-query [`lqo_obs::trace::GuardEvent`]s.
+//! histogram of every guarded call (overruns and panics included), and
+//! per-query [`lqo_obs::trace::GuardEvent`]s.
 
 #![warn(missing_docs)]
 

@@ -2,16 +2,17 @@
 //!
 //! One trace per line, stable field names, lossless for every field —
 //! the round trip `parse_jsonl(write_jsonl(traces)) == traces` holds and
-//! is covered by tests.
+//! is covered by tests. The line framing ([`write_jsonl_with`],
+//! [`parse_jsonl_with`]) is shared with the flight recorder's incident
+//! bundles and the watch crate's health series.
 
-use crate::json::{parse, Value};
-use crate::metrics::{Histogram, MetricsSnapshot};
+use serde_json::Value;
 
-/// Schema version stamped on every exported trace line and metrics
-/// snapshot. Bump when a field changes meaning or is removed; adding
-/// optional fields does not require a bump. Readers accept absent
-/// versions (pre-versioning exports) and any version up to this one.
-/// The full schema registry lives in DESIGN.md §13.
+/// Schema version stamped on every exported trace line. Bump when a
+/// field changes meaning or is removed; adding optional fields does not
+/// require a bump. Readers accept absent versions (pre-versioning
+/// exports) and any version up to this one. The full schema registry
+/// lives in DESIGN.md §13.
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 use crate::trace::{
     CacheEvent, CardLookup, ExecTrace, GuardEvent, OperatorEvent, PhaseTiming, PlannerTrace,
@@ -25,7 +26,7 @@ fn u64_value(v: u64) -> Value {
 
 fn opt_str(v: &Option<String>) -> Value {
     match v {
-        Some(s) => Value::Str(s.clone()),
+        Some(s) => Value::String(s.clone()),
         None => Value::Null,
     }
 }
@@ -43,8 +44,8 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         .phases
         .iter()
         .map(|p| {
-            Value::Obj(vec![
-                ("name".into(), Value::Str(p.name.clone())),
+            Value::Object(vec![
+                ("name".into(), Value::String(p.name.clone())),
                 ("elapsed_ns".into(), u64_value(p.elapsed_ns)),
             ])
         })
@@ -54,18 +55,18 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         .card_lookups
         .iter()
         .map(|l| {
-            Value::Obj(vec![
+            Value::Object(vec![
                 ("tables".into(), u64_value(l.tables)),
                 ("est_rows".into(), Value::Float(l.est_rows)),
             ])
         })
         .collect();
-    let planner = Value::Obj(vec![
+    let planner = Value::Object(vec![
         ("algo".into(), opt_str(&t.planner.algo)),
         ("subproblems".into(), u64_value(t.planner.subproblems)),
         ("cost_evals".into(), u64_value(t.planner.cost_evals)),
         ("card_source".into(), opt_str(&t.planner.card_source)),
-        ("card_lookups".into(), Value::Arr(lookups)),
+        ("card_lookups".into(), Value::Array(lookups)),
         ("hints".into(), opt_str(&t.planner.hints)),
         ("chosen_cost".into(), opt_f64(t.planner.chosen_cost)),
     ]);
@@ -74,8 +75,8 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         .operators
         .iter()
         .map(|o| {
-            Value::Obj(vec![
-                ("op".into(), Value::Str(o.op.clone())),
+            Value::Object(vec![
+                ("op".into(), Value::String(o.op.clone())),
                 ("tables".into(), u64_value(o.tables)),
                 ("true_rows".into(), u64_value(o.true_rows)),
                 ("est_rows".into(), opt_f64(o.est_rows)),
@@ -83,18 +84,18 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
             ])
         })
         .collect();
-    let exec = Value::Obj(vec![
-        ("operators".into(), Value::Arr(operators)),
+    let exec = Value::Object(vec![
+        ("operators".into(), Value::Array(operators)),
         ("timeout".into(), Value::Bool(t.exec.timeout)),
     ]);
     let guard = t
         .guard
         .iter()
         .map(|g| {
-            Value::Obj(vec![
-                ("component".into(), Value::Str(g.component.clone())),
-                ("fault".into(), Value::Str(g.fault.clone())),
-                ("action".into(), Value::Str(g.action.clone())),
+            Value::Object(vec![
+                ("component".into(), Value::String(g.component.clone())),
+                ("fault".into(), Value::String(g.fault.clone())),
+                ("action".into(), Value::String(g.action.clone())),
             ])
         })
         .collect();
@@ -102,10 +103,10 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         .cache
         .iter()
         .map(|c| {
-            Value::Obj(vec![
-                ("cache".into(), Value::Str(c.cache.clone())),
-                ("event".into(), Value::Str(c.event.clone())),
-                ("detail".into(), Value::Str(c.detail.clone())),
+            Value::Object(vec![
+                ("cache".into(), Value::String(c.cache.clone())),
+                ("event".into(), Value::String(c.event.clone())),
+                ("detail".into(), Value::String(c.detail.clone())),
             ])
         })
         .collect();
@@ -113,12 +114,12 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         .reopt
         .iter()
         .map(|r| {
-            Value::Obj(vec![
+            Value::Object(vec![
                 ("tables".into(), u64_value(r.tables)),
                 ("observed_rows".into(), u64_value(r.observed_rows)),
                 ("est_rows".into(), Value::Float(r.est_rows)),
                 ("q_error".into(), Value::Float(r.q_error)),
-                ("action".into(), Value::Str(r.action.clone())),
+                ("action".into(), Value::String(r.action.clone())),
                 ("replan_work".into(), Value::Float(r.replan_work)),
                 ("old_cost".into(), opt_f64(r.old_cost)),
                 ("new_cost".into(), opt_f64(r.new_cost)),
@@ -126,16 +127,16 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
         })
         .collect();
     let outcome = match &t.outcome {
-        Some(o) => Value::Obj(vec![
+        Some(o) => Value::Object(vec![
             ("count".into(), u64_value(o.count)),
             ("work".into(), Value::Float(o.work)),
             ("wall_ns".into(), u64_value(o.wall_ns)),
         ]),
         None => Value::Null,
     };
-    Value::Obj(vec![
+    Value::Object(vec![
         ("schema_version".into(), u64_value(TRACE_SCHEMA_VERSION)),
-        ("query".into(), Value::Str(t.query.clone())),
+        ("query".into(), Value::String(t.query.clone())),
         ("driver".into(), opt_str(&t.driver)),
         (
             "decision_ns".into(),
@@ -144,12 +145,12 @@ pub fn trace_to_json(t: &QueryTrace) -> Value {
                 None => Value::Null,
             },
         ),
-        ("phases".into(), Value::Arr(phases)),
+        ("phases".into(), Value::Array(phases)),
         ("planner".into(), planner),
         ("exec".into(), exec),
-        ("guard".into(), Value::Arr(guard)),
-        ("cache".into(), Value::Arr(cache)),
-        ("reopt".into(), Value::Arr(reopt)),
+        ("guard".into(), Value::Array(guard)),
+        ("cache".into(), Value::Array(cache)),
+        ("reopt".into(), Value::Array(reopt)),
         ("events_dropped".into(), u64_value(t.events_dropped)),
         ("outcome".into(), outcome),
     ])
@@ -174,7 +175,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     }
     let phases = v
         .get("phases")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .map(|p| {
             Some(PhaseTiming {
@@ -186,7 +187,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     let pl = v.get("planner")?;
     let card_lookups = pl
         .get("card_lookups")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .map(|l| {
             Some(CardLookup {
@@ -207,7 +208,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     let ex = v.get("exec")?;
     let operators = ex
         .get("operators")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .map(|o| {
             Some(OperatorEvent {
@@ -225,7 +226,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     };
     let guard = v
         .get("guard")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .map(|g| {
             Some(GuardEvent {
@@ -239,7 +240,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     // empty rather than failing the whole parse.
     let cache = match v.get("cache") {
         Some(arr) => arr
-            .as_arr()?
+            .as_array()?
             .iter()
             .map(|c| {
                 Some(CacheEvent {
@@ -255,7 +256,7 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     // existed: read as empty rather than failing the whole parse.
     let reopt = match v.get("reopt") {
         Some(arr) => arr
-            .as_arr()?
+            .as_array()?
             .iter()
             .map(|r| {
                 Some(ReoptEvent {
@@ -297,97 +298,35 @@ pub fn trace_from_json(v: &Value) -> Option<QueryTrace> {
     })
 }
 
-/// Encode a histogram as a JSON object: totals, interpolated quantiles,
-/// and every populated bucket with its *boundaries* (`lo` exclusive,
-/// `hi` inclusive; `null` stands for an unbounded edge) so consumers can
-/// re-bin or render without knowing the log₂ layout.
-pub fn histogram_to_json(h: &Histogram) -> Value {
-    let bound = |b: f64| {
-        if b.is_finite() {
-            Value::Float(b)
-        } else {
-            Value::Null
-        }
-    };
-    let buckets = h
-        .bucket_counts()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(i, &c)| {
-            Value::Obj(vec![
-                ("lo".into(), bound(Histogram::bucket_lower_bound(i))),
-                ("hi".into(), bound(Histogram::bucket_upper_bound(i))),
-                ("count".into(), u64_value(c)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("count".into(), u64_value(h.count())),
-        ("sum".into(), Value::Float(h.sum())),
-        ("min".into(), opt_f64(h.min())),
-        ("max".into(), opt_f64(h.max())),
-        ("p50".into(), opt_f64(h.quantile(0.5))),
-        ("p95".into(), opt_f64(h.quantile(0.95))),
-        ("p99".into(), opt_f64(h.quantile(0.99))),
-        ("buckets".into(), Value::Arr(buckets)),
-    ])
-}
-
-/// Encode a whole metrics snapshot as one JSON object
-/// (`counters`/`gauges`/`histograms` keyed by metric name), histograms
-/// via [`histogram_to_json`].
-pub fn snapshot_to_json(snap: &MetricsSnapshot) -> Value {
-    Value::Obj(vec![
-        ("schema_version".into(), u64_value(TRACE_SCHEMA_VERSION)),
-        (
-            "counters".into(),
-            Value::Obj(
-                snap.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), u64_value(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges".into(),
-            Value::Obj(
-                snap.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Float(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms".into(),
-            Value::Obj(
-                snap.histograms
-                    .iter()
-                    .map(|(k, h)| (k.clone(), histogram_to_json(h)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Serialize traces as JSONL: one compact JSON object per line.
-pub fn write_jsonl(traces: &[QueryTrace]) -> String {
+/// Serialize records as JSONL: one compact JSON object per line.
+pub fn write_jsonl_with<T>(items: &[T], to_json: impl Fn(&T) -> Value) -> String {
     let mut out = String::new();
-    for t in traces {
-        out.push_str(&trace_to_json(t).to_compact());
+    for item in items {
+        out.push_str(&to_json(item).to_compact());
         out.push('\n');
     }
     out
 }
 
-/// Parse a JSONL document produced by [`write_jsonl`]. Blank lines are
-/// skipped; a malformed line makes the whole parse fail.
-pub fn parse_jsonl(input: &str) -> Option<Vec<QueryTrace>> {
+/// Parse a JSONL document of records. Blank lines are skipped; a line
+/// that is not JSON or that `from_json` rejects fails the whole parse.
+pub fn parse_jsonl_with<T>(input: &str, from_json: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
     input
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| trace_from_json(&parse(l)?))
+        .map(|l| from_json(&serde_json::from_str(l).ok()?))
         .collect()
+}
+
+/// Serialize traces as JSONL: one compact JSON object per line.
+pub fn write_jsonl(traces: &[QueryTrace]) -> String {
+    write_jsonl_with(traces, trace_to_json)
+}
+
+/// Parse a JSONL document produced by [`write_jsonl`]. Blank lines are
+/// skipped; a malformed line makes the whole parse fail.
+pub fn parse_jsonl(input: &str) -> Option<Vec<QueryTrace>> {
+    parse_jsonl_with(input, trace_from_json)
 }
 
 /// Crash-safe file write: the content is produced into a sibling temp
@@ -501,63 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_json_carries_bucket_boundaries() {
-        let mut h = Histogram::new();
-        for i in 1..=64 {
-            h.record(i as f64);
-        }
-        let v = histogram_to_json(&h);
-        assert_eq!(v.get("count").unwrap().as_u64(), Some(64));
-        assert_eq!(v.get("p50").unwrap().as_f64(), Some(32.0));
-        assert_eq!(v.get("p95").unwrap().as_f64(), Some(61.0));
-        let buckets = v.get("buckets").unwrap().as_arr().unwrap();
-        // 1..=64 spans buckets (0.5,1], (1,2], ..., (32,64]: seven.
-        assert_eq!(buckets.len(), 7);
-        let total: u64 = buckets
-            .iter()
-            .map(|b| b.get("count").unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(total, 64);
-        let last = buckets.last().unwrap();
-        assert_eq!(last.get("lo").unwrap().as_f64(), Some(32.0));
-        assert_eq!(last.get("hi").unwrap().as_f64(), Some(64.0));
-        // Adjacent buckets tile: each lo equals the previous hi.
-        for w in buckets.windows(2) {
-            assert_eq!(
-                w[0].get("hi").unwrap().as_f64(),
-                w[1].get("lo").unwrap().as_f64()
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_json_lists_all_metric_kinds() {
-        use crate::metrics::MetricsRegistry;
-        let reg = MetricsRegistry::new();
-        reg.inc_counter("lqo.exec.queries", 3);
-        reg.set_gauge("lqo.watch.health.card", 1.0);
-        reg.observe("lqo.card.qerror", 2.0);
-        let v = snapshot_to_json(&reg.snapshot());
-        let text = v.to_compact();
-        assert!(crate::json::parse(&text).is_some());
-        assert_eq!(
-            v.get("counters")
-                .unwrap()
-                .get("lqo.exec.queries")
-                .unwrap()
-                .as_u64(),
-            Some(3)
-        );
-        assert!(v
-            .get("histograms")
-            .unwrap()
-            .get("lqo.card.qerror")
-            .unwrap()
-            .get("buckets")
-            .is_some());
-    }
-
-    #[test]
     fn traces_without_cache_field_still_parse() {
         // Pre-cache exports had no "cache" array; they must round-trip
         // to an empty event list, not a parse failure.
@@ -567,7 +449,7 @@ mod tests {
             "",
         );
         assert!(!text.contains("\"cache\""), "field not stripped: {text}");
-        let back = trace_from_json(&parse(&text).unwrap()).unwrap();
+        let back = trace_from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         with.cache.clear();
         assert_eq!(back, with);
     }
@@ -583,7 +465,7 @@ mod tests {
         let end = json[start..].find("}]").map(|i| start + i + 2).unwrap();
         let text = format!("{}{}", &json[..start], &json[end..]);
         assert!(!text.contains("\"reopt\""), "field not stripped: {text}");
-        let back = trace_from_json(&parse(&text).unwrap()).unwrap();
+        let back = trace_from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         with.reopt.clear();
         assert_eq!(back, with);
     }
@@ -600,18 +482,15 @@ mod tests {
         let text = v.to_compact();
         let legacy = text.replace(&format!("\"schema_version\":{TRACE_SCHEMA_VERSION},"), "");
         assert!(!legacy.contains("schema_version"));
-        assert_eq!(trace_from_json(&parse(&legacy).unwrap()).unwrap(), t);
+        assert_eq!(
+            trace_from_json(&serde_json::from_str(&legacy).unwrap()).unwrap(),
+            t
+        );
         let future = text.replace(
             &format!("\"schema_version\":{TRACE_SCHEMA_VERSION},"),
             &format!("\"schema_version\":{},", TRACE_SCHEMA_VERSION + 1),
         );
-        assert!(trace_from_json(&parse(&future).unwrap()).is_none());
-        // Metrics snapshots carry the same stamp.
-        let snap = snapshot_to_json(&crate::metrics::MetricsRegistry::new().snapshot());
-        assert_eq!(
-            snap.get("schema_version").unwrap().as_u64(),
-            Some(TRACE_SCHEMA_VERSION)
-        );
+        assert!(trace_from_json(&serde_json::from_str(&future).unwrap()).is_none());
     }
 
     #[test]
@@ -620,12 +499,12 @@ mod tests {
         t.events_dropped = 4;
         let line = trace_to_json(&t).to_compact();
         assert!(line.contains("\"events_dropped\":4"));
-        let back = trace_from_json(&parse(&line).unwrap()).unwrap();
+        let back = trace_from_json(&serde_json::from_str(&line).unwrap()).unwrap();
         assert_eq!(back.events_dropped, 4);
         assert_eq!(back, t);
         // Pre-cap exports lack the field entirely: reads as zero.
         let absent = line.replace("\"events_dropped\":4,", "");
-        let old = trace_from_json(&parse(&absent).unwrap()).unwrap();
+        let old = trace_from_json(&serde_json::from_str(&absent).unwrap()).unwrap();
         assert_eq!(old.events_dropped, 0);
     }
 

@@ -25,7 +25,6 @@
 //! `lqo.card.qerror`, `lqo.pilot.decision_ns`.
 
 pub mod export;
-pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod render;

@@ -12,7 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use lqo_obs::json::{parse, Value};
+use lqo_obs::export::{parse_jsonl_with, write_jsonl_with};
+use serde_json::Value;
 
 /// Schema version stamped on every exported series line. Readers accept
 /// absent versions (pre-versioning exports) and any version up to this
@@ -121,12 +122,12 @@ fn f(v: f64) -> Value {
 
 /// Encode one sample as a JSON object.
 pub fn sample_to_json(s: &SamplePoint) -> Value {
-    Value::Obj(vec![
+    Value::Object(vec![
         (
             "schema_version".into(),
             Value::Int(SERIES_SCHEMA_VERSION as i64),
         ),
-        ("component".into(), Value::Str(s.component.clone())),
+        ("component".into(), Value::String(s.component.clone())),
         (
             "seq".into(),
             Value::Int(i64::try_from(s.seq).unwrap_or(i64::MAX)),
@@ -164,22 +165,13 @@ pub fn sample_from_json(v: &Value) -> Option<SamplePoint> {
 
 /// Serialize a series as JSONL, one sample per line.
 pub fn write_series_jsonl(series: &[SamplePoint]) -> String {
-    let mut out = String::new();
-    for s in series {
-        out.push_str(&sample_to_json(s).to_compact());
-        out.push('\n');
-    }
-    out
+    write_jsonl_with(series, sample_to_json)
 }
 
 /// Parse a JSONL series. Blank lines are skipped; any malformed line
 /// fails the whole parse.
 pub fn parse_series_jsonl(input: &str) -> Option<Vec<SamplePoint>> {
-    input
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| sample_from_json(&parse(l)?))
-        .collect()
+    parse_jsonl_with(input, sample_from_json)
 }
 
 #[cfg(test)]
